@@ -2,7 +2,7 @@
 
 A single cavity polarization couples to both intermediate levels of the
 cascade, so emission paths that stay distinguishable in free space
-interfere here. The package integrates the reduced atomic master equation
+interfere here. The package solves the reduced atomic master equation
 that results from eliminating the heavily damped modes, evaluates its
 closed-form solutions in the evenly tuned configuration (damped quantum
 beats, transient ground-population dips), and checks the reduction
@@ -29,15 +29,14 @@ from .composite import (
     reduced_from_composite,
     validate_elimination,
 )
-from .integrator import IntegrationError, IntegratorConfig, integrate
 from .linalg import (
     DriftError,
     commutator,
     density_matrix,
-    dump_matrix,
     hermitize_and_check,
     kron,
     partial_trace_field,
+    propagate,
     pure_state,
 )
 from .model import (

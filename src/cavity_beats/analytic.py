@@ -26,8 +26,6 @@ from .series import TimeSeries
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
 
-FAST_EXPONENTS = ("feeding", "drain_sum")
-
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
     """expm1(w)/w with the w -> 0 limit filled in."""
@@ -84,9 +82,7 @@ def _diagonal_series(t, rho_ee, rho_11, rho_22, rho_12=None) -> TimeSeries:
     return TimeSeries(times=t, states=states)
 
 
-def secular_solution(
-    t_grid: np.ndarray, rates: RateSet, fast_exponent: str = "feeding"
-) -> TimeSeries:
+def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
     """Interference-free cascade populations from the excited state.
 
     The intermediate populations rise with their feeding and fall with
@@ -94,20 +90,14 @@ def secular_solution(
 
         rho_jj = Gamma_j (exp(-2 Gamma_j' t) - exp(-2 s t)) / (s - Gamma_j')
 
-    With fast_exponent="feeding" (the default) s = Gamma_1 + Gamma_2, which
-    is what the population equations integrate to. "drain_sum" evaluates
-    the variant with s = Gamma_1' + Gamma_2' instead; it is kept only for
-    comparison and is not consistent with the equations of motion.
-    Coherences are zero throughout.
+    with s = Gamma_1 + Gamma_2, the drain of the top level. Coherences are
+    zero throughout.
     """
-    if fast_exponent not in FAST_EXPONENTS:
-        raise ValueError(f"fast_exponent must be one of {FAST_EXPONENTS}")
     t = np.asarray(t_grid, dtype=float)
     r = rates
-    feed = r.Gamma_1 + r.Gamma_2
-    s = feed if fast_exponent == "feeding" else r.Gamma_1p + r.Gamma_2p
+    s = r.Gamma_1 + r.Gamma_2
 
-    rho_ee = np.exp(-2 * feed * t)
+    rho_ee = np.exp(-2 * s * t)
     # Divided-difference form keeps the s -> Gamma_j' limit smooth.
     rho_11 = 2 * r.Gamma_1 * t * np.exp(-2 * r.Gamma_1p * t) * _expm1_over(-2 * (s - r.Gamma_1p) * t)
     rho_22 = 2 * r.Gamma_2 * t * np.exp(-2 * r.Gamma_2p * t) * _expm1_over(-2 * (s - r.Gamma_2p) * t)

@@ -1,38 +1,35 @@
 """Command line front end: run, sweep, preset families, validation ladder.
 
-Exit codes: 0 success, 2 bad scenario input, 3 integration failure (partial
-results are still written), 4 reduced-versus-full validation failure.
+Exit codes: 0 success, 2 bad scenario input, 3 drift beyond tolerance or
+failed sweep points (nothing partial is written for a drifted run), 4
+reduced-versus-full validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 
 from . import scenario as scn
 from .analytic import beat_frequency
-from .integrator import IntegrationError
 from .linalg import DriftError
 from .model import CouplingSet, derive_rates, midpoint_levels
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
-EXIT_INTEGRATION = 3
+EXIT_DRIFT = 3
 EXIT_VALIDATION = 4
 
 PRESET_OMEGAS = {"fig3": (0.5, 1.0, 3.0), "fig4": (0.0, 0.5, 1.0, 3.0)}
 PRESET_SAMPLES = 1601
 
 
-def _apply_tols(sc: scn.Scenario, args) -> scn.Scenario:
-    if args.tol_rel is not None:
-        sc = dataclasses.replace(sc, rel_tol=args.tol_rel)
-    if args.tol_abs is not None:
-        sc = dataclasses.replace(sc, abs_tol=args.tol_abs)
-    return sc
+def _values(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise scn.ScenarioError(f"{flag}: {exc}") from exc
 
 
 def _emit(result: scn.RunResult, out_dir: str) -> None:
@@ -52,27 +49,29 @@ def _emit(result: scn.RunResult, out_dir: str) -> None:
             f" (2f = {s['two_f_predicted']}), measured: {s['two_f_measured']}"
             f" [{s['measure_method']}]"
         )
-    if s.get("partial"):
-        print(f"  PARTIAL: {s.get('error', 'integration stopped early')}")
 
 
-def _cmd_run(args) -> int:
-    sc = _apply_tols(scn.load_scenario(args.scenario), args)
-    try:
-        result = scn.run_scenario(sc)
-    except IntegrationError as exc:
-        _emit(scn.partial_result(sc, exc), args.out_dir)
-        return EXIT_INTEGRATION
-    _emit(result, args.out_dir)
-    if sc.mode == "validate" and not result.check.monotone:
+def _run(sc: scn.Scenario, out_dir: str) -> int:
+    result = scn.run_scenario(sc)
+    _emit(result, out_dir)
+    if sc.mode != "validate":
+        return EXIT_OK
+    for g, dev in zip(result.check.g_values, result.check.deviations):
+        print(f"  g = {g:<8g} max deviation = {dev:.6e}")
+    if not result.check.monotone:
         print("validation FAILED: deviations do not shrink with the coupling")
         return EXIT_VALIDATION
+    print("validation passed: deviations shrink with the coupling")
     return EXIT_OK
 
 
+def _cmd_run(args) -> int:
+    return _run(scn.load_scenario(args.scenario), args.out_dir)
+
+
 def _cmd_sweep(args) -> int:
-    sc = _apply_tols(scn.load_scenario(args.scenario), args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    sc = scn.load_scenario(args.scenario)
+    values = _values(args.values, "--values")
     results = scn.run_sweep(sc, args.param, values)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
@@ -84,12 +83,12 @@ def _cmd_sweep(args) -> int:
             print(f"wrote {csv_path}")
         if result.partial:
             failed += 1
-            print(f"  point {value:g} failed: {result.summary.get('error', 'partial output')}")
+            print(f"  point {value:g} failed: {result.summary['error']}")
         rows.append({"value": value, "summary": result.summary})
     combined = os.path.join(args.out_dir, f"{sc.name}.sweep.json")
     scn.write_summary({"name": sc.name, "param": args.param, "runs": rows}, combined)
     print(f"wrote {combined}")
-    return EXIT_INTEGRATION if failed else EXIT_OK
+    return EXIT_DRIFT if failed else EXIT_OK
 
 
 def _preset_scenarios(which: str, eta_values, mode: str) -> list[scn.Scenario]:
@@ -122,51 +121,27 @@ def _cmd_preset(args) -> int:
     else:
         eta_values = (0.0, 1.0)
     runs = []
-    code = EXIT_OK
     for sc in _preset_scenarios(args.which, eta_values, args.mode):
-        sc = _apply_tols(sc, args)
-        try:
-            result = scn.run_scenario(sc)
-        except IntegrationError as exc:
-            result = scn.partial_result(sc, exc)
-            code = EXIT_INTEGRATION
+        result = scn.run_scenario(sc)
         _emit(result, args.out_dir)
         runs.append(result.summary)
     combined = os.path.join(args.out_dir, f"{args.which}.summary.json")
     scn.write_summary({"preset": args.which, "runs": runs}, combined)
     print(f"wrote {combined}")
-    return code
+    return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    g_values = [float(v) for v in args.g_values.split(",") if v.strip()]
-    sc = scn.Scenario(
-        name=args.name, mode="validate", Omega=args.omega,
-        samples=args.samples, g_values=tuple(g_values),
-    )
-    result = scn.run_scenario(sc)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"{sc.name}.summary.json")
-    scn.write_summary(result.summary, path)
-    print(f"wrote {path}")
-    for g, dev in zip(result.check.g_values, result.check.deviations):
-        print(f"  g = {g:<8g} max deviation = {dev:.6e}")
-    if not result.check.monotone:
-        print("validation FAILED: deviations do not shrink with the coupling")
-        return EXIT_VALIDATION
-    print("validation passed: deviations shrink with the coupling")
-    return EXIT_OK
+    sc = scn.parse_scenario({
+        "name": args.name, "mode": "validate", "Omega": args.omega,
+        "samples": args.samples, "g_values": _values(args.g_values, "--g-values"),
+    })
+    return _run(sc, args.out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for CSV and JSON outputs")
-    common.add_argument("--tol-rel", type=float, default=None, help="integrator relative tolerance")
-    common.add_argument("--tol-abs", type=float, default=None, help="integrator absolute tolerance")
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="accepted for interface stability; every computation here is deterministic",
-    )
 
     p = argparse.ArgumentParser(
         prog="cavity-beats",
@@ -210,11 +185,8 @@ def main(argv=None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except DriftError as exc:
-        print(f"integration drifted out of tolerance: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        print(f"evolution drifted out of tolerance: {exc}", file=sys.stderr)
+        return EXIT_DRIFT
 
 
 if __name__ == "__main__":

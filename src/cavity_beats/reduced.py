@@ -4,7 +4,9 @@ Both cavity modes are heavily damped, so the field follows the atom and the
 atomic density matrix obeys a closed equation with effective decay rates,
 level shifts and explicitly time-dependent cross terms oscillating at twice
 the intermediate-level splitting. The equation is written in the interaction
-picture of the bare atom.
+picture of the bare atom. Rotating the intermediate levels by
+theta = (0, Omega, -Omega, 0) removes the time dependence, so evolve solves
+it exactly with a matrix exponential.
 
 Two implementations of the right-hand side are kept deliberately separate:
 an operator form built from commutators and jump contributions, and an
@@ -19,8 +21,7 @@ import warnings
 
 import numpy as np
 
-from .integrator import IntegratorConfig, integrate
-from .linalg import DriftError, density_matrix, hermitize_and_check
+from .linalg import density_matrix, hermitize_and_check, propagate
 from .model import RateSet
 from .series import TimeSeries
 
@@ -127,17 +128,29 @@ def rhs_element_form(t: float, rho: np.ndarray, rates: RateSet, eta: float = 1.0
 RHS_FORMS = {"operator": rhs_operator_form, "element": rhs_element_form}
 
 
+def _frame_phases(rates: RateSet) -> np.ndarray:
+    """theta_j - theta_k for theta = (0, Omega, -Omega, 0), the frame of rotated_rhs."""
+    theta = np.array([0.0, rates.Omega, -rates.Omega, 0.0])
+    return theta[:, None] - theta[None, :]
+
+
+def rotated_rhs(
+    sigma: np.ndarray, rates: RateSet, eta: float = 1.0, form: str = "operator"
+) -> np.ndarray:
+    """The right-hand side for sigma_jk = rho_jk exp(-i (theta_j - theta_k) t): no term depends on t."""
+    return RHS_FORMS[form](0.0, sigma, rates, eta) - 1j * _frame_phases(rates) * sigma
+
+
 def evolve(
     rho0: np.ndarray,
     t_grid: np.ndarray,
     rates: RateSet,
     eta: float = 1.0,
     form: str = "operator",
-    config: IntegratorConfig | None = None,
     drift_tol: float = DRIFT_TOL,
     positivity_floor: float = POSITIVITY_FLOOR,
 ) -> TimeSeries:
-    """Integrate the reduced master equation over t_grid.
+    """Solve the reduced master equation exactly on t_grid.
 
     Every sample is validated: hermiticity and trace are repaired when the
     deviation stays below drift_tol and the largest repair is reported on
@@ -147,42 +160,30 @@ def evolve(
     """
     if form not in RHS_FORMS:
         raise ValueError(f"unknown rhs form {form!r}")
-    rhs = RHS_FORMS[form]
     rho0 = density_matrix(rho0)
+    t = np.asarray(t_grid, dtype=float)
+    dtheta = _frame_phases(rates)
+    t0 = t[0] if t.size else 0.0  # propagate rejects an empty grid
+    sigma0 = rho0 * np.exp(-1j * dtheta * t0)
+    sigma = propagate(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
+    sigma *= np.exp(1j * dtheta * t[:, None, None])
+    states, max_corr = hermitize_and_check(sigma, t, drift_tol)
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return rhs(t, y.reshape(4, 4), rates, eta).ravel()
-
-    raw = integrate(f, rho0.ravel(), np.asarray(t_grid, dtype=float), config)
-
-    states = np.empty((raw.shape[0], 4, 4), dtype=complex)
-    max_corr = 0.0
-    worst_eig = 0.0
-    n_negative = 0
-    diagnostics: list[str] = []
-    for i in range(raw.shape[0]):
-        try:
-            states[i], corr = hermitize_and_check(raw[i].reshape(4, 4), tol=drift_tol)
-        except DriftError as exc:
-            raise DriftError(f"sample {i} (t={t_grid[i]:.6g}): {exc}") from exc
-        max_corr = max(max_corr, corr)
-        lo = float(np.linalg.eigvalsh(states[i])[0])
-        if lo < positivity_floor:
-            n_negative += 1
-            worst_eig = min(worst_eig, lo)
-            if len(diagnostics) < 20:
-                diagnostics.append(f"negative eigenvalue {lo:.3e} at t={t_grid[i]:.6g}")
-    if n_negative:
+    lowest = np.linalg.eigvalsh(states)[:, 0]
+    negative = np.flatnonzero(lowest < positivity_floor)
+    diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
+    if negative.size:
+        worst_eig = min(0.0, float(np.min(lowest[negative])))
         warnings.warn(
-            f"positivity violated at {n_negative} of {raw.shape[0]} samples "
+            f"positivity violated at {negative.size} of {t.size} samples "
             f"(worst eigenvalue {worst_eig:.3e})",
             stacklevel=2,
         )
-        if n_negative > len(diagnostics):
-            diagnostics.append(f"... {n_negative} samples below {positivity_floor:g} in total")
+        if negative.size > len(diagnostics):
+            diagnostics.append(f"... {negative.size} samples below {positivity_floor:g} in total")
 
     return TimeSeries(
-        times=np.asarray(t_grid, dtype=float),
+        times=t,
         states=states,
         diagnostics=diagnostics,
         max_drift_correction=max_corr,

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import composite as composite_mod
 from .analytic import BeatMeasurement, beat_frequency, measure_beats, symmetric_solution
-from .integrator import IntegrationError, IntegratorConfig
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from .reduced import evolve
 from .series import TimeSeries
@@ -26,6 +27,8 @@ from .series import TimeSeries
 MODES = ("reduced", "composite", "analytic", "validate")
 CSV_COLUMNS = ("t", "rho_ee", "rho_11", "rho_22", "rho_gg", "re_rho_12", "im_rho_12", "abs_rho_12")
 SWEEP_PARAMS = ("Omega", "eta", "t_end", "G")
+# Output files are <name>.csv and <name>.summary.json inside --out-dir.
+NAME_PATTERN = re.compile(r"\w[\w.+-]*", re.ASCII)
 
 
 class ScenarioError(ValueError):
@@ -38,15 +41,24 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
         raise ScenarioError(f"{path}: unknown field(s) {', '.join(unknown)}")
 
 
+def _finite(v, where: str, expected: str = "a number") -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{where}: expected {expected}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where}: must be finite")
+    return x
+
+
 def _real(obj: dict, key: str, path: str, default=None, required: bool = False):
     if key not in obj:
         if required:
             raise ScenarioError(f"{path}.{key}: required")
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
-    return float(v)
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def _complex(obj: dict, key: str, path: str, default=None, required: bool = False):
@@ -55,15 +67,9 @@ def _complex(obj: dict, key: str, path: str, default=None, required: bool = Fals
             raise ScenarioError(f"{path}.{key}: required")
         return default
     v = obj[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    ):
-        return complex(v[0], v[1])
-    raise ScenarioError(f"{path}.{key}: expected a number or a [re, im] pair")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    re_part, im_part = (_finite(x, f"{path}.{key}", "a number or a [re, im] pair") for x in parts)
+    return complex(re_part, im_part)
 
 
 def _integer(obj: dict, key: str, path: str, default=None):
@@ -73,6 +79,24 @@ def _integer(obj: dict, key: str, path: str, default=None):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"{path}.{key}: expected an integer")
     return v
+
+
+def _block(obj: dict, key: str, path: str, cls, read):
+    """The explicit configuration block obj[key], one read(...) per field of cls."""
+    where = f"{path}.{key}"
+    block = obj[key]
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    fields = dataclasses.fields(cls)
+    _check_keys(block, tuple(f.name for f in fields), where)
+    values = {
+        f.name: read(block, f.name, where, f.default, f.default is dataclasses.MISSING)
+        for f in fields
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -87,8 +111,6 @@ class Scenario:
     couplings: CouplingSet | None = None
     t_end: float | None = None
     samples: int = 1601
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
     n_max_a: int = 1
     n_max_b: int = 1
     g_values: tuple[float, ...] = (0.2, 0.1, 0.05)
@@ -96,7 +118,7 @@ class Scenario:
 
 _PHYSICS_KEYS = (
     "name", "mode", "eta", "Omega", "G", "levels", "cavity", "couplings",
-    "t_end", "samples", "rel_tol", "abs_tol", "n_max_a", "n_max_b",
+    "t_end", "samples", "n_max_a", "n_max_b",
 )
 _VALIDATE_KEYS = ("name", "mode", "g_values", "Omega", "samples")
 
@@ -105,87 +127,45 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioError(f"{path}.name: required non-empty string")
+    if not isinstance(name, str) or not NAME_PATTERN.fullmatch(name):
+        raise ScenarioError(
+            f"{path}.name: required file stem of letters, digits, _ . + - (no leading . + -)"
+        )
     mode = obj.get("mode")
     if mode not in MODES:
         raise ScenarioError(f"{path}.mode: must be one of {', '.join(MODES)}")
+    _check_keys(obj, _VALIDATE_KEYS if mode == "validate" else _PHYSICS_KEYS, path)
+    omega = _real(obj, "Omega", path, default=1.0 if mode == "validate" else None)
+    if omega is not None and omega < 0:
+        raise ScenarioError(f"{path}.Omega: must be nonnegative")
+    samples = _integer(obj, "samples", path, default=151 if mode == "validate" else 1601)
+    if samples < 2:
+        raise ScenarioError(f"{path}.samples: need at least 2")
 
     if mode == "validate":
-        _check_keys(obj, _VALIDATE_KEYS, path)
         gv = obj.get("g_values", [0.2, 0.1, 0.05])
-        if (
-            not isinstance(gv, list)
-            or len(gv) < 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) or x <= 0 for x in gv)
-        ):
+        g_values = tuple(_finite(x, f"{path}.g_values") for x in gv) if isinstance(gv, list) else ()
+        if len(g_values) < 2 or min(g_values) <= 0:
             raise ScenarioError(f"{path}.g_values: expected a list of at least two positive numbers")
-        return Scenario(
-            name=name,
-            mode=mode,
-            Omega=_real(obj, "Omega", path, default=1.0),
-            samples=_integer(obj, "samples", path, default=151),
-            g_values=tuple(float(x) for x in gv),
-        )
+        return Scenario(name=name, mode=mode, Omega=omega, samples=samples, g_values=g_values)
 
-    _check_keys(obj, _PHYSICS_KEYS, path)
-    omega = _real(obj, "Omega", path)
     g = _complex(obj, "G", path)
     explicit = [k for k in ("levels", "cavity", "couplings") if k in obj]
     if omega is not None and explicit:
         raise ScenarioError(f"{path}: give either Omega/G or levels/cavity/couplings, not both")
+    levels = cavity = couplings = None
     if omega is None:
         if g is not None:
             raise ScenarioError(f"{path}.G: only meaningful together with Omega")
         if len(explicit) != 3:
             raise ScenarioError(f"{path}: need levels, cavity and couplings (or the Omega shortcut)")
-
-    levels = cavity = couplings = None
-    if omega is None:
-        lv = obj["levels"]
-        if not isinstance(lv, dict):
-            raise ScenarioError(f"{path}.levels: expected an object")
-        _check_keys(lv, ("omega_eg", "omega_1g", "omega_2g"), f"{path}.levels")
-        try:
-            levels = LevelScheme(
-                omega_eg=_real(lv, "omega_eg", f"{path}.levels", required=True),
-                omega_1g=_real(lv, "omega_1g", f"{path}.levels", required=True),
-                omega_2g=_real(lv, "omega_2g", f"{path}.levels", required=True),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.levels: {exc}") from exc
-        cv = obj["cavity"]
-        if not isinstance(cv, dict):
-            raise ScenarioError(f"{path}.cavity: expected an object")
-        _check_keys(cv, ("omega_a", "omega_b", "kappa_a", "kappa_b"), f"{path}.cavity")
-        try:
-            cavity = CavityParams(
-                omega_a=_real(cv, "omega_a", f"{path}.cavity", required=True),
-                omega_b=_real(cv, "omega_b", f"{path}.cavity", required=True),
-                kappa_a=_real(cv, "kappa_a", f"{path}.cavity", default=1.0),
-                kappa_b=_real(cv, "kappa_b", f"{path}.cavity", default=1.0),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.cavity: {exc}") from exc
-        cp = obj["couplings"]
-        if not isinstance(cp, dict):
-            raise ScenarioError(f"{path}.couplings: expected an object")
-        _check_keys(cp, ("G_1e", "G_2e", "G_g1", "G_g2"), f"{path}.couplings")
-        couplings = CouplingSet(
-            G_1e=_complex(cp, "G_1e", f"{path}.couplings", required=True),
-            G_2e=_complex(cp, "G_2e", f"{path}.couplings", required=True),
-            G_g1=_complex(cp, "G_g1", f"{path}.couplings", required=True),
-            G_g2=_complex(cp, "G_g2", f"{path}.couplings", required=True),
-        )
-    elif omega < 0:
-        raise ScenarioError(f"{path}.Omega: must be nonnegative")
+        levels = _block(obj, "levels", path, LevelScheme, _real)
+        cavity = _block(obj, "cavity", path, CavityParams, _real)
+        couplings = _block(obj, "couplings", path, CouplingSet, _complex)
 
     t_end = _real(obj, "t_end", path, required=True)
     if t_end <= 0:
         raise ScenarioError(f"{path}.t_end: must be positive")
-    samples = _integer(obj, "samples", path, default=1601)
-    if samples is None or samples < 2:
-        raise ScenarioError(f"{path}.samples: need at least 2")
     n_max_a = _integer(obj, "n_max_a", path, default=1)
     n_max_b = _integer(obj, "n_max_b", path, default=1)
     if (n_max_a < 1 or n_max_b < 1) and mode == "composite":
@@ -202,8 +182,6 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
         couplings=couplings,
         t_end=t_end,
         samples=samples,
-        rel_tol=_real(obj, "rel_tol", path, default=1e-9),
-        abs_tol=_real(obj, "abs_tol", path, default=1e-12),
         n_max_a=n_max_a,
         n_max_b=n_max_b,
     )
@@ -218,13 +196,6 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     return parse_scenario(obj)
-
-
-def _configuration(sc: Scenario) -> tuple[LevelScheme, CavityParams, CouplingSet]:
-    if sc.Omega is not None:
-        levels, cavity = midpoint_levels(sc.Omega + 1.0, sc.Omega, sc.Omega)
-        return levels, cavity, CouplingSet.uniform(sc.G)
-    return sc.levels, sc.cavity, sc.couplings
 
 
 @dataclass
@@ -242,12 +213,12 @@ def _json_complex(z: complex | None):
     return [float(z.real), float(z.imag)]
 
 
-def _summarize(sc: Scenario, series: TimeSeries, rates, partial: bool = False) -> dict:
+def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
     pred = None
     if rates.alpha is not None:
         pred = beat_frequency(rates, sc.eta)
     meas = BeatMeasurement(None, "none", "not measured")
-    if len(series) >= 8 and not partial:
+    if len(series) >= 8:
         try:
             meas = measure_beats(series, allow_tone_fit=True)
         except ValueError as exc:
@@ -279,12 +250,12 @@ def _summarize(sc: Scenario, series: TimeSeries, rates, partial: bool = False) -
         "min_rho_gg_slope": float(np.min(slope)),
         "max_drift_correction": float(series.max_drift_correction),
         "diagnostics": list(series.diagnostics),
-        "partial": partial,
+        "partial": False,
     }
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Execute one scenario; IntegrationError propagates with partial data."""
+    """Execute one scenario; DriftError propagates and nothing is returned."""
     if sc.mode == "validate":
         check = composite_mod.validate_elimination(
             g_values=sc.g_values, Omega=sc.Omega, samples=sc.samples
@@ -298,15 +269,17 @@ def run_scenario(sc: Scenario) -> RunResult:
         }
         return RunResult(scenario=sc, summary=summary, check=check)
 
-    levels, cavity, couplings = _configuration(sc)
+    levels, cavity, couplings = sc.levels, sc.cavity, sc.couplings
+    if sc.Omega is not None:
+        levels, cavity = midpoint_levels(sc.Omega + 1.0, sc.Omega, sc.Omega)
+        couplings = CouplingSet.uniform(sc.G)
     rates = derive_rates(couplings, levels, cavity)
     t = np.linspace(0.0, sc.t_end, sc.samples)
-    cfg = IntegratorConfig(rel_tol=sc.rel_tol, abs_tol=sc.abs_tol)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
 
     if sc.mode == "reduced":
-        series = evolve(rho0, t, rates, eta=sc.eta, config=cfg)
+        series = evolve(rho0, t, rates, eta=sc.eta)
     elif sc.mode == "analytic":
         if rates.alpha is None:
             raise ScenarioError(
@@ -319,39 +292,10 @@ def run_scenario(sc: Scenario) -> RunResult:
         system = composite_mod.build_system(
             couplings, levels, cavity, n_max_a=sc.n_max_a, n_max_b=sc.n_max_b
         )
-        states = composite_mod.evolve_composite(
-            composite_mod.excited_vacuum(system), t, system, cfg
-        )
+        states = composite_mod.evolve_composite(composite_mod.excited_vacuum(system), t, system)
         series = composite_mod.reduced_from_composite(states, t, system, levels)
 
     return RunResult(scenario=sc, summary=_summarize(sc, series, rates), series=series)
-
-
-def partial_result(sc: Scenario, exc: IntegrationError) -> RunResult:
-    """Package whatever an aborted integration produced."""
-    levels, cavity, couplings = _configuration(sc)
-    rates = derive_rates(couplings, levels, cavity)
-    times = exc.partial_times if exc.partial_times is not None else np.zeros(0)
-    states = exc.partial_states
-    if states is None or times.size == 0:
-        series = None
-        summary = {"name": sc.name, "mode": sc.mode, "partial": True, "error": str(exc)}
-    else:
-        if sc.mode == "composite":
-            # Partial composite states are on the big space; reduce what exists.
-            system = composite_mod.build_system(
-                couplings, levels, cavity, n_max_a=sc.n_max_a, n_max_b=sc.n_max_b
-            )
-            dim = system.dim
-            series = composite_mod.reduced_from_composite(
-                states.reshape(-1, dim, dim), times, system, levels
-            )
-        else:
-            series = TimeSeries(times=times, states=states.reshape(-1, 4, 4))
-        series.diagnostics.append(f"integration aborted: {exc}")
-        summary = _summarize(sc, series, rates, partial=True)
-        summary["error"] = str(exc)
-    return RunResult(scenario=sc, summary=summary, series=series, partial=True)
 
 
 def write_csv(series: TimeSeries, path: str) -> None:
@@ -407,8 +351,6 @@ def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
         try:
             variant = sweep_variant(sc, param, v)
             results.append(run_scenario(variant))
-        except IntegrationError as exc:
-            results.append(partial_result(variant, exc))
         except (ScenarioError, ValueError) as exc:
             # a bad point is recorded under its would-be name, the rest still run
             name = f"{sc.name}_{param}_{v:g}"

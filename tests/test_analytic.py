@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 
 from cavity_beats.analytic import (
-    FAST_EXPONENTS,
     beat_frequency,
     measure_beats,
     secular_solution,
     symmetric_solution,
 )
-from cavity_beats.integrator import IntegratorConfig
 from cavity_beats.linalg import pure_state
 from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, RateSet, derive_rates, midpoint_levels
 from cavity_beats.reduced import evolve
-
-TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def _tuned_rates(omega, g=1.0):
@@ -56,7 +52,7 @@ def test_secular_matches_rate_equations():
     rates = _asymmetric_rates()
     t = np.linspace(0.0, 8.0, 81)
     closed = secular_solution(t, rates)
-    numeric = evolve(pure_state(0, 4), t, rates, eta=0.0, config=TIGHT)
+    numeric = evolve(pure_state(0, 4), t, rates, eta=0.0)
     for k in "e12g":
         dev = np.max(np.abs(closed.population(k) - numeric.population(k)))
         assert dev < 1e-9, f"level {k}: {dev:.3e}"
@@ -70,17 +66,6 @@ def test_secular_degenerate_filling_limit():
     series = secular_solution(t, rates)
     want = 2 * 0.25 * t * np.exp(-t)
     assert np.max(np.abs(series.population("1") - want)) < 1e-13
-
-
-def test_secular_exponent_variants_differ():
-    rates = _rate_only(0.3, 0.7, 0.2, 0.9)
-    t = np.linspace(0.0, 4.0, 41)
-    feeding = secular_solution(t, rates, fast_exponent="feeding")
-    drain = secular_solution(t, rates, fast_exponent="drain_sum")
-    assert np.max(np.abs(feeding.population("1") - drain.population("1"))) > 1e-3
-    assert FAST_EXPONENTS == ("feeding", "drain_sum")
-    with pytest.raises(ValueError):
-        secular_solution(t, rates, fast_exponent="other")
 
 
 # --- evenly tuned closed form ---------------------------------------------
@@ -102,7 +87,7 @@ def test_symmetric_solution_matches_integration(omega, eta, t_end):
     rates = _tuned_rates(omega)
     t = np.linspace(0.0, t_end, 161)
     closed = symmetric_solution(t, rates, eta=eta)
-    numeric = evolve(pure_state(0, 4), t, rates, eta=eta, config=TIGHT)
+    numeric = evolve(pure_state(0, 4), t, rates, eta=eta)
     pop_dev = max(
         np.max(np.abs(closed.population(k) - numeric.population(k))) for k in "e12g"
     )
@@ -117,7 +102,7 @@ def test_symmetric_solution_near_resonance_continuity():
     rates = _tuned_rates(1e-7)
     t = np.linspace(0.0, 8.0, 81)
     closed = symmetric_solution(t, rates)
-    numeric = evolve(pure_state(0, 4), t, rates, config=TIGHT)
+    numeric = evolve(pure_state(0, 4), t, rates)
     dev = max(np.max(np.abs(closed.population(k) - numeric.population(k))) for k in "e12g")
     assert dev < 1e-4
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavity_beats.linalg import (
+    THETA13,
     DriftError,
     commutator,
     density_matrix,
-    dump_matrix,
+    expm,
     hermitize_and_check,
     kron,
     partial_trace_field,
+    propagate,
     pure_state,
 )
 
@@ -130,31 +133,40 @@ def test_partial_trace_dimension_mismatch():
 def test_hermitize_repairs_small_drift():
     rho = np.diag([0.6, 0.4]).astype(complex)
     drift = rho + np.array([[1e-9, 1e-9j], [0, -2e-9]])
-    fixed, corr = hermitize_and_check(drift, tol=1e-6)
-    assert corr < 1e-8
-    assert np.max(np.abs(fixed - fixed.conj().T)) == 0.0
-    assert abs(fixed.trace() - 1.0) < 1e-15
+    fixed, corr = hermitize_and_check(np.stack([rho, drift]), np.array([0.0, 1.0]), tol=1e-6)
+    assert 1e-9 <= corr < 1e-8
+    assert np.array_equal(fixed[0], rho)
+    assert np.max(np.abs(fixed[1] - fixed[1].conj().T)) == 0.0
+    assert abs(fixed[1].trace() - 1.0) < 1e-15
 
 
 def test_hermitize_raises_beyond_tolerance():
     rho = np.diag([0.6, 0.4]).astype(complex)
-    with pytest.raises(DriftError):
-        hermitize_and_check(rho + np.array([[0, 1e-3], [0, 0]]), tol=1e-6)
+    bad = rho + np.array([[0, 1e-3], [0, 0]])
+    with pytest.raises(DriftError, match=r"^sample 2 \(t=0\.5\): drift 1\.000e-03"):
+        hermitize_and_check(np.stack([rho, rho, bad, bad]), np.linspace(0, 0.75, 4), tol=1e-6)
 
 
-def test_dump_matrix_round_trips_exactly():
-    rng = np.random.default_rng(8)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    text = dump_matrix(m)
-    lines = text.split("\n")
-    assert len(lines) == 3
-    parsed = np.array([[complex(tok) for tok in line.split("\t")] for line in lines])
-    # 17 significant digits round-trip float64 exactly
-    assert np.array_equal(parsed, m)
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, THETA13, 40.0, 200.0])
+def test_expm_matches_scipy(norm):
+    # norms above THETA13 take the scaling and squaring path
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((12, 12))
+    a *= norm / np.max(np.sum(np.abs(a), axis=0))
+    want = scipy.linalg.expm(a)
+    assert np.max(np.abs(expm(a) - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
-def test_dump_matrix_entry_format():
-    text = dump_matrix(np.array([[1.0 + 2.0j]]))
-    assert text == "1+2j"
-    text = dump_matrix(np.array([[-0.5 - 0.25j]]))
-    assert text == "-0.5-0.25j"
+def test_propagate_decay_of_a_coherence():
+    # d(rho)/dt = -i[H, rho] with H = diag(0, w): rho_01 picks up exp(i w t)
+    w = 2.5
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    t = np.array([0.0, 0.3, 1.1, 4.0])
+    h = np.diag([0.0, w]).astype(complex)
+    out = propagate(lambda rho: -1j * (h @ rho - rho @ h), rho0, t)
+    assert np.max(np.abs(out[:, 0, 1] - 0.5 * np.exp(1j * w * t))) < 1e-14
+    assert np.max(np.abs(out[:, 0, 0] - 0.5)) < 1e-15
+    with pytest.raises(ValueError, match="ascending"):
+        propagate(lambda rho: rho, rho0, t[::-1])
+    with pytest.raises(ValueError, match="Hermitian"):
+        propagate(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]), t)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from cavity_beats.integrator import IntegratorConfig
-from cavity_beats.linalg import DriftError, pure_state
+from cavity_beats.integrator import IntegratorConfig, integrate
+from cavity_beats.linalg import DriftError, hermitian_generator, pure_state
 from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
-from cavity_beats.reduced import RHS_FORMS, evolve, rhs_element_form, rhs_operator_form
+from cavity_beats.reduced import (
+    RHS_FORMS,
+    evolve,
+    rhs_element_form,
+    rhs_operator_form,
+    rotated_rhs,
+)
 
 
 def _tuned_rates(omega, g=1.0):
@@ -114,12 +120,23 @@ def test_drift_error_carries_sample_position():
 
 def test_positivity_violation_is_flagged():
     # at G = kappa the reduced equation transiently leaves the state space;
-    # that must surface as a warning plus diagnostics, never silently
+    # that must surface as a warning plus diagnostics, never silently, and
+    # the batched check must report what a per-sample loop finds
     rates = _tuned_rates(1.0)
-    with pytest.warns(UserWarning, match="positivity violated"):
-        series = evolve(pure_state(0, 4), np.linspace(0.0, 12.0, 241), rates)
+    t = np.linspace(0.0, 12.0, 1201)
+    with pytest.warns(UserWarning, match="positivity violated") as record:
+        series = evolve(pure_state(0, 4), t, rates)
     assert series.diagnostics
     assert "negative eigenvalue" in series.diagnostics[0]
+    lowest = [(float(np.linalg.eigvalsh(rho)[0]), ti) for rho, ti in zip(series.states, t)]
+    neg = [(lo, ti) for lo, ti in lowest if lo < -1e-6]
+    assert len(neg) > 20
+    want = [f"negative eigenvalue {lo:.3e} at t={ti:.6g}" for lo, ti in neg[:20]]
+    assert series.diagnostics == want + [f"... {len(neg)} samples below -1e-06 in total"]
+    worst = min(lo for lo, _ in neg)
+    assert str(record[0].message) == (
+        f"positivity violated at {len(neg)} of {t.size} samples (worst eigenvalue {worst:.3e})"
+    )
 
 
 def test_positivity_floor_is_adjustable():
@@ -142,7 +159,48 @@ def test_evolve_validates_initial_state():
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
 def test_tight_config_is_accepted():
-    rates = _tuned_rates(1.0)
+    # the exact propagation against the Runge-Kutta reference at a tight
+    # tolerance: both statements of the rhs at every eta on a uniform grid,
+    # and a generic configuration on a non-uniform grid that starts after 0
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-    series = evolve(pure_state(0, 4), np.linspace(0.0, 2.0, 21), rates, config=cfg)
-    assert series.max_drift_correction < 1e-11
+    uniform = np.linspace(0.0, 6.0, 61)
+    cases = [(_tuned_rates(1.0), eta, uniform) for eta in (0.0, 0.5, 1.0)]
+    cases.append((_asymmetric_rates(), 1.0, np.array([0.2, 0.35, 1.0, 2.2, 4.0, 6.5])))
+    rho0 = pure_state(0, 4)
+    worst = 0.0
+    for rates, eta, t in cases:
+        for form, rhs in RHS_FORMS.items():
+            series = evolve(rho0, t, rates, eta=eta, form=form)
+            assert series.max_drift_correction < 1e-11
+            ref = integrate(
+                lambda s, y: rhs(s, y.reshape(4, 4), rates, eta).ravel(), rho0.ravel(), t, cfg
+            )
+            worst = max(worst, float(np.max(np.abs(series.states.reshape(-1, 16) - ref))))
+    assert worst < 1e-9, f"exact and Runge-Kutta evolution differ by {worst:.3e}"
+
+
+@pytest.mark.parametrize(
+    "omega,eta,stationary",
+    [
+        (0.5, 1.0, 1),
+        (1.0, 1.0, 1),
+        (3.0, 1.0, 1),
+        (0.0, 0.5, 1),
+        # exact resonance at full interference: the antisymmetric
+        # superposition of the intermediate levels is dark to the ground
+        # transition, so its populations and coherences never decay
+        (0.0, 1.0, 4),
+        (None, 1.0, 1),  # the asymmetric configuration
+    ],
+)
+def test_rotated_generator_spectrum(omega, eta, stationary):
+    # the zero eigenvalues are the stationary states; every other mode decays
+    rates = _asymmetric_rates() if omega is None else _tuned_rates(omega)
+    full_support = _random_hermitian(np.random.default_rng(5))
+    for form in RHS_FORMS:
+        keep, gen = hermitian_generator(lambda s: rotated_rhs(s, rates, eta, form), full_support)
+        assert keep.size == 16
+        lam = np.linalg.eigvals(gen)
+        zero = np.abs(lam) < 1e-12
+        assert zero.sum() == stationary, f"{form}: eigenvalues {np.sort_complex(lam)}"
+        assert np.max(lam[~zero].real) < 0

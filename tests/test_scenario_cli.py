@@ -6,7 +6,6 @@ import pytest
 import cavity_beats.composite
 from cavity_beats.cli import main
 from cavity_beats.composite import EliminationCheck
-from cavity_beats.integrator import IntegrationError
 from cavity_beats.scenario import (
     CSV_COLUMNS,
     Scenario,
@@ -37,7 +36,10 @@ def test_parse_shortcut_defaults():
     sc = parse_scenario(dict(SHORTCUT))
     assert sc.Omega == 1.0 and sc.G == 1.0 + 0j
     assert sc.eta == 1.0 and sc.samples == 1601
-    assert sc.rel_tol == 1e-9 and sc.abs_tol == 1e-12
+    # the exact engine has no tolerances to set
+    for key in ("rel_tol", "abs_tol"):
+        with pytest.raises(ScenarioError, match=f"unknown field\\(s\\) {key}"):
+            parse_scenario(dict(SHORTCUT, **{key: 1e-9}))
 
 
 def test_parse_explicit_blocks():
@@ -201,12 +203,15 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     path = _write_scenario(
         tmp_path, {"name": "quick", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101}
     )
-    code = main(["run", path, "--out-dir", str(tmp_path), "--seed", "7"])
+    code = main(["run", path, "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "quick.csv").exists()
     assert (tmp_path / "quick.summary.json").exists()
     out = capsys.readouterr().out
     assert "beats predicted: True" in out
+    for flag in ("--seed", "--tol-rel", "--tol-abs"):
+        with pytest.raises(SystemExit):
+            main(["run", path, "--out-dir", str(tmp_path), flag, "7"])
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):
@@ -218,27 +223,43 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
-def test_cli_partial_output_on_integration_failure(tmp_path, capsys, monkeypatch):
-    import cavity_beats.scenario as scenario_mod
+INF, NAN = float("inf"), float("nan")
 
-    def boom(sc):
-        raise IntegrationError(
-            "step size underflow at t=0.1",
-            t_last=0.1,
-            y_last=np.zeros(16, dtype=complex),
-            partial_times=np.array([0.0, 0.05]),
-            partial_states=np.zeros((2, 16), dtype=complex),
-        )
 
-    monkeypatch.setattr(scenario_mod, "run_scenario", boom)
-    monkeypatch.setattr("cavity_beats.cli.scn.run_scenario", boom, raising=False)
-    path = _write_scenario(tmp_path, dict(SHORTCUT, name="frac"))
-    code = main(["run", path, "--out-dir", str(tmp_path)])
-    assert code == 3
-    assert (tmp_path / "frac.csv").exists()
-    summary = json.loads((tmp_path / "frac.summary.json").read_text())
-    assert summary["partial"] is True and "error" in summary
-    assert "PARTIAL" in capsys.readouterr().out
+BAD_INPUT = {
+    "t_end-inf": (dict(SHORTCUT, t_end=INF), None),
+    "Omega-nan": (dict(SHORTCUT, Omega=NAN), None),
+    "G-inf": (dict(SHORTCUT, G=[1.0, INF]), None),
+    "analytic-eta-nan": (dict(SHORTCUT, mode="analytic", eta=NAN), None),
+    "t_end-overflow": (dict(SHORTCUT, t_end=10**400), None),
+    "kappa_a-nan": (dict(EXPLICIT, cavity=dict(EXPLICIT["cavity"], kappa_a=NAN)), None),
+    "G_g1-inf": (dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_g1=-INF)), None),
+    "g_values-nan": ({"name": "v", "mode": "validate", "g_values": [0.2, NAN]}, None),
+    "name-parent": (dict(SHORTCUT, name="../escaped"), None),
+    "name-subdir": (dict(SHORTCUT, name="sub/escaped"), None),
+    "name-dotdot": (dict(SHORTCUT, name=".."), None),
+    "validate-one-sample": (None, ["validate", "--samples", "1"]),
+    "validate-omega-nan": (None, ["validate", "--omega", "nan"]),
+    "validate-g-text": (None, ["validate", "--g-values", "0.2,abc"]),
+    "validate-name-parent": (None, ["validate", "--name", "../escaped"]),
+}
+
+
+@pytest.mark.parametrize("scenario,argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, argv):
+    # bad input exits 2 before anything is written, inside --out-dir or not
+    work = tmp_path / "work"
+    work.mkdir()
+    inputs = set()
+    if scenario is not None:
+        path = work / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        inputs.add(path)
+        argv = ["run", str(path)]
+    code = main(argv + ["--out-dir", str(work / "out")])
+    assert code == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert {p for p in tmp_path.rglob("*") if p.is_file()} == inputs
 
 
 def test_cli_validate_failure_exit_code(tmp_path, capsys, monkeypatch):
