@@ -31,10 +31,8 @@ from .composite import (
 )
 from .linalg import (
     DriftError,
-    commutator,
     density_matrix,
     hermitize_and_check,
-    kron,
     partial_trace_field,
     propagate,
     pure_state,

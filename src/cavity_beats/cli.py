@@ -99,17 +99,10 @@ def _preset_scenarios(which: str, eta_values, mode: str) -> list[scn.Scenario]:
         for eta in eta_values:
             pred = beat_frequency(rates, eta)
             t_end = max(8.0, 3.5 / pred.two_f) if pred.beats else 8.0
-            cases.append(
-                scn.Scenario(
-                    name=f"{which}_omega{omega:g}_eta{eta:g}",
-                    mode=mode,
-                    eta=eta,
-                    Omega=omega,
-                    G=complex(1.0),
-                    t_end=t_end,
-                    samples=PRESET_SAMPLES,
-                )
-            )
+            cases.append(scn.parse_scenario({
+                "name": f"{which}_omega{omega:g}_eta{eta:g}", "mode": mode, "eta": eta,
+                "Omega": omega, "t_end": t_end, "samples": PRESET_SAMPLES,
+            }))
     return cases
 
 

@@ -18,7 +18,7 @@ EIG_FLOOR = -1e-9
 
 
 class DriftError(RuntimeError):
-    """Numerical drift exceeded the allowed tolerance during integration."""
+    """The Hermiticity or trace of an evolved state drifted beyond the allowed tolerance."""
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -28,20 +28,6 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return AB - BA for square matrices of equal dimension."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two matrices (thin wrapper over numpy)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def density_matrix(

@@ -10,11 +10,13 @@ their path rather than ignored.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,58 +43,80 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
         raise ScenarioError(f"{path}: unknown field(s) {', '.join(unknown)}")
 
 
-def _finite(v, where: str, expected: str = "a number") -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where}: expected {expected}")
+# Bounds that keep an accepted scenario runnable. At unit rates a step of
+# t_end stays far below the step norm (about 2e10) where expm loses the
+# stationary state; a composite run at 100001 samples takes about 30 s and
+# 0.5 GB; validate runs each rung of the ladder to t = 1.5/g^2.
+T_END_MAX = 1e6
+SAMPLES_MAX = 100001
+G_RUNG_MIN = 1e-3
+
+
+class Field(NamedTuple):
+    kind: type
+    lower: float = -math.inf
+    upper: float = math.inf
+    lower_open: bool = False
+
+
+# Every number a scenario can set, top-level or in a configuration block;
+# g_values bounds each rung of the validate ladder.
+FIELDS = {
+    "eta": Field(float),
+    "Omega": Field(float, 0.0),
+    "G": Field(complex),
+    "t_end": Field(float, 0.0, T_END_MAX, lower_open=True),
+    "samples": Field(int, 2, SAMPLES_MAX),
+    "g_values": Field(float, G_RUNG_MIN),
+    **dict.fromkeys(
+        ("omega_eg", "omega_1g", "omega_2g", "omega_a", "omega_b", "kappa_a", "kappa_b"),
+        Field(float),
+    ),
+    **dict.fromkeys(("G_1e", "G_2e", "G_g1", "G_g2"), Field(complex)),
+}
+_EXPECTED = {float: "a number", int: "an integer", complex: "a number or a [re, im] pair"}
+
+
+def read_field(key: str, value, where: str):
+    """value checked as FIELDS[key]: type, finiteness, then bounds.
+
+    A complex field takes a number or a [re, im] pair. Raises ScenarioError
+    naming where.
+    """
+    kind, lower, upper, lower_open = FIELDS[key]
+    parts = value if kind is complex and isinstance(value, list) and len(value) == 2 else [value]
+    numeric = int if kind is int else (int, float)
+    if any(isinstance(v, bool) or not isinstance(v, numeric) for v in parts):
+        raise ScenarioError(f"{where}: expected {_EXPECTED[kind]}")
     try:
-        x = float(v)
+        x = kind(*parts)
     except OverflowError:  # an integer literal beyond the float range
         x = math.inf
-    if not math.isfinite(x):
+    if kind is not int and not cmath.isfinite(x):
         raise ScenarioError(f"{where}: must be finite")
+    if kind is not complex and not (lower < x <= upper if lower_open else lower <= x <= upper):
+        raise ScenarioError(
+            f"{where}: must lie in {'(' if lower_open else '['}{lower:g}, {upper:g}]"
+        )
     return x
 
 
-def _real(obj: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    return _finite(obj[key], f"{path}.{key}")
+def _read(obj: dict, key: str, path: str, default=None):
+    return read_field(key, obj[key], f"{path}.{key}") if key in obj else default
 
 
-def _complex(obj: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    v = obj[key]
-    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-    re_part, im_part = (_finite(x, f"{path}.{key}", "a number or a [re, im] pair") for x in parts)
-    return complex(re_part, im_part)
-
-
-def _integer(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer")
-    return v
-
-
-def _block(obj: dict, key: str, path: str, cls, read):
-    """The explicit configuration block obj[key], one read(...) per field of cls."""
+def _block(obj: dict, key: str, path: str, cls):
+    """The explicit configuration block obj[key], one read_field per field of cls."""
     where = f"{path}.{key}"
     block = obj[key]
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected an object")
     fields = dataclasses.fields(cls)
     _check_keys(block, tuple(f.name for f in fields), where)
-    values = {
-        f.name: read(block, f.name, where, f.default, f.default is dataclasses.MISSING)
-        for f in fields
-    }
+    for f in fields:
+        if f.name not in block and f.default is dataclasses.MISSING:
+            raise ScenarioError(f"{where}.{f.name}: required")
+    values = {k: read_field(k, v, f"{where}.{k}") for k, v in block.items()}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -111,14 +135,11 @@ class Scenario:
     couplings: CouplingSet | None = None
     t_end: float | None = None
     samples: int = 1601
-    n_max_a: int = 1
-    n_max_b: int = 1
     g_values: tuple[float, ...] = (0.2, 0.1, 0.05)
 
 
 _PHYSICS_KEYS = (
-    "name", "mode", "eta", "Omega", "G", "levels", "cavity", "couplings",
-    "t_end", "samples", "n_max_a", "n_max_b",
+    "name", "mode", "eta", "Omega", "G", "levels", "cavity", "couplings", "t_end", "samples",
 )
 _VALIDATE_KEYS = ("name", "mode", "g_values", "Omega", "samples")
 
@@ -135,21 +156,20 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
     if mode not in MODES:
         raise ScenarioError(f"{path}.mode: must be one of {', '.join(MODES)}")
     _check_keys(obj, _VALIDATE_KEYS if mode == "validate" else _PHYSICS_KEYS, path)
-    omega = _real(obj, "Omega", path, default=1.0 if mode == "validate" else None)
-    if omega is not None and omega < 0:
-        raise ScenarioError(f"{path}.Omega: must be nonnegative")
-    samples = _integer(obj, "samples", path, default=151 if mode == "validate" else 1601)
-    if samples < 2:
-        raise ScenarioError(f"{path}.samples: need at least 2")
+
+    omega = _read(obj, "Omega", path, default=1.0 if mode == "validate" else None)
+    samples = _read(obj, "samples", path, default=151 if mode == "validate" else 1601)
 
     if mode == "validate":
-        gv = obj.get("g_values", [0.2, 0.1, 0.05])
-        g_values = tuple(_finite(x, f"{path}.g_values") for x in gv) if isinstance(gv, list) else ()
-        if len(g_values) < 2 or min(g_values) <= 0:
-            raise ScenarioError(f"{path}.g_values: expected a list of at least two positive numbers")
+        gv = obj.get("g_values", list(Scenario.g_values))
+        if not isinstance(gv, list) or len(gv) < 2:
+            raise ScenarioError(f"{path}.g_values: expected a list of at least two numbers")
+        g_values = tuple(
+            read_field("g_values", x, f"{path}.g_values[{i}]") for i, x in enumerate(gv)
+        )
         return Scenario(name=name, mode=mode, Omega=omega, samples=samples, g_values=g_values)
 
-    g = _complex(obj, "G", path)
+    g = _read(obj, "G", path)
     explicit = [k for k in ("levels", "cavity", "couplings") if k in obj]
     if omega is not None and explicit:
         raise ScenarioError(f"{path}: give either Omega/G or levels/cavity/couplings, not both")
@@ -159,31 +179,23 @@ def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
             raise ScenarioError(f"{path}.G: only meaningful together with Omega")
         if len(explicit) != 3:
             raise ScenarioError(f"{path}: need levels, cavity and couplings (or the Omega shortcut)")
-        levels = _block(obj, "levels", path, LevelScheme, _real)
-        cavity = _block(obj, "cavity", path, CavityParams, _real)
-        couplings = _block(obj, "couplings", path, CouplingSet, _complex)
-
-    t_end = _real(obj, "t_end", path, required=True)
-    if t_end <= 0:
-        raise ScenarioError(f"{path}.t_end: must be positive")
-    n_max_a = _integer(obj, "n_max_a", path, default=1)
-    n_max_b = _integer(obj, "n_max_b", path, default=1)
-    if (n_max_a < 1 or n_max_b < 1) and mode == "composite":
-        raise ScenarioError(f"{path}: photon truncation must keep at least one photon")
+        levels = _block(obj, "levels", path, LevelScheme)
+        cavity = _block(obj, "cavity", path, CavityParams)
+        couplings = _block(obj, "couplings", path, CouplingSet)
+    if "t_end" not in obj:
+        raise ScenarioError(f"{path}.t_end: required")
 
     return Scenario(
         name=name,
         mode=mode,
-        eta=_real(obj, "eta", path, default=1.0),
+        eta=_read(obj, "eta", path, default=1.0),
         Omega=omega,
         G=complex(1.0) if (omega is not None and g is None) else g,
         levels=levels,
         cavity=cavity,
         couplings=couplings,
-        t_end=t_end,
+        t_end=_read(obj, "t_end", path),
         samples=samples,
-        n_max_a=n_max_a,
-        n_max_b=n_max_b,
     )
 
 
@@ -255,47 +267,55 @@ def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Execute one scenario; DriftError propagates and nothing is returned."""
-    if sc.mode == "validate":
-        check = composite_mod.validate_elimination(
-            g_values=sc.g_values, Omega=sc.Omega, samples=sc.samples
-        )
-        summary = {
-            "name": sc.name,
-            "mode": sc.mode,
-            "g_values": list(check.g_values),
-            "deviations": list(check.deviations),
-            "monotone": check.monotone,
-        }
-        return RunResult(scenario=sc, summary=summary, check=check)
+    """Execute one scenario.
 
-    levels, cavity, couplings = sc.levels, sc.cavity, sc.couplings
-    if sc.Omega is not None:
-        levels, cavity = midpoint_levels(sc.Omega + 1.0, sc.Omega, sc.Omega)
-        couplings = CouplingSet.uniform(sc.G)
-    rates = derive_rates(couplings, levels, cavity)
-    t = np.linspace(0.0, sc.t_end, sc.samples)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[0, 0] = 1.0
-
-    if sc.mode == "reduced":
-        series = evolve(rho0, t, rates, eta=sc.eta)
-    elif sc.mode == "analytic":
-        if rates.alpha is None:
-            raise ScenarioError(
-                "analytic mode needs the evenly tuned configuration (use the Omega shortcut)"
+    DriftError propagates and nothing is returned. Any other ValueError or
+    ArithmeticError the model raises (such as an overflow from huge rates)
+    becomes a ScenarioError naming the scenario.
+    """
+    try:
+        if sc.mode == "validate":
+            check = composite_mod.validate_elimination(
+                g_values=sc.g_values, Omega=sc.Omega, samples=sc.samples
             )
-        series = symmetric_solution(t, rates, eta=sc.eta)
-    else:
-        if sc.eta != 1.0:
-            raise ScenarioError("the full model has no interference dial; eta must stay 1")
-        system = composite_mod.build_system(
-            couplings, levels, cavity, n_max_a=sc.n_max_a, n_max_b=sc.n_max_b
-        )
-        states = composite_mod.evolve_composite(composite_mod.excited_vacuum(system), t, system)
-        series = composite_mod.reduced_from_composite(states, t, system, levels)
+            summary = {
+                "name": sc.name,
+                "mode": sc.mode,
+                "g_values": list(check.g_values),
+                "deviations": list(check.deviations),
+                "monotone": check.monotone,
+            }
+            return RunResult(scenario=sc, summary=summary, check=check)
 
-    return RunResult(scenario=sc, summary=_summarize(sc, series, rates), series=series)
+        levels, cavity, couplings = sc.levels, sc.cavity, sc.couplings
+        if sc.Omega is not None:
+            levels, cavity = midpoint_levels(sc.Omega + 1.0, sc.Omega, sc.Omega)
+            couplings = CouplingSet.uniform(sc.G)
+        rates = derive_rates(couplings, levels, cavity)
+        t = np.linspace(0.0, sc.t_end, sc.samples)
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[0, 0] = 1.0
+
+        if sc.mode == "reduced":
+            series = evolve(rho0, t, rates, eta=sc.eta)
+        elif sc.mode == "analytic":
+            if rates.alpha is None:
+                raise ScenarioError(
+                    "analytic mode needs the evenly tuned configuration (use the Omega shortcut)"
+                )
+            series = symmetric_solution(t, rates, eta=sc.eta)
+        else:
+            if sc.eta != 1.0:
+                raise ScenarioError("the full model has no interference dial; eta must stay 1")
+            system = composite_mod.build_system(couplings, levels, cavity)
+            states = composite_mod.evolve_composite(composite_mod.excited_vacuum(system), t, system)
+            series = composite_mod.reduced_from_composite(states, t, system, levels)
+
+        return RunResult(scenario=sc, summary=_summarize(sc, series, rates), series=series)
+    except ScenarioError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise ScenarioError(f"{sc.name}: {exc}") from exc
 
 
 def write_csv(series: TimeSeries, path: str) -> None:
@@ -314,7 +334,7 @@ def write_summary(summary: dict, path: str) -> None:
 
 
 def sweep_variant(sc: Scenario, param: str, value: float) -> Scenario:
-    """Derive the scenario for one sweep point.
+    """Derive the scenario for one sweep point; value is checked as the file field is.
 
     Omega and G sweeps keep the evenly tuned shortcut honest (the mode
     frequencies track the moving levels), so they require a shortcut
@@ -322,21 +342,11 @@ def sweep_variant(sc: Scenario, param: str, value: float) -> Scenario:
     """
     if param not in SWEEP_PARAMS:
         raise ScenarioError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMS)}")
-    tag = f"{value:g}"
-    name = f"{sc.name}_{param}_{tag}"
     if param in ("Omega", "G") and sc.Omega is None:
         raise ScenarioError(f"{param} sweep needs the Omega/G shortcut configuration")
-    if param == "Omega":
-        if value < 0:
-            raise ScenarioError("Omega must be nonnegative")
-        return dataclasses.replace(sc, Omega=float(value), name=name)
-    if param == "G":
-        return dataclasses.replace(sc, G=complex(value), name=name)
-    if param == "eta":
-        return dataclasses.replace(sc, eta=float(value), name=name)
-    if value <= 0:
-        raise ScenarioError("t_end must be positive")
-    return dataclasses.replace(sc, t_end=float(value), name=name)
+    name = f"{sc.name}_{param}_{value:g}"
+    value = read_field(param, value, f"{name}.{param}")
+    return dataclasses.replace(sc, name=name, **{param: value})
 
 
 def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
@@ -347,18 +357,10 @@ def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
         raise ScenarioError("sweep needs at least one value")
     results = []
     for v in values:
-        variant = sc
         try:
-            variant = sweep_variant(sc, param, v)
-            results.append(run_scenario(variant))
-        except (ScenarioError, ValueError) as exc:
+            results.append(run_scenario(sweep_variant(sc, param, v)))
+        except ScenarioError as exc:
             # a bad point is recorded under its would-be name, the rest still run
-            name = f"{sc.name}_{param}_{v:g}"
-            results.append(
-                RunResult(
-                    scenario=variant,
-                    summary={"name": name, "mode": variant.mode, "error": str(exc)},
-                    partial=True,
-                )
-            )
+            summary = {"name": f"{sc.name}_{param}_{v:g}", "mode": sc.mode, "error": str(exc)}
+            results.append(RunResult(scenario=sc, summary=summary, partial=True))
     return results

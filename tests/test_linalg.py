@@ -5,45 +5,13 @@ import scipy.linalg
 from cavity_beats.linalg import (
     THETA13,
     DriftError,
-    commutator,
     density_matrix,
     expm,
     hermitize_and_check,
-    kron,
     partial_trace_field,
     propagate,
     pure_state,
 )
-
-
-def test_commutator_of_basis_operators():
-    a_ee = np.zeros((4, 4), complex)
-    a_ee[0, 0] = 1.0
-    a_e1 = np.zeros((4, 4), complex)
-    a_e1[0, 1] = 1.0
-    assert np.array_equal(commutator(a_ee, a_e1), a_e1)
-
-
-def test_commutator_antisymmetry():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert np.max(np.abs(commutator(a, b) + commutator(b, a))) < 1e-12
-
-
-def test_commutator_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
-
-
-def test_kron_block_structure():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    out = kron(a, np.eye(2))
-    expected = np.array(
-        [[1, 0, 2, 0], [0, 1, 0, 2], [3, 0, 4, 0], [0, 3, 0, 4]], dtype=complex
-    )
-    assert np.array_equal(out, expected)
 
 
 def test_density_matrix_accepts_and_freezes():

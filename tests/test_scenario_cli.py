@@ -1,13 +1,19 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavity_beats.composite
 from cavity_beats.cli import main
 from cavity_beats.composite import EliminationCheck
 from cavity_beats.scenario import (
     CSV_COLUMNS,
+    MODES,
+    SWEEP_PARAMS,
     Scenario,
     ScenarioError,
     parse_scenario,
@@ -28,6 +34,8 @@ EXPLICIT = {
     "cavity": {"omega_a": 3.1, "omega_b": 1.2, "kappa_b": 1.7},
     "couplings": {"G_1e": 0.9, "G_2e": [1.1, 0.2], "G_g1": 0.8, "G_g2": [1.3, -0.4]},
 }
+
+INF, NAN = float("inf"), float("nan")
 
 
 # --- parsing ----------------------------------------------------------------
@@ -80,6 +88,10 @@ def test_parse_field_type_checks():
         parse_scenario({"name": "x", "mode": "reduced", "Omega": 1.0})
     with pytest.raises(ScenarioError, match="t_end"):
         parse_scenario(dict(SHORTCUT, t_end=-1.0))
+    with pytest.raises(ScenarioError, match=r"t_end: must lie in \(0, 1e\+06\]"):
+        parse_scenario(dict(SHORTCUT, t_end=0.0))
+    with pytest.raises(ScenarioError, match="eta: must be finite"):
+        parse_scenario(dict(SHORTCUT, eta=INF))
     with pytest.raises(ScenarioError, match="Omega"):
         parse_scenario(dict(SHORTCUT, Omega=-2.0))
     with pytest.raises(ScenarioError, match="samples"):
@@ -152,13 +164,20 @@ def test_sweep_variant_naming_and_guards():
         sweep_variant(sc, "kappa_a", 1.0)
 
 
-def test_run_sweep_records_bad_points():
-    sc = parse_scenario({"name": "s", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101})
-    results = run_sweep(sc, "Omega", [1.0, -3.0])
-    assert len(results) == 2
-    assert results[0].series is not None and not results[0].partial
-    assert results[1].series is None and results[1].partial
-    assert "error" in results[1].summary
+def test_run_sweep_records_bad_points(tmp_path):
+    base = {"name": "s", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101}
+    sc = parse_scenario(base)
+    for param, bad in (("Omega", -3.0), ("eta", NAN)):
+        results = run_sweep(sc, param, [1.0, bad])
+        assert len(results) == 2
+        assert results[0].series is not None and not results[0].partial
+        assert results[1].series is None and results[1].partial
+        assert "error" in results[1].summary
+    # a sweep value is checked as the file field is: the NaN point fails, exit 3
+    path = _write_scenario(tmp_path, base)
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--param", "eta", "--values", "1,nan", "--out-dir", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["s.sweep.json", "s_eta_1.csv"]
 
 
 # --- file output ------------------------------------------------------------
@@ -223,8 +242,6 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
-INF, NAN = float("inf"), float("nan")
-
 
 BAD_INPUT = {
     "t_end-inf": (dict(SHORTCUT, t_end=INF), None),
@@ -242,6 +259,14 @@ BAD_INPUT = {
     "validate-omega-nan": (None, ["validate", "--omega", "nan"]),
     "validate-g-text": (None, ["validate", "--g-values", "0.2,abc"]),
     "validate-name-parent": (None, ["validate", "--name", "../escaped"]),
+    "t_end-huge": (dict(SHORTCUT, t_end=1e12, samples=3), None),
+    "t_end-max-float": (dict(SHORTCUT, t_end=1e308), None),
+    "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
+    "G-overflow": (dict(SHORTCUT, G=1e200), None),
+    "samples-too-many": (dict(SHORTCUT, samples=100002), None),
+    "n_max_a-negative": (dict(SHORTCUT, n_max_a=-5), None),
+    "n_max_b-set": (dict(SHORTCUT, mode="composite", n_max_b=2), None),
+    "g_values-tiny-rung": ({"name": "v", "mode": "validate", "g_values": [0.2, 1e-4]}, None),
 }
 
 
@@ -315,3 +340,65 @@ def test_cli_preset_analytic_family(tmp_path):
     meas = by_name["fig3_omega1_eta1"]["two_f_measured"]
     assert meas == pytest.approx(np.sqrt(7.0), rel=0.02)
     assert by_name["fig3_omega1_eta0"]["two_f_measured"] is None
+
+
+# --- hostile input, property-based -------------------------------------------
+
+HOSTILE = [NAN, INF, -INF, 1e300, -1e300, 10**400, -1.0, 0.0, -5, True, "1", None, [1.0, NAN]]
+VALID = {
+    "eta": st.floats(0.0, 1.0),
+    "Omega": st.floats(0.0, 4.0),
+    "G": st.floats(0.1, 2.0),
+    "t_end": st.one_of(st.floats(0.5, 20.0), st.just(1e6)),
+    "samples": st.integers(2, 300),
+    "g_values": st.lists(st.floats(0.05, 0.5), min_size=2, max_size=3),
+}
+BAD_NAMES = ["../escaped", "sub/escaped", "..", "../../../up", ".hidden", "x/../y", ""]
+SWEEP_VALUES = ["0.5", "1,nan", "inf", "-inf", "1e300", "-1", "2,1e7"]
+
+
+@st.composite
+def hostile_invocations(draw):
+    """A valid scenario of any mode with up to two fields made hostile, run or swept."""
+    mode = draw(st.sampled_from(MODES))
+    obj = {"name": draw(st.sampled_from(["case", "a.b-c+1"])), "mode": mode}
+    if mode == "validate":
+        keys = ("g_values", "Omega", "samples")
+    elif draw(st.booleans()):
+        keys = ("Omega", "t_end", "eta", "G", "samples")
+    else:
+        keys = ("eta", "samples", "t_end")
+        obj.update({k: dict(EXPLICIT[k]) for k in ("levels", "cavity", "couplings")})
+    obj.update({k: draw(VALID[k]) for k in keys if k in ("Omega", "t_end") or draw(st.booleans())})
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(set(obj) - {"mode"}) + ["n_max_a", "n_max_b"]))
+        if key == "name":
+            obj[key] = draw(st.sampled_from(BAD_NAMES))
+        elif isinstance(obj.get(key), (dict, list)):  # a block field or a ladder rung
+            inner = sorted(obj[key]) if isinstance(obj[key], dict) else range(len(obj[key]))
+            obj[key][draw(st.sampled_from(inner))] = draw(st.sampled_from(HOSTILE + [1e-4]))
+        else:
+            obj[key] = draw(st.sampled_from(HOSTILE))
+    argv = ["run"]
+    if draw(st.integers(0, 3)) == 0:
+        values = draw(st.sampled_from(SWEEP_VALUES))
+        argv = ["sweep", "--param", draw(st.sampled_from(SWEEP_PARAMS)), f"--values={values}"]
+    return obj, argv
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=60, derandomize=True, deadline=10_000, database=None)
+@given(hostile_invocations())
+@example((dict(SHORTCUT, Omega=1e300), ["run"]))  # model errors, past the field table
+@example((dict(SHORTCUT, mode="composite", G=1e200), ["run"]))
+def test_cli_exit_codes_and_writes_on_hostile_input(invocation):
+    obj, argv = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / "scenario.json"
+        path.write_text(json.dumps(obj))
+        out = root / "a" / "b" / "out"
+        code = main(argv[:1] + [str(path)] + argv[1:] + ["--out-dir", str(out)])
+        assert code in (0, 2, 3, 4)
+        written = {p for p in root.rglob("*") if p.is_file()} - {path}
+        assert all(out in p.parents for p in written)
