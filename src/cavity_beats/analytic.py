@@ -25,6 +25,7 @@ from .series import TimeSeries
 
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
+TONE_CHUNK = 2**16  # elements in one (frequencies x samples) scratch array of the tone scan
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -268,6 +269,76 @@ def _crossing_times(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.asarray(times)
 
 
+def _envelope(
+    t: np.ndarray, y: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e1 = exp(-2 gamma t), an orthonormal basis q of the envelope
+    {1, e1, e1^2} and the residual of y after it.
+
+    Directions of the envelope below lstsq's default rank tolerance are
+    cut, as lstsq cuts them (gamma = 0 leaves one).
+    """
+    e1 = np.exp(-2 * gamma * t)
+    base = np.column_stack([np.ones_like(t), e1, np.exp(-4 * gamma * t)])
+    u, sv, _ = np.linalg.svd(base, full_matrices=False)
+    q = u[:, :np.count_nonzero(sv > np.finfo(float).eps * t.size * sv[0])]
+    return e1, q, y - q @ (q.T @ y)
+
+
+def _tone_sse(
+    t: np.ndarray, y: np.ndarray, gamma: float, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SSE and tone amplitude of the least-squares fit of y to
+    {1, e1, e1^2, e1 cos(w t), e1 sin(w t)} at each w in ws.
+
+    The envelope is projected out once. Per frequency the tone columns are
+    projected the same way and their two coefficients solved from the 2x2
+    normal equations (Frisch-Waugh); a direction of that system below
+    lstsq's default tolerance (on the scale of the ones column) is dropped,
+    as lstsq drops it. Each SSE is summed from the explicit residual: the
+    envelope SSE minus the explained part would lose every digit when the
+    tone explains nearly all of it. Frequencies are taken TONE_CHUNK //
+    len(t) at a time (at least one), so the three scratch arrays do not grow
+    with the number of frequencies.
+    """
+    e1, q, r = _envelope(t, y, gamma)
+    cut = (np.finfo(float).eps * t.size) ** 2 * t.size
+    sse = np.empty(ws.size)
+    amp = np.empty(ws.size)
+    step = max(1, TONE_CHUNK // t.size)
+    c_buf, s_buf, p_buf = np.empty((3, min(step, ws.size), t.size))
+    for i in range(0, ws.size, step):
+        w = ws[i:i + step]
+        s = np.multiply.outer(w, t, out=s_buf[:w.size])
+        c = np.cos(s, out=c_buf[:w.size])
+        np.sin(s, out=s)
+        c *= e1
+        s *= e1
+        c -= np.matmul(c @ q, q.T, out=p_buf[:w.size])
+        s -= np.matmul(s @ q, q.T, out=p_buf[:w.size])
+        cc = np.einsum("ij,ij->i", c, c)
+        cs = np.einsum("ij,ij->i", c, s)
+        ss = np.einsum("ij,ij->i", s, s)
+        cr, sr = c @ r, s @ r
+        tr = cc + ss
+        det = cc * ss - cs * cs
+        full = det > cut * tr  # both eigenvalues above the cut
+        one = ~full & (tr > cut)  # one left: the pseudo-inverse is G / tr^2
+        a = np.zeros(w.size)
+        b = np.zeros(w.size)
+        a[full] = (ss * cr - cs * sr)[full] / det[full]
+        b[full] = (cc * sr - cs * cr)[full] / det[full]
+        a[one] = (cc * cr + cs * sr)[one] / tr[one] ** 2
+        b[one] = (cs * cr + ss * sr)[one] / tr[one] ** 2
+        c *= -a[:, None]  # c becomes the residual r - a c - b s
+        s *= b[:, None]
+        c -= s
+        c += r
+        sse[i:i + step] = np.einsum("ij,ij->i", c, c)
+        amp[i:i + step] = np.hypot(a, b)
+    return sse, amp
+
+
 def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurement:
     span = t[-1] - t[0]
     dt = float(np.median(np.diff(t)))
@@ -275,31 +346,18 @@ def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurem
     hi = np.pi / (2 * dt)
     if lo >= hi:
         return BeatMeasurement(None, "none", "grid too short for a resolvable tone")
-    e1 = np.exp(-2 * gamma * t)
-    e2 = np.exp(-4 * gamma * t)
-    base = np.column_stack([np.ones_like(t), e1, e2])
-    coef, *_ = np.linalg.lstsq(base, r_target, rcond=None)
-    sse_base = float(np.sum((r_target - base @ coef) ** 2))
-
-    def scan(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sse = np.empty(ws.size)
-        amp = np.empty(ws.size)
-        for i, w in enumerate(ws):
-            m = np.column_stack([base, e1 * np.cos(w * t), e1 * np.sin(w * t)])
-            c, *_ = np.linalg.lstsq(m, r_target, rcond=None)
-            sse[i] = float(np.sum((r_target - m @ c) ** 2))
-            amp[i] = float(np.hypot(c[3], c[4]))
-        return sse, amp
+    _, _, r = _envelope(t, r_target, gamma)
+    sse_base = float(r @ r)
 
     # Log-spaced sweep so slow beats under a fast envelope are resolvable,
     # then a linear zoom around the coarse minimum.
     grid = np.geomspace(lo, hi, 400)
-    sse, _ = scan(grid)
+    sse, _ = _tone_sse(t, r_target, gamma, grid)
     j = int(np.argmin(sse))
     if j in (0, grid.size - 1):
         return BeatMeasurement(None, "none", "tone search hit the frequency bound")
     zoom = np.linspace(grid[j - 1], grid[j + 1], 81)
-    sse2, amp2 = scan(zoom)
+    sse2, amp2 = _tone_sse(t, r_target, gamma, zoom)
     j2 = int(np.argmin(sse2))
     w_best = zoom[j2]
     if 0 < j2 < zoom.size - 1:

@@ -8,6 +8,7 @@ reduced-versus-full validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -84,7 +85,9 @@ def _cmd_sweep(args) -> int:
         if result.partial:
             failed += 1
             print(f"  point {value:g} failed: {result.summary['error']}")
-        rows.append({"value": value, "summary": result.summary})
+        # strict JSON: a non-finite value is written as in the point's name
+        shown = value if math.isfinite(value) else f"{value:g}"
+        rows.append({"value": shown, "summary": result.summary})
     combined = os.path.join(args.out_dir, f"{sc.name}.sweep.json")
     scn.write_summary({"name": sc.name, "param": args.param, "runs": rows}, combined)
     print(f"wrote {combined}")

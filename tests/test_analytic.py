@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cavity_beats.analytic import (
+    _tone_fit,
+    _tone_sse,
     beat_frequency,
     measure_beats,
     secular_solution,
@@ -10,6 +14,7 @@ from cavity_beats.analytic import (
 from cavity_beats.linalg import pure_state
 from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, RateSet, derive_rates, midpoint_levels
 from cavity_beats.reduced import evolve
+from cavity_beats.scenario import SAMPLES_MAX
 
 
 def _tuned_rates(omega, g=1.0):
@@ -199,3 +204,62 @@ def test_measure_beats_other_population_channel():
     series = symmetric_solution(t, rates)
     got = measure_beats(series, population="rho_22")
     assert got.two_f == pytest.approx(beat_frequency(rates).two_f, rel=0.02)
+
+
+def _tone_sse_reference(t, y, gamma, ws):
+    # one lstsq per frequency on the full five-column design
+    e1 = np.exp(-2 * gamma * t)
+    base = [np.ones_like(t), e1, np.exp(-4 * gamma * t)]
+    sse, amp = [], []
+    for w in ws:
+        m = np.column_stack(base + [e1 * np.cos(w * t), e1 * np.sin(w * t)])
+        c, *_ = np.linalg.lstsq(m, y, rcond=None)
+        sse.append(np.sum((y - m @ c) ** 2))
+        amp.append(np.hypot(c[3], c[4]))
+    return np.array(sse), np.array(amp)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("gamma", [0.15, 0.0])  # gamma = 0 leaves a rank-one envelope base
+def test_tone_sse_matches_per_frequency_lstsq(uniform, gamma):
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 30.0, 3001) if uniform else np.sort(rng.uniform(0.0, 30.0, 3001))
+    e1 = np.exp(-2 * gamma * t)
+    y = 0.4 - 0.3 * e1 + 0.2 * e1**2 + 0.05 * e1 * np.cos(0.7 * t + 0.4)
+    # the tone explains all but 1e-7 to 1e-9 of the envelope residual, where an SSE taken
+    # as the envelope SSE minus the explained part keeps too few digits
+    y += 1e-6 * rng.normal(size=t.size)
+    # more frequencies than one chunk holds, around and away from the tone; on the
+    # uniform grid sin(w t) vanishes at w = 100 pi and lstsq drops that column
+    ws = np.concatenate([np.linspace(0.6, 0.8, 41), [0.1, 2.0, 5.0, 100 * np.pi]])
+    sse, amp = _tone_sse(t, y, gamma, ws)
+    ref_sse, ref_amp = _tone_sse_reference(t, y, gamma, ws)
+    np.testing.assert_allclose(sse, ref_sse, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(amp, ref_amp, rtol=1e-9, atol=0)
+    assert amp[np.argmin(sse)] == pytest.approx(0.05, rel=0.01)
+
+
+def test_tone_sse_drops_a_tone_inside_the_envelope():
+    # e1 underflows to the unit vector at t = 0, so e1 cos(w t) is e1 itself and e1 sin(w t)
+    # is zero: no tone is fitted and the SSE is the envelope's
+    t = np.linspace(0.0, 30.0, 301)
+    y = np.cos(0.7 * t)
+    sse, amp = _tone_sse(t, y, 1e5, np.array([0.5, 0.7, 2.0]))
+    base = np.column_stack([np.ones_like(t), np.exp(-2e5 * t)])
+    c, *_ = np.linalg.lstsq(base, y, rcond=None)
+    np.testing.assert_allclose(sse, np.sum((y - base @ c) ** 2), rtol=1e-12)
+    assert np.all(amp == 0.0)
+
+
+def test_tone_fit_memory_stays_flat():
+    # the scan works in fixed-size chunks, so the peak does not scale with the grid of frequencies
+    t = np.linspace(0.0, 40.0, SAMPLES_MAX)
+    y = 0.5 - 0.5 * np.exp(-0.2 * t) + 0.1 * np.exp(-0.1 * t) * np.cos(0.6 * t)
+    tracemalloc.start()
+    try:
+        got = _tone_fit(t, y, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.two_f == pytest.approx(0.6, rel=1e-6)
+    assert peak < 16 * 2**20

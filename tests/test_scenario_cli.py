@@ -23,6 +23,7 @@ from cavity_beats.scenario import (
     write_csv,
     write_summary,
 )
+from cavity_beats.series import TimeSeries
 
 SHORTCUT = {"name": "case", "mode": "reduced", "Omega": 1.0, "t_end": 6.0}
 
@@ -107,6 +108,9 @@ def test_parse_validate_mode():
     assert sc.g_values == (0.2, 0.1, 0.05) and sc.samples == 151
     with pytest.raises(ScenarioError, match="g_values"):
         parse_scenario({"name": "v", "mode": "validate", "g_values": [0.2]})
+    for rung in (1e10, 1e300):  # adiabatic elimination needs g below the cavity linewidth
+        with pytest.raises(ScenarioError, match=r"g_values\[0\]: must lie in \[0.001, 1\]"):
+            parse_scenario({"name": "v", "mode": "validate", "g_values": [rung, 0.2]})
     with pytest.raises(ScenarioError, match="unknown field"):
         parse_scenario({"name": "v", "mode": "validate", "t_end": 5.0})
 
@@ -164,6 +168,10 @@ def test_sweep_variant_naming_and_guards():
         sweep_variant(sc, "kappa_a", 1.0)
 
 
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
 def test_run_sweep_records_bad_points(tmp_path):
     base = {"name": "s", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101}
     sc = parse_scenario(base)
@@ -178,6 +186,10 @@ def test_run_sweep_records_bad_points(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", path, "--param", "eta", "--values", "1,nan", "--out-dir", str(out)]) == 3
     assert sorted(p.name for p in out.iterdir()) == ["s.sweep.json", "s_eta_1.csv"]
+    # the combined file is strict JSON: the bad value is written as in its point's name
+    combined = json.loads((out / "s.sweep.json").read_text(), parse_constant=_reject_constant)
+    assert [row["value"] for row in combined["runs"]] == [1.0, "nan"]
+    assert combined["runs"][1]["summary"]["name"] == "s_eta_nan"
 
 
 # --- file output ------------------------------------------------------------
@@ -196,6 +208,27 @@ def test_csv_layout_and_round_trip(tmp_path):
     # 17 significant digits reproduce the doubles exactly
     assert np.array_equal(table[:, 1], result.series.population("e"))
     assert np.array_equal(table[:, 7], np.abs(result.series.coherence("1", "2")))
+
+
+def test_csv_matches_per_value_formatting(tmp_path):
+    # one row past a full block, and the values where float formatting has edge cases
+    n = 4096 + 1
+    specials = [-0.0, NAN, INF, -INF, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    for k, x in enumerate(specials):
+        states[n - 9 + k, 0, 0] = states[k, 2, 2] = x
+        states[n - 1 - k, 1, 2] = complex(x, -x)
+    times = np.linspace(0.0, 7.0, n)
+    times[-1] = 5e-324
+    series = TimeSeries(times, states)
+    path = tmp_path / "x.csv"
+    write_csv(series, str(path))
+    ch = series.channels()
+    want = ",".join(CSV_COLUMNS) + "\n" + "".join(
+        ",".join(f"{ch[c][k]:.17g}" for c in CSV_COLUMNS) + "\n" for k in range(n)
+    )
+    assert path.read_bytes() == want.encode()
 
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
@@ -267,6 +300,8 @@ BAD_INPUT = {
     "n_max_a-negative": (dict(SHORTCUT, n_max_a=-5), None),
     "n_max_b-set": (dict(SHORTCUT, mode="composite", n_max_b=2), None),
     "g_values-tiny-rung": ({"name": "v", "mode": "validate", "g_values": [0.2, 1e-4]}, None),
+    "g_values-strong-rung": ({"name": "v", "mode": "validate", "g_values": [1e10, 0.2]}, None),
+    "g_values-huge-rung": ({"name": "v", "mode": "validate", "g_values": [1e300, 0.2]}, None),
 }
 
 
