@@ -25,7 +25,9 @@ from .series import TimeSeries
 
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
-TONE_CHUNK = 2**16  # elements in one (frequencies x samples) scratch array of the tone scan
+TONE_CHUNK = 2**16  # elements in one (frequencies x samples) scratch array of _tone_sse
+PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
+PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -251,22 +253,16 @@ def _crossing_times(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     if floor == 0:
         return np.array([])
     sign = np.sign(r)
-    for i in range(1, sign.size):  # exact zeros continue the current lobe
-        if sign[i] == 0:
-            sign[i] = sign[i - 1]
+    # Exact zeros continue the current lobe: each takes the sign of the last nonzero
+    # sample before it (leading zeros keep sign 0).
+    last = np.maximum.accumulate(np.where(sign != 0, np.arange(sign.size), 0))
+    sign = sign[last]
     # Lobe boundaries; a crossing counts only between two significant lobes,
     # which rejects least-squares detrending ripple.
     edges = np.flatnonzero(sign[1:] != sign[:-1])
-    bounds = np.concatenate([[0], edges + 1, [sign.size]])
-    lobe_ok = [
-        np.max(np.abs(r[bounds[j]:bounds[j + 1]])) >= floor
-        for j in range(bounds.size - 1)
-    ]
-    times = []
-    for j, i in enumerate(edges):
-        if lobe_ok[j] and lobe_ok[j + 1]:
-            times.append(t[i] + (t[i + 1] - t[i]) * r[i] / (r[i] - r[i + 1]))
-    return np.asarray(times)
+    lobe_ok = np.maximum.reduceat(np.abs(r), np.concatenate([[0], edges + 1])) >= floor
+    i = edges[lobe_ok[:-1] & lobe_ok[1:]]
+    return t[i] + (t[i + 1] - t[i]) * r[i] / (r[i] - r[i + 1])
 
 
 def _envelope(
@@ -339,38 +335,69 @@ def _tone_sse(
     return sse, amp
 
 
-def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurement:
-    span = t[-1] - t[0]
-    dt = float(np.median(np.diff(t)))
-    lo = 2.5 / span
-    hi = np.pi / (2 * dt)
-    if lo >= hi:
-        return BeatMeasurement(None, "none", "grid too short for a resolvable tone")
-    _, _, r = _envelope(t, r_target, gamma)
-    sse_base = float(r @ r)
+def _pencil_poles(y: np.ndarray, dt: float) -> np.ndarray:
+    """The poles lambda of y, sampled every dt, as a sum of damped exponentials exp(lambda t).
 
-    # Log-spaced sweep so slow beats under a fast envelope are resolvable,
-    # then a linear zoom around the coarse minimum.
-    grid = np.geomspace(lo, hi, 400)
-    sse, _ = _tone_sse(t, r_target, gamma, grid)
-    j = int(np.argmin(sse))
-    if j in (0, grid.size - 1):
-        return BeatMeasurement(None, "none", "tone search hit the frequency bound")
-    zoom = np.linspace(grid[j - 1], grid[j + 1], 81)
-    sse2, amp2 = _tone_sse(t, r_target, gamma, zoom)
-    j2 = int(np.argmin(sse2))
-    w_best = zoom[j2]
-    if 0 < j2 < zoom.size - 1:
-        # Parabolic refinement on the SSE valley.
-        denom = sse2[j2 - 1] - 2 * sse2[j2] + sse2[j2 + 1]
-        if denom > 0:
-            w_best += 0.5 * (sse2[j2 - 1] - sse2[j2 + 1]) / denom * (zoom[1] - zoom[0])
-    ratio = sse_base / sse2[j2] if sse2[j2] > 0 else np.inf
+    Matrix pencil (Hua and Sarkar, IEEE Trans. ASSP 38:814, 1990): one SVD of
+    the Hankel matrix of y with y.size // 3 + 1 columns, the singular values
+    above PENCIL_RANK_TOL times the largest kept, and the poles read off the
+    shift invariance of the kept right singular vectors. Poles beyond the
+    Nyquist frequency pi/dt come back aliased.
+    """
+    hankel = np.lib.stride_tricks.sliding_window_view(y, y.size // 3 + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    v = vh[:np.count_nonzero(sv > PENCIL_RANK_TOL * sv[0])].T
+    z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
+    with np.errstate(divide="ignore"):  # a zero root is a pole at -inf
+        return np.log(np.abs(z)) / dt + 1j * (np.angle(z) / dt)
+
+
+def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurement:
+    """Read 2f off the poles of r_target and keep it only if a damped tone fits.
+
+    The populations are sums of a few damped exponentials, so their poles
+    come from _pencil_poles on every k-th sample of a uniform grid, at most
+    PENCIL_SAMPLES of them. Each oscillating pole, |Im lambda| above 2.5/span,
+    is a candidate 2f. The candidates are scored on the full grid by the
+    envelope {1, e1, e1^2} plus one damped tone e1 cos, e1 sin, and the best
+    is accepted only when the tone clearly dominates the envelope residual
+    and the fit is at a minimum there: an aliased pole from the stride, or a
+    pole of a signal with several beats that no single tone describes, fails
+    those gates.
+    """
+    if t.size < 3:
+        return BeatMeasurement(None, "none", "grid too short for a resolvable tone")
+    span = t[-1] - t[0]
+    dt = span / (t.size - 1)
+    # Uniform means every time within 1e-12 of the span from its place on the line. Steps
+    # compared with each other would not do: on a linspace grid of 20001 samples they
+    # differ by several 1e-12 through the rounding of the times themselves.
+    if not np.max(np.abs(t - (t[0] + dt * np.arange(t.size)))) <= 1e-12 * span:
+        return BeatMeasurement(None, "none", "grid not uniform to 1e-12, no pole fit")
+    stride = -(-t.size // PENCIL_SAMPLES)
+    ws = np.unique(np.abs(_pencil_poles(r_target[::stride], stride * dt).imag))
+    lo = 2.5 / span
+    ws = ws[ws > lo]
+    if ws.size == 0:
+        return BeatMeasurement(None, "none", f"no oscillating pole above {lo:.3g}")
+
+    # At w = 0 the tone lies inside the envelope, so the first SSE is the envelope's.
+    sse, amp = _tone_sse(t, r_target, gamma, np.concatenate([[0.0], ws]))
+    j = 1 + int(np.argmin(sse[1:]))
+    w_best = ws[j - 1]
+    ratio = sse[0] / sse[j] if sse[j] > 0 else np.inf
     if ratio < 9.0:
         return BeatMeasurement(None, "none", f"tone explains too little (SSE ratio {ratio:.2f})")
-    if amp2[j2] < 1e-5 * np.max(np.abs(r_target)):
+    if amp[j] < 1e-5 * np.max(np.abs(r_target)):
         # A tone this weak is fitting integration noise, not beats.
-        return BeatMeasurement(None, "none", f"tone amplitude negligible ({amp2[j2]:.2e})")
+        return BeatMeasurement(None, "none", f"tone amplitude negligible ({amp[j]:.2e})")
+    # At a pole of the signal the fit is best: detuned by 0.1/span, the tone's phase is off
+    # by up to 0.1 at the end and the SSE rises on both sides. Rounding noise above the rank
+    # cut (the closed form near resonance) gives noise poles, and a smooth residual can fit
+    # a tone at one of them; there the SSE keeps falling to one side.
+    side, _ = _tone_sse(t, r_target, gamma, w_best + np.array([-0.1, 0.1]) / span)
+    if np.min(side) <= sse[j]:
+        return BeatMeasurement(None, "none", f"tone fit has no minimum at 2f={w_best:.6g}")
     return BeatMeasurement(float(w_best), "tone_fit", f"SSE ratio {ratio:.3g} at 2f={w_best:.6g}")
 
 
@@ -386,9 +413,12 @@ def measure_beats(
     {1, exp(-2 Gamma t), exp(-4 Gamma t)} (Gamma estimated from the top
     population unless given), then timed through the zero crossings of the
     residual. With fewer than five clean crossings the method reports no
-    beats, unless allow_tone_fit is set, in which case a single damped
-    tone is fitted and accepted only when it clearly dominates the
-    residual.
+    beats, unless allow_tone_fit is set. Then the poles of the population
+    are read off a matrix pencil of its samples (the grid must be uniform),
+    and each oscillating pole is tried as a damped tone on the full grid;
+    the best is accepted only when it clearly dominates the residual and
+    the fit is at a minimum there. Without an oscillating pole the result
+    is none at once.
     """
     if gamma is None:
         gamma = _estimate_gamma(series)

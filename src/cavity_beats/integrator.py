@@ -67,18 +67,7 @@ class IntegratorConfig:
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow or step budget exhausted.
-
-    Carries the last accepted time and state, and the outputs computed for
-    the part of the grid that was reached before the failure.
-    """
-
-    def __init__(self, message, t_last, y_last, partial_times=None, partial_states=None):
-        super().__init__(message)
-        self.t_last = t_last
-        self.y_last = y_last
-        self.partial_times = partial_times
-        self.partial_states = partial_states
+    """Step-size underflow or step budget exhausted."""
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
@@ -145,21 +134,11 @@ def integrate(
 
     next_out = 1  # first grid index still to fill
     n_steps = 0
-
-    def fail(reason: str) -> IntegrationError:
-        return IntegrationError(
-            f"{reason} at t={t:.6g} (h={h:.3e})",
-            t_last=t,
-            y_last=y.copy(),
-            partial_times=t_grid[:next_out].copy(),
-            partial_states=out[:next_out].copy(),
-        )
-
     while next_out < t_grid.size:
         if n_steps >= cfg.max_steps:
-            raise fail(f"exceeded max_steps={cfg.max_steps}")
+            raise IntegrationError(f"exceeded max_steps={cfg.max_steps} at t={t:.6g}")
         if h < 1e-12 * span:
-            raise fail("step size underflow")
+            raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3e})")
         h_rem = t_end - t
         last = h >= h_rem
         if last:

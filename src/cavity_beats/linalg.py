@@ -123,6 +123,19 @@ PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 THETA13 = 5.371920351148152
+# A step whose Pade exponential needs more squarings than this loses digits in each
+# one (the stationary eigenvalue 1 drifts); such a step is taken through the
+# generator's eigenvectors instead when their condition number stays below EIG_COND_MAX.
+MAX_SQUARINGS = 20
+EIG_COND_MAX = 1e6
+
+
+def _squarings(a: np.ndarray) -> int:
+    """The number of squarings expm takes for a."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    if not np.isfinite(norm):  # a non-finite entry, or a 1-norm beyond the float range
+        raise ValueError("expm needs a matrix with a finite 1-norm")
+    return int(np.ceil(np.log2(norm / THETA13))) if norm > THETA13 else 0
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -130,10 +143,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
-    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
-    if not np.isfinite(norm):  # a non-finite entry, or a 1-norm beyond the float range
-        raise ValueError("expm needs a matrix with a finite 1-norm")
-    s = int(np.ceil(np.log2(norm / THETA13))) if norm > THETA13 else 0
+    s = _squarings(a)
     a = a / 2.0**s
     b = PADE13
     a2 = a @ a
@@ -189,6 +199,20 @@ def hermitian_generator(
     return keep, np.array([columns[k][keep] for k in keep]).T.reshape(keep.size, keep.size)
 
 
+def _step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
+    """e^{gen h} for a real generator gen.
+
+    Pade through expm, unless that needs more than MAX_SQUARINGS squarings and
+    gen has eigenvectors V with cond(V) <= EIG_COND_MAX: then V e^{lambda h} V^-1.
+    """
+    a = gen * h
+    if _squarings(a) > MAX_SQUARINGS:
+        lam, vec = np.linalg.eig(gen)
+        if np.linalg.cond(vec) <= EIG_COND_MAX:
+            return ((vec * np.exp(lam * h)) @ np.linalg.inv(vec)).real
+    return expm(a)
+
+
 def propagate(
     rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
 ) -> np.ndarray:
@@ -210,9 +234,9 @@ def propagate(
     x[0] = _coordinates(rho0)[keep]
     # linspace steps differ in the last bits, so uniform means equal to 1e-12
     uniform = steps.size > 0 and np.allclose(steps, steps.mean(), rtol=1e-12, atol=0.0)
-    step = expm(gen * steps.mean()) if uniform else None
+    step = _step_matrix(gen, steps.mean()) if uniform else None
     for i, h in enumerate(steps):
-        x[i + 1] = (step if uniform else expm(gen * h)) @ x[i]
+        x[i + 1] = (step if uniform else _step_matrix(gen, h)) @ x[i]
 
     d = rho0.shape[0]
     rows, cols, is_imag = _hermitian_coordinates(d)

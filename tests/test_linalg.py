@@ -3,8 +3,11 @@ import pytest
 import scipy.linalg
 
 from cavity_beats.linalg import (
+    MAX_SQUARINGS,
     THETA13,
     DriftError,
+    _squarings,
+    _step_matrix,
     density_matrix,
     expm,
     hermitize_and_check,
@@ -138,3 +141,26 @@ def test_propagate_decay_of_a_coherence():
         propagate(lambda rho: rho, rho0, t[::-1])
     with pytest.raises(ValueError, match="Hermitian"):
         propagate(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]), t)
+
+
+def test_step_matrix_takes_eigenvectors_only_for_huge_steps():
+    # coordinate 0 decays into the stationary coordinate 1; 2 and 3 rotate and decay
+    gen = np.array([
+        [-1.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -0.5, 3.0],
+        [0.0, 0.0, -3.0, -0.5],
+    ])
+    lam, vec = np.linalg.eig(gen)
+    for h in (0.1, 1e3, 1e6, 2e6):
+        if _squarings(gen * h) <= MAX_SQUARINGS:  # Pade, bit for bit
+            assert np.array_equal(_step_matrix(gen, h), expm(gen * h))
+        else:
+            assert np.array_equal(_step_matrix(gen, h), ((vec * np.exp(lam * h)) @ np.linalg.inv(vec)).real)
+    assert _squarings(gen * 1e6) == MAX_SQUARINGS < _squarings(gen * 2e6)
+    stationary = np.zeros((4, 4))
+    stationary[1, :2] = 1.0
+    assert np.max(np.abs(_step_matrix(gen, 1e12) - stationary)) < 1e-14
+    # a Jordan block has no basis of eigenvectors: Pade stays
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    assert np.array_equal(_step_matrix(jordan, 1e9), expm(jordan * 1e9))

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavity_beats.composite
+from cavity_beats.analytic import symmetric_solution
 from cavity_beats.cli import main
 from cavity_beats.composite import EliminationCheck
+from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
 from cavity_beats.scenario import (
     CSV_COLUMNS,
     MODES,
@@ -264,6 +266,21 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     for flag in ("--seed", "--tol-rel", "--tol-abs"):
         with pytest.raises(SystemExit):
             main(["run", path, "--out-dir", str(tmp_path), flag, "7"])
+
+
+def test_cli_run_survives_one_huge_step(tmp_path, capsys):
+    # one step of 1e6 at Omega = 1e5 would need 36 squarings of the Pade exponential, which
+    # drift the trace by 4e-6 (exit 3); the step goes through the generator's eigenvectors
+    scenario = {"name": "huge", "mode": "reduced", "Omega": 1e5, "G": 1, "eta": 1, "t_end": 1e6, "samples": 2}
+    assert main(["run", _write_scenario(tmp_path, scenario), "--out-dir", str(tmp_path)]) == 0
+    data = np.loadtxt(tmp_path / "huge.csv", delimiter=",", skiprows=1)
+    summary = json.loads((tmp_path / "huge.summary.json").read_text())
+    levels, cavity = midpoint_levels(1e5 + 1.0, 1e5, 1e5)
+    closed = symmetric_solution(data[:, 0], derive_rates(CouplingSet.uniform(1.0), levels, cavity))
+    for col, level in zip((1, 2, 3, 4), "e12g"):
+        np.testing.assert_allclose(data[:, col], closed.population(level), rtol=0, atol=1e-12)
+    assert summary["max_drift_correction"] < 1e-12  # trace and Hermiticity before the repair
+    assert np.max(np.abs(data[:, 1:5].sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):
