@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import uniform_step
 from .model import RateSet
 from .series import TimeSeries
 
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
-TONE_CHUNK = 2**16  # elements in one (frequencies x samples) scratch array of _tone_sse
 PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 
@@ -265,73 +265,27 @@ def _crossing_times(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return t[i] + (t[i + 1] - t[i]) * r[i] / (r[i] - r[i + 1])
 
 
-def _envelope(
-    t: np.ndarray, y: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e1 = exp(-2 gamma t), an orthonormal basis q of the envelope
-    {1, e1, e1^2} and the residual of y after it.
-
-    Directions of the envelope below lstsq's default rank tolerance are
-    cut, as lstsq cuts them (gamma = 0 leaves one).
-    """
-    e1 = np.exp(-2 * gamma * t)
-    base = np.column_stack([np.ones_like(t), e1, np.exp(-4 * gamma * t)])
-    u, sv, _ = np.linalg.svd(base, full_matrices=False)
-    q = u[:, :np.count_nonzero(sv > np.finfo(float).eps * t.size * sv[0])]
-    return e1, q, y - q @ (q.T @ y)
-
-
 def _tone_sse(
     t: np.ndarray, y: np.ndarray, gamma: float, ws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """SSE and tone amplitude of the least-squares fit of y to
-    {1, e1, e1^2, e1 cos(w t), e1 sin(w t)} at each w in ws.
+    {1, e1, e1^2, e1 cos(w t), e1 sin(w t)} at each w in ws, e1 = exp(-2 gamma t).
 
-    The envelope is projected out once. Per frequency the tone columns are
-    projected the same way and their two coefficients solved from the 2x2
-    normal equations (Frisch-Waugh); a direction of that system below
-    lstsq's default tolerance (on the scale of the ones column) is dropped,
-    as lstsq drops it. Each SSE is summed from the explicit residual: the
-    envelope SSE minus the explained part would lose every digit when the
-    tone explains nearly all of it. Frequencies are taken TONE_CHUNK //
-    len(t) at a time (at least one), so the three scratch arrays do not grow
-    with the number of frequencies.
+    One lstsq per frequency, which cuts the directions of the design below its
+    default rank tolerance (gamma = 0, or a sine column that vanishes on the grid).
+    Each SSE is summed from the explicit residual: the envelope SSE minus the
+    explained part would lose every digit when the tone explains nearly all of it.
     """
-    e1, q, r = _envelope(t, y, gamma)
-    cut = (np.finfo(float).eps * t.size) ** 2 * t.size
+    e1 = np.exp(-2 * gamma * t)
+    base = [np.ones_like(t), e1, np.exp(-4 * gamma * t)]
     sse = np.empty(ws.size)
     amp = np.empty(ws.size)
-    step = max(1, TONE_CHUNK // t.size)
-    c_buf, s_buf, p_buf = np.empty((3, min(step, ws.size), t.size))
-    for i in range(0, ws.size, step):
-        w = ws[i:i + step]
-        s = np.multiply.outer(w, t, out=s_buf[:w.size])
-        c = np.cos(s, out=c_buf[:w.size])
-        np.sin(s, out=s)
-        c *= e1
-        s *= e1
-        c -= np.matmul(c @ q, q.T, out=p_buf[:w.size])
-        s -= np.matmul(s @ q, q.T, out=p_buf[:w.size])
-        cc = np.einsum("ij,ij->i", c, c)
-        cs = np.einsum("ij,ij->i", c, s)
-        ss = np.einsum("ij,ij->i", s, s)
-        cr, sr = c @ r, s @ r
-        tr = cc + ss
-        det = cc * ss - cs * cs
-        full = det > cut * tr  # both eigenvalues above the cut
-        one = ~full & (tr > cut)  # one left: the pseudo-inverse is G / tr^2
-        a = np.zeros(w.size)
-        b = np.zeros(w.size)
-        a[full] = (ss * cr - cs * sr)[full] / det[full]
-        b[full] = (cc * sr - cs * cr)[full] / det[full]
-        a[one] = (cc * cr + cs * sr)[one] / tr[one] ** 2
-        b[one] = (cs * cr + ss * sr)[one] / tr[one] ** 2
-        c *= -a[:, None]  # c becomes the residual r - a c - b s
-        s *= b[:, None]
-        c -= s
-        c += r
-        sse[i:i + step] = np.einsum("ij,ij->i", c, c)
-        amp[i:i + step] = np.hypot(a, b)
+    for i, w in enumerate(ws):
+        design = np.column_stack(base + [e1 * np.cos(w * t), e1 * np.sin(w * t)])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        res = y - design @ coef
+        sse[i] = res @ res
+        amp[i] = np.hypot(coef[3], coef[4])
     return sse, amp
 
 
@@ -367,13 +321,10 @@ def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurem
     """
     if t.size < 3:
         return BeatMeasurement(None, "none", "grid too short for a resolvable tone")
-    span = t[-1] - t[0]
-    dt = span / (t.size - 1)
-    # Uniform means every time within 1e-12 of the span from its place on the line. Steps
-    # compared with each other would not do: on a linspace grid of 20001 samples they
-    # differ by several 1e-12 through the rounding of the times themselves.
-    if not np.max(np.abs(t - (t[0] + dt * np.arange(t.size)))) <= 1e-12 * span:
+    dt = uniform_step(t)
+    if dt is None:
         return BeatMeasurement(None, "none", "grid not uniform to 1e-12, no pole fit")
+    span = t[-1] - t[0]
     stride = -(-t.size // PENCIL_SAMPLES)
     ws = np.unique(np.abs(_pencil_poles(r_target[::stride], stride * dt).imag))
     lo = 2.5 / span

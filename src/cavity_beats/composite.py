@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import hermitize_and_check, partial_trace_field, propagate, pure_state
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
+from .reduced import DRIFT_TOL
 from .reduced import evolve as evolve_reduced
 from .series import TimeSeries
 
@@ -149,7 +150,6 @@ def reduced_from_composite(
     t_grid: np.ndarray,
     system: CompositeSystem,
     levels: LevelScheme,
-    drift_tol: float = 1e-6,
 ) -> TimeSeries:
     """Trace out both modes and move to the interaction picture of the atom.
 
@@ -161,7 +161,7 @@ def reduced_from_composite(
     omega = np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0])
     phase_diff = omega[:, None] - omega[None, :]
     atom = partial_trace_field(states, system.dims) * np.exp(1j * phase_diff * t[:, None, None])
-    out, max_corr = hermitize_and_check(atom, t, drift_tol)
+    out, max_corr = hermitize_and_check(atom, t, DRIFT_TOL)
     return TimeSeries(times=t, states=out, max_drift_correction=max_corr)
 
 

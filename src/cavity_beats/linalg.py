@@ -213,14 +213,28 @@ def _step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
     return expm(a)
 
 
+def uniform_step(t: np.ndarray) -> float | None:
+    """The mean step of the ascending grid t if the grid is uniform, else None.
+
+    Uniform means every time within 1e-12 of the span from t[0] + i * step. Steps
+    compared with each other would not do: on a linspace grid of 20001 samples they
+    differ by several 1e-12 through the rounding of the times themselves.
+    """
+    if t.size < 2:
+        return None
+    step = float(np.diff(t).mean())
+    off = np.max(np.abs(t - (t[0] + step * np.arange(t.size))))
+    return step if off <= 1e-12 * (t[-1] - t[0]) else None
+
+
 def propagate(
     rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
 ) -> np.ndarray:
     """Solve d(rho)/dt = rhs(rho) exactly on t_grid, which ascends from the time of rho0.
 
     rhs is time-independent and meets the conditions of hermitian_generator;
-    coordinates rho0 cannot reach stay exactly zero. A uniform grid takes one
-    matrix exponential, any other grid one per step. Returns shape (len(t_grid), d, d).
+    coordinates rho0 cannot reach stay exactly zero. A uniform grid (uniform_step)
+    takes one matrix exponential, any other grid one per step. Returns shape (len(t_grid), d, d).
     """
     rho0 = _as_square(rho0, "rho0")
     if np.max(np.abs(rho0 - rho0.conj().T)) > HERM_TOL:
@@ -232,11 +246,10 @@ def propagate(
     keep, gen = hermitian_generator(rhs, rho0)
     x = np.empty((t.size, keep.size))
     x[0] = _coordinates(rho0)[keep]
-    # linspace steps differ in the last bits, so uniform means equal to 1e-12
-    uniform = steps.size > 0 and np.allclose(steps, steps.mean(), rtol=1e-12, atol=0.0)
-    step = _step_matrix(gen, steps.mean()) if uniform else None
+    uniform = uniform_step(t)
+    step = None if uniform is None else _step_matrix(gen, uniform)
     for i, h in enumerate(steps):
-        x[i + 1] = (step if uniform else _step_matrix(gen, h)) @ x[i]
+        x[i + 1] = (_step_matrix(gen, h) if step is None else step) @ x[i]
 
     d = rho0.shape[0]
     rows, cols, is_imag = _hermitian_coordinates(d)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cavity_beats import linalg
 from cavity_beats.analytic import (
     PENCIL_SAMPLES,
     _crossing_times,
@@ -246,19 +247,19 @@ def test_tone_sse_matches_per_frequency_lstsq(uniform, gamma):
 
 def test_tone_sse_drops_a_tone_inside_the_envelope():
     # e1 underflows to the unit vector at t = 0, so e1 cos(w t) is e1 itself and e1 sin(w t)
-    # is zero: no tone is fitted and the SSE is the envelope's
+    # is zero: the tone adds nothing, the SSE is the envelope's and the fit reports none
     t = np.linspace(0.0, 30.0, 301)
     y = np.cos(0.7 * t)
-    sse, amp = _tone_sse(t, y, 1e5, np.array([0.5, 0.7, 2.0]))
+    sse, _ = _tone_sse(t, y, 1e5, np.array([0.5, 0.7, 2.0]))
     base = np.column_stack([np.ones_like(t), np.exp(-2e5 * t)])
     c, *_ = np.linalg.lstsq(base, y, rcond=None)
     np.testing.assert_allclose(sse, np.sum((y - base @ c) ** 2), rtol=1e-12)
-    assert np.all(amp == 0.0)
+    got = _tone_fit(t, y, 1e5)
+    assert (got.two_f, got.method, got.detail) == (None, "none", "tone explains too little (SSE ratio 1.00)")
 
 
 def test_tone_fit_memory_stays_flat():
-    # the pole fit sees at most PENCIL_SAMPLES samples and the full-grid scoring works in
-    # fixed-size chunks, so the peak stays flat at the largest grid
+    # the pole fit sees at most PENCIL_SAMPLES samples, so the peak stays flat at the largest grid
     t = np.linspace(0.0, 40.0, SAMPLES_MAX)
     y = 0.5 - 0.5 * np.exp(-0.2 * t) + 0.1 * np.exp(-0.1 * t) * np.cos(0.6 * t)
     tracemalloc.start()
@@ -360,7 +361,8 @@ def test_tone_fit_ignores_poles_below_the_floor():
             assert got.two_f == pytest.approx(w, rel=1e-9)
 
 
-def test_tone_fit_needs_a_uniform_grid():
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_tone_fit_needs_a_uniform_grid(monkeypatch):
     rates = _tuned_rates(0.5)
     t = np.linspace(0.0, 20.0, 1601)
     t[1:-1] += 1e-9 * np.sin(np.arange(1, t.size - 1))  # off the line by 5e-11 of the span
@@ -368,6 +370,12 @@ def test_tone_fit_needs_a_uniform_grid():
     got = _tone_fit(t, series.channels()["rho_11"], 0.1)
     assert (got.two_f, got.method, got.detail) == (None, "none", "grid not uniform to 1e-12, no pole fit")
     assert measure_beats(series, allow_tone_fit=True).detail.endswith("; " + got.detail)
+    # propagate shares the rule: one step matrix per step on this grid
+    steps = []
+    step_matrix = linalg._step_matrix
+    monkeypatch.setattr(linalg, "_step_matrix", lambda gen, h: steps.append(h) or step_matrix(gen, h))
+    evolve(pure_state(0, 4), t, rates)
+    assert len(steps) == t.size - 1
     # a linspace grid of the largest size is uniform though its steps differ by more than 1e-12
     t = np.linspace(0.0, 40.0, SAMPLES_MAX)
     assert np.ptp(np.diff(t)) > 1e-12 * (t[1] - t[0])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavity_beats.composite
+import cavity_beats.linalg
 from cavity_beats.analytic import symmetric_solution
 from cavity_beats.cli import main
 from cavity_beats.composite import EliminationCheck
@@ -268,6 +272,19 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
             main(["run", path, "--out-dir", str(tmp_path), flag, "7"])
 
 
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_linspace_run_takes_one_step_matrix(monkeypatch):
+    # the steps of a 20001-sample linspace grid differ by several 1e-12 relative, but every
+    # time lies on the line, so the whole run is stepped with one matrix exponential
+    steps = []
+    step_matrix = cavity_beats.linalg._step_matrix
+    monkeypatch.setattr(
+        cavity_beats.linalg, "_step_matrix", lambda gen, h: steps.append(h) or step_matrix(gen, h)
+    )
+    run_scenario(parse_scenario({**SHORTCUT, "t_end": 8.0, "samples": 20001}))
+    assert len(steps) == 1
+
+
 def test_cli_run_survives_one_huge_step(tmp_path, capsys):
     # one step of 1e6 at Omega = 1e5 would need 36 squarings of the Pade exponential, which
     # drift the trace by 4e-6 (exit 3); the step goes through the generator's eigenvectors
@@ -454,3 +471,12 @@ def test_cli_exit_codes_and_writes_on_hostile_input(invocation):
         assert code in (0, 2, 3, 4)
         written = {p for p in root.rglob("*") if p.is_file()} - {path}
         assert all(out in p.parents for p in written)
+
+
+def test_cli_needs_no_scipy():
+    # the runtime dependency is numpy only; scipy is a cross-check of the tests
+    code = "import sys, cavity_beats.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cavity_beats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
