@@ -235,8 +235,8 @@ def test_tone_sse_matches_per_frequency_lstsq(uniform, gamma):
     # the tone explains all but 1e-7 to 1e-9 of the envelope residual, where an SSE taken
     # as the envelope SSE minus the explained part keeps too few digits
     y += 1e-6 * rng.normal(size=t.size)
-    # more frequencies than one chunk holds, around and away from the tone; on the
-    # uniform grid sin(w t) vanishes at w = 100 pi and lstsq drops that column
+    # frequencies around and away from the tone; on the uniform grid sin(w t)
+    # vanishes at w = 100 pi and lstsq drops that column
     ws = np.concatenate([np.linspace(0.6, 0.8, 41), [0.1, 2.0, 5.0, 100 * np.pi]])
     sse, amp = _tone_sse(t, y, gamma, ws)
     ref_sse, ref_amp = _tone_sse_reference(t, y, gamma, ws)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import cavity_beats.composite
 import cavity_beats.linalg
+from cavity_beats._csvformat import format_rows
 from cavity_beats.analytic import symmetric_solution
 from cavity_beats.cli import main
 from cavity_beats.composite import EliminationCheck
@@ -19,6 +21,7 @@ from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
 from cavity_beats.scenario import (
     CSV_COLUMNS,
     MODES,
+    SAMPLES_MAX,
     SWEEP_PARAMS,
     Scenario,
     ScenarioError,
@@ -247,6 +250,55 @@ def test_csv_is_deterministic(tmp_path):
         write_csv(result.series, str(path))
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+def _lines_17g(block):
+    # the reference the block formatter must match byte for byte
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in block.tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=48))
+@example([0.0, -0.0, NAN, INF, -INF, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+def test_format_rows_matches_17g_on_any_float(values):
+    block = np.array(values).reshape(1, -1)
+    assert format_rows(block) == _lines_17g(block)
+    assert format_rows(block.T) == _lines_17g(block.T)
+
+
+def test_format_rows_matches_17g_on_random_bit_patterns():
+    block = np.random.default_rng(8).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64).reshape(-1, 8)
+    for a in range(0, len(block), 4096):
+        assert format_rows(block[a:a + 4096]) == _lines_17g(block[a:a + 4096])
+
+
+def test_format_rows_matches_17g_at_the_boundaries():
+    # powers of ten and their neighbours test the exponent; then a value whose
+    # 17 digits round up to a power of ten, exact values, two exact ties at the
+    # 17th digit (one rounds down to even, one up) and the fast path's range ends
+    tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    named = np.array([
+        9.9999999999999995e-07, 0.5, 2.5, 4503599627370497.5,
+        1000000.00048828125, 1000000.00146484375, 1e-290, 1e290,
+    ])
+    base = np.concatenate([tens, named])
+    values = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+    block = np.concatenate([values, -values]).reshape(-1, 2)
+    assert format_rows(block) == _lines_17g(block)
+
+
+def test_csv_memory_stays_flat(tmp_path):
+    # blocks bound the writer's working memory, whatever the length of the series
+    rng = np.random.default_rng(4)
+    states = rng.normal(size=(SAMPLES_MAX, 4, 4)) + 1j * rng.normal(size=(SAMPLES_MAX, 4, 4))
+    series = TimeSeries(np.linspace(0.0, 8.0, SAMPLES_MAX), states)
+    tracemalloc.start()
+    try:
+        write_csv(series, str(tmp_path / "x.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 # --- command line -----------------------------------------------------------
@@ -480,3 +532,16 @@ def test_cli_needs_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_format_tables():
+    # the CSV formatter builds its tables on first use, so start-up pays nothing for them
+    code = (
+        "import sys, cavity_beats.cli; from cavity_beats import _csvformat as f; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
+        "f._powers.cache_info().currsize + f._tables.cache_info().currsize)"
+    )
+    src = str(Path(cavity_beats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] 0"
