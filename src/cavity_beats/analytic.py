@@ -28,6 +28,7 @@ RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
 PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
+NOISE_FLOOR = 1e-5  # an oscillation below this fraction of the population's peak is rounding noise
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -240,9 +241,7 @@ def _estimate_gamma(series: TimeSeries) -> float:
     return -slope / 4
 
 
-def _detrended(series: TimeSeries, population: str, gamma: float) -> np.ndarray:
-    t = series.times
-    y = series.channels()[population]
+def _detrended(t: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     basis = np.column_stack([np.ones_like(t), np.exp(-2 * gamma * t), np.exp(-4 * gamma * t)])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     return y - basis @ coef
@@ -339,7 +338,7 @@ def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurem
     ratio = sse[0] / sse[j] if sse[j] > 0 else np.inf
     if ratio < 9.0:
         return BeatMeasurement(None, "none", f"tone explains too little (SSE ratio {ratio:.2f})")
-    if amp[j] < 1e-5 * np.max(np.abs(r_target)):
+    if amp[j] < NOISE_FLOOR * np.max(np.abs(r_target)):
         # A tone this weak is fitting integration noise, not beats.
         return BeatMeasurement(None, "none", f"tone amplitude negligible ({amp[j]:.2e})")
     # At a pole of the signal the fit is best: detuned by 0.1/span, the tone's phase is off
@@ -363,18 +362,22 @@ def measure_beats(
     The population is detrended against the non-oscillating envelope
     {1, exp(-2 Gamma t), exp(-4 Gamma t)} (Gamma estimated from the top
     population unless given), then timed through the zero crossings of the
-    residual. With fewer than five clean crossings the method reports no
-    beats, unless allow_tone_fit is set. Then the poles of the population
-    are read off a matrix pencil of its samples (the grid must be uniform),
-    and each oscillating pole is tried as a damped tone on the full grid;
-    the best is accepted only when it clearly dominates the residual and
-    the fit is at a minimum there. Without an oscillating pole the result
-    is none at once.
+    residual; a residual below NOISE_FLOOR of the population's peak is
+    rounding noise and has none. With fewer than five clean crossings the
+    method reports no beats, unless allow_tone_fit is set. Then the poles
+    of the population are read off a matrix pencil of its samples (the grid
+    must be uniform), and each oscillating pole is tried as a damped tone on
+    the full grid; the best is accepted only when it clearly dominates the
+    residual and the fit is at a minimum there. Without an oscillating pole
+    the result is none at once.
     """
     if gamma is None:
         gamma = _estimate_gamma(series)
-    r = _detrended(series, population, gamma)
-    times = _crossing_times(series.times, r)
+    y = series.channels()[population]
+    r = _detrended(series.times, y, gamma)
+    # Without beats the residual is rounding noise, whose sign changes would be timed
+    noise = np.max(np.abs(r)) < NOISE_FLOOR * np.max(np.abs(y))
+    times = np.array([]) if noise else _crossing_times(series.times, r)
     if times.size >= 5:
         gaps = np.diff(times)
         spread = float(np.std(gaps) / np.mean(gaps))
@@ -388,7 +391,7 @@ def measure_beats(
     else:
         detail = f"only {times.size} significant crossings"
     if allow_tone_fit:
-        fit = _tone_fit(series.times, series.channels()[population], gamma)
+        fit = _tone_fit(series.times, y, gamma)
         if fit.two_f is not None:
             return fit
         detail = f"{detail}; {fit.detail}"

@@ -199,14 +199,16 @@ def hermitian_generator(
     return keep, np.array([columns[k][keep] for k in keep]).T.reshape(keep.size, keep.size)
 
 
-def _step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
-    """e^{gen h} for a real generator gen.
+def _step_matrix(gen: np.ndarray, h: float, squarings_after: int = 0) -> np.ndarray:
+    """e^{gen h} for a real generator gen, to be squared squarings_after more times.
 
-    Pade through expm, unless that needs more than MAX_SQUARINGS squarings and
-    gen has eigenvectors V with cond(V) <= EIG_COND_MAX: then V e^{lambda h} V^-1.
+    Pade through expm, unless its own squarings plus squarings_after exceed
+    MAX_SQUARINGS and gen has eigenvectors V with cond(V) <= EIG_COND_MAX: then
+    V e^{lambda h} V^-1. Every squaring of a Pade step doubles its error, those of
+    the caller's walk as much as expm's own, so the budget covers the whole walk.
     """
     a = gen * h
-    if _squarings(a) > MAX_SQUARINGS:
+    if _squarings(a) + squarings_after > MAX_SQUARINGS:
         lam, vec = np.linalg.eig(gen)
         if np.linalg.cond(vec) <= EIG_COND_MAX:
             return ((vec * np.exp(lam * h)) @ np.linalg.inv(vec)).real
@@ -234,7 +236,11 @@ def propagate(
 
     rhs is time-independent and meets the conditions of hermitian_generator;
     coordinates rho0 cannot reach stay exactly zero. A uniform grid (uniform_step)
-    takes one matrix exponential, any other grid one per step. Returns shape (len(t_grid), d, d).
+    takes one step matrix S and fills the samples by doubling: with P = S^n,
+    x[n:2n] = P x[:n], then P is squared, so N samples cost about log2(N) matrix
+    products and floor(log2(N - 1)) squarings of S, which count against S's
+    squaring budget (_step_matrix). Any other grid takes one step matrix per step.
+    Returns shape (len(t_grid), d, d).
     """
     rho0 = _as_square(rho0, "rho0")
     if np.max(np.abs(rho0 - rho0.conj().T)) > HERM_TOL:
@@ -247,9 +253,19 @@ def propagate(
     x = np.empty((t.size, keep.size))
     x[0] = _coordinates(rho0)[keep]
     uniform = uniform_step(t)
-    step = None if uniform is None else _step_matrix(gen, uniform)
-    for i, h in enumerate(steps):
-        x[i + 1] = (_step_matrix(gen, h) if step is None else step) @ x[i]
+    if uniform is None:
+        for i, h in enumerate(steps):
+            x[i + 1] = _step_matrix(gen, h) @ x[i]
+    else:
+        walk = (t.size - 1).bit_length() - 1  # squarings up to the largest power of S used
+        power = _step_matrix(gen, uniform, walk)
+        n = 1
+        while n < t.size:
+            m = min(n, t.size - n)
+            np.matmul(x[:m], power.T, out=x[n:n + m])
+            n += m
+            if n < t.size:
+                power = power @ power
 
     d = rho0.shape[0]
     rows, cols, is_imag = _hermitian_coordinates(d)

@@ -166,7 +166,9 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     sigma = propagate(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
-    sigma *= np.exp(1j * dtheta * t[:, None, None])
+    # dtheta takes five values (0, +-Omega, +-2 Omega): one exponential per value and sample
+    u, inv = np.unique(dtheta, return_inverse=True)
+    sigma *= np.exp(1j * u * t[:, None])[:, inv.reshape(dtheta.shape)]
     states, max_corr = hermitize_and_check(sigma, t, drift_tol)
 
     lowest = np.linalg.eigvalsh(states)[:, 0]

@@ -47,7 +47,7 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
 
 # Bounds that keep an accepted scenario runnable. At unit rates a step of
 # t_end stays far below the step norm (about 2e10) where expm loses the
-# stationary state; a composite run at 100001 samples takes about 2 s and
+# stationary state; a composite run at 100001 samples takes about 1.5 s and
 # 0.5 GB; validate runs each rung of the ladder to t = 1.5/g^2, and the
 # adiabatic elimination it checks needs g below the unit cavity linewidth.
 T_END_MAX = 1e6

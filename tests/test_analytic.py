@@ -21,6 +21,7 @@ from cavity_beats.linalg import hermitian_generator, pure_state
 from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, RateSet, derive_rates, midpoint_levels
 from cavity_beats.reduced import evolve, rotated_rhs
 from cavity_beats.scenario import SAMPLES_MAX
+from cavity_beats.series import TimeSeries
 
 
 def _tuned_rates(omega, g=1.0):
@@ -393,6 +394,27 @@ def test_no_tone_from_rounding_noise_near_resonance():
     got = measure_beats(symmetric_solution(t, rates), allow_tone_fit=True)
     assert got.two_f is None
     assert "tone fit has no minimum" in got.detail
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@pytest.mark.parametrize("omega", [0.5, 1.0, 3.0])
+def test_no_crossings_timed_in_rounding_noise(omega):
+    # at eta = 0 the detrended rho_11 is rounding noise near 1e-15 of a population of 0.25; its
+    # sign changes are no beats, and which of them looked significant hung on the last bits
+    series = evolve(pure_state(0, 4), np.linspace(0.0, 8.0, 1601), _tuned_rates(omega), eta=0.0)
+    assert measure_beats(series).detail == "only 0 significant crossings"
+
+
+def test_crossings_need_a_residual_above_the_noise_floor():
+    # a regular tone at 4e-15 of the population: without the floor it is timed as beats at 4.97
+    t = np.linspace(0.0, 8.0, 1601)
+    states = np.zeros((t.size, 4, 4), dtype=complex)
+    states[:, 1, 1] = 0.25 * (1.0 - np.exp(-t)) + 1e-15 * np.cos(5.0 * t)
+    assert measure_beats(TimeSeries(t, states), gamma=0.5).detail == "only 0 significant crossings"
+    states[:, 1, 1] += 1e-5 * np.cos(5.0 * t)  # 4e-5 of the population, above the floor
+    got = measure_beats(TimeSeries(t, states), gamma=0.5)
+    assert got.method == "crossings"
+    assert got.two_f == pytest.approx(5.0, rel=0.02)
 
 
 def test_composite_preset_reports_no_wrong_beats(tmp_path):

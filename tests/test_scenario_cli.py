@@ -331,7 +331,7 @@ def test_linspace_run_takes_one_step_matrix(monkeypatch):
     steps = []
     step_matrix = cavity_beats.linalg._step_matrix
     monkeypatch.setattr(
-        cavity_beats.linalg, "_step_matrix", lambda gen, h: steps.append(h) or step_matrix(gen, h)
+        cavity_beats.linalg, "_step_matrix", lambda gen, h, *walk: steps.append(h) or step_matrix(gen, h, *walk)
     )
     run_scenario(parse_scenario({**SHORTCUT, "t_end": 8.0, "samples": 20001}))
     assert len(steps) == 1
@@ -350,6 +350,22 @@ def test_cli_run_survives_one_huge_step(tmp_path, capsys):
         np.testing.assert_allclose(data[:, col], closed.population(level), rtol=0, atol=1e-12)
     assert summary["max_drift_correction"] < 1e-12  # trace and Hermiticity before the repair
     assert np.max(np.abs(data[:, 1:5].sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_cli_run_survives_a_long_walk(tmp_path):
+    # a step of 10 at Omega = 1e5 needs 19 squarings, and doubling over 100001 samples squares
+    # the step 16 more times; a Pade step compounded over the run drifted the trace by 1e-6 at
+    # sample 61260 (exit 3), so the walk counts against the budget and the step takes the
+    # generator's eigenvectors
+    scenario = {"name": "walk", "mode": "reduced", "Omega": 1e5, "G": 1, "eta": 1, "t_end": 1e6, "samples": 100001}
+    assert main(["run", _write_scenario(tmp_path, scenario), "--out-dir", str(tmp_path)]) == 0
+    data = np.loadtxt(tmp_path / "walk.csv", delimiter=",", skiprows=1)
+    summary = json.loads((tmp_path / "walk.summary.json").read_text())
+    levels, cavity = midpoint_levels(1e5 + 1.0, 1e5, 1e5)
+    closed = symmetric_solution(data[:, 0], derive_rates(CouplingSet.uniform(1.0), levels, cavity))
+    for col, level in zip((1, 2, 3, 4), "e12g"):
+        np.testing.assert_allclose(data[:, col], closed.population(level), rtol=0, atol=1e-10)
+    assert summary["max_drift_correction"] < 1e-10
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):
