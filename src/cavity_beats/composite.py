@@ -137,21 +137,26 @@ def excited_vacuum(system: CompositeSystem) -> np.ndarray:
 
 
 def evolve_composite(rho0: np.ndarray, t_grid: np.ndarray, system: CompositeSystem) -> np.ndarray:
-    """Solve the composite equation exactly (its generator is constant); states on the grid."""
+    """Solve the composite equation exactly and return the atom's state on the grid.
+
+    The generator is constant, so linalg.propagate solves it; both modes are
+    traced out of the matrix of each reachable coordinate rather than out of
+    each state, so only the (len(t_grid), 4, 4) atom states are built.
+    """
     dim = system.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim} for this truncation")
-    return propagate(lambda rho: lindblad_rhs(rho, system), rho0, t_grid)
+    return propagate(
+        lambda rho: lindblad_rhs(rho, system),
+        rho0,
+        t_grid,
+        lambda m: partial_trace_field(m, system.dims),
+    )
 
 
-def reduced_from_composite(
-    states: np.ndarray,
-    t_grid: np.ndarray,
-    system: CompositeSystem,
-    levels: LevelScheme,
-) -> TimeSeries:
-    """Trace out both modes and move to the interaction picture of the atom.
+def reduced_from_composite(atom: np.ndarray, t_grid: np.ndarray, levels: LevelScheme) -> TimeSeries:
+    """Move the atom states of evolve_composite to the interaction picture of the atom.
 
     The reduced equation is written in that picture, so its element (j, k)
     carries the extra phase exp(i (omega_j - omega_k) t) relative to the
@@ -160,8 +165,8 @@ def reduced_from_composite(
     t = np.asarray(t_grid, dtype=float)
     omega = np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0])
     phase_diff = omega[:, None] - omega[None, :]
-    atom = partial_trace_field(states, system.dims) * np.exp(1j * phase_diff * t[:, None, None])
-    out, max_corr = hermitize_and_check(atom, t, DRIFT_TOL)
+    rotated = atom * np.exp(1j * phase_diff * t[:, None, None])
+    out, max_corr = hermitize_and_check(rotated, t, DRIFT_TOL)
     return TimeSeries(times=t, states=out, max_drift_correction=max_corr)
 
 
@@ -200,8 +205,8 @@ def validate_elimination(
         system = build_system(couplings, levels, cavity)
         t_end = 1.5 / (g * g)
         t = np.linspace(0.0, t_end, samples)
-        full_states = evolve_composite(excited_vacuum(system), t, system)
-        full = reduced_from_composite(full_states, t, system, levels)
+        atom = evolve_composite(excited_vacuum(system), t, system)
+        full = reduced_from_composite(atom, t, levels)
         rates = derive_rates(couplings, levels, cavity)
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0

@@ -8,6 +8,8 @@ of dimensions), so dense algebra is used throughout.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -158,18 +160,36 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+@functools.cache
 def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and is_imag of the real coordinates of a d x d Hermitian matrix."""
+    """Row, column and is_imag of the real coordinates of a d x d Hermitian matrix.
+
+    Cached per d and read-only, since every coordinate map of a run asks for them.
+    """
     iu, ju = np.triu_indices(d, 1)
     rows = np.concatenate([np.arange(d), iu, iu])
     cols = np.concatenate([np.arange(d), ju, ju])
-    return rows, cols, np.arange(d * d) >= d + iu.size
+    tables = (rows, cols, np.arange(d * d) >= d + iu.size)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def _coordinates(m: np.ndarray) -> np.ndarray:
     rows, cols, is_imag = _hermitian_coordinates(m.shape[-1])
     v = m[..., rows, cols]
     return np.where(is_imag, v.imag, v.real)
+
+
+def _hermitian_basis(d: int, coords: np.ndarray) -> np.ndarray:
+    """The d x d Hermitian matrix of each coordinate in coords, shape (len(coords), d, d)."""
+    rows, cols, is_imag = _hermitian_coordinates(d)
+    r, c, unit = rows[coords], cols[coords], np.where(is_imag[coords], 1j, 1.0)
+    k = np.arange(len(coords))
+    basis = np.zeros((len(coords), d, d), dtype=complex)
+    basis[k, r, c] = unit
+    basis[k, c, r] = unit.conj()
+    return basis
 
 
 def hermitian_generator(
@@ -183,18 +203,13 @@ def hermitian_generator(
     the coordinates reached from the support of rho0 through nonzero entries,
     ascending, and the generator on them.
     """
-    d = rho0.shape[0]
-    rows, cols, is_imag = _hermitian_coordinates(d)
     columns: dict[int, np.ndarray] = {}
-    todo = list(np.flatnonzero(_coordinates(rho0)))
-    while todo:
-        k = todo.pop()
-        if k not in columns:
-            basis = np.zeros((d, d), dtype=complex)
-            basis[rows[k], cols[k]] = 1j if is_imag[k] else 1.0
-            basis[cols[k], rows[k]] = -1j if is_imag[k] else 1.0
+    new = np.flatnonzero(_coordinates(rho0))
+    while new.size:  # one frontier of newly reached coordinates at a time
+        for k, basis in zip(new, _hermitian_basis(rho0.shape[0], new)):
             columns[k] = _coordinates(np.asarray(rhs(basis), dtype=complex))
-            todo.extend(np.flatnonzero(columns[k]))
+        reached = np.flatnonzero(np.any([columns[k] for k in new], axis=0))
+        new = np.setdiff1d(reached, list(columns))
     keep = np.array(sorted(columns), dtype=int)
     return keep, np.array([columns[k][keep] for k in keep]).T.reshape(keep.size, keep.size)
 
@@ -230,17 +245,26 @@ def uniform_step(t: np.ndarray) -> float | None:
 
 
 def propagate(
-    rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
+    rhs: Callable[[np.ndarray], np.ndarray],
+    rho0: np.ndarray,
+    t_grid: np.ndarray,
+    observe: Callable[[np.ndarray], np.ndarray] = lambda m: m,
 ) -> np.ndarray:
-    """Solve d(rho)/dt = rhs(rho) exactly on t_grid, which ascends from the time of rho0.
+    """Solve d(rho)/dt = rhs(rho) exactly on t_grid and return observe(rho) at each time.
 
-    rhs is time-independent and meets the conditions of hermitian_generator;
-    coordinates rho0 cannot reach stay exactly zero. A uniform grid (uniform_step)
-    takes one step matrix S and fills the samples by doubling: with P = S^n,
-    x[n:2n] = P x[:n], then P is squared, so N samples cost about log2(N) matrix
-    products and floor(log2(N - 1)) squarings of S, which count against S's
-    squaring budget (_step_matrix). Any other grid takes one step matrix per step.
-    Returns shape (len(t_grid), d, d).
+    t_grid ascends from the time of rho0. rhs is time-independent and meets the
+    conditions of hermitian_generator; coordinates rho0 cannot reach stay exactly
+    zero. A uniform grid (uniform_step) takes one step matrix S and fills the
+    samples by doubling: with P = S^n, x[n:2n] = P x[:n], then P is squared, so N
+    samples cost about log2(N) matrix products and floor(log2(N - 1)) squarings of
+    S, which count against S's squaring budget (_step_matrix). Any other grid takes
+    one step matrix per step.
+
+    observe is a linear map that works on a stack of matrices, such as a partial
+    trace; by default the state itself. It is applied to the matrix of each
+    reachable coordinate, never to a state, so the output is x @ observe(basis):
+    shape (len(t_grid),) + observe(rho0).shape, and no (len(t_grid), d, d) stack is
+    built unless observe keeps the state whole.
     """
     rho0 = _as_square(rho0, "rho0")
     if np.max(np.abs(rho0 - rho0.conj().T)) > HERM_TOL:
@@ -267,11 +291,8 @@ def propagate(
             if n < t.size:
                 power = power @ power
 
-    d = rho0.shape[0]
-    rows, cols, is_imag = _hermitian_coordinates(d)
-    r, c, im = rows[keep], cols[keep], is_imag[keep]
-    out = np.zeros((t.size, d, d), dtype=complex)
-    out.real[:, r[~im], c[~im]] = out.real[:, c[~im], r[~im]] = x[:, ~im]
-    out.imag[:, r[im], c[im]] = x[:, im]
-    out.imag[:, c[im], r[im]] = -x[:, im]
-    return out
+    readout = np.asarray(observe(_hermitian_basis(rho0.shape[0], keep)), dtype=complex)
+    shape = readout.shape[1:]
+    # one real product, with the real and imaginary parts of the readout interleaved
+    flat = np.ascontiguousarray(readout.reshape(keep.size, math.prod(shape))).view(float)
+    return (x @ flat).view(complex).reshape((t.size,) + shape)

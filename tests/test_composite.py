@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_beats.composite import (
     EliminationCheck,
@@ -13,7 +15,7 @@ from cavity_beats.composite import (
     reduced_from_composite,
     validate_elimination,
 )
-from cavity_beats.linalg import partial_trace_field
+from cavity_beats.linalg import hermitian_generator, partial_trace_field, propagate
 from cavity_beats.model import CouplingSet, midpoint_levels
 
 
@@ -78,6 +80,11 @@ def test_lindblad_rhs_matches_liouvillian_matrix():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _full_states(system, t):
+    # the 16 x 16 composite states, which evolve_composite traces down to the atom
+    return propagate(lambda rho: lindblad_rhs(rho, system), excited_vacuum(system), t)
+
+
 def test_evolution_matches_matrix_exponential():
     # the propagation restricted to the coordinates reachable from rho0
     # against the exponential of the full 256 x 256 Liouvillian, on a
@@ -86,7 +93,7 @@ def test_evolution_matches_matrix_exponential():
     rho0 = excited_vacuum(system)
     lio = _liouvillian_matrix(system)
     for t in (np.array([0.0, 0.85, 1.7]), np.array([0.0, 0.3, 1.7, 5.0])):
-        states = evolve_composite(rho0, t, system)
+        states = _full_states(system, t)
         for i, ti in enumerate(t):
             want = (scipy.linalg.expm(lio * ti) @ rho0.ravel()).reshape(16, 16)
             assert np.max(np.abs(states[i] - want)) < 1e-12
@@ -95,7 +102,7 @@ def test_evolution_matches_matrix_exponential():
 def test_trace_kept_and_excitations_drain():
     system, _, _ = _tuned_system()
     t = np.linspace(0.0, 10.0, 101)
-    states = evolve_composite(excited_vacuum(system), t, system)
+    states = _full_states(system, t)
     traces = np.einsum("nii->n", states)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
     n_exc_atom = np.kron(
@@ -116,21 +123,52 @@ def test_single_photon_truncation_is_complete():
     sys1, levels, _ = _tuned_system(n_max=1)
     sys2, _, _ = _tuned_system(n_max=2)
     t = np.linspace(0.0, 5.0, 26)
-    red1 = reduced_from_composite(evolve_composite(excited_vacuum(sys1), t, sys1), t, sys1, levels)
-    red2 = reduced_from_composite(evolve_composite(excited_vacuum(sys2), t, sys2), t, sys2, levels)
+    red1 = reduced_from_composite(evolve_composite(excited_vacuum(sys1), t, sys1), t, levels)
+    red2 = reduced_from_composite(evolve_composite(excited_vacuum(sys2), t, sys2), t, levels)
     assert np.max(np.abs(red1.states - red2.states)) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize(
+    "t", [np.linspace(0.0, 12.0, 1601), np.array([0.0, 0.3, 1.7, 5.0])], ids=["uniform", "non-uniform"]
+)
+def test_evolve_composite_traces_the_propagated_states(n_max, t):
+    # the field traced out of the coordinates' matrices equals the trace of the full states
+    system, _, _ = _tuned_system(n_max=n_max)
+    atom = evolve_composite(excited_vacuum(system), t, system)
+    want = partial_trace_field(_full_states(system, t), system.dims)
+    assert atom.shape == (t.size, 4, 4)
+    assert np.max(np.abs(atom - want)) <= 1e-15
 
 
 def test_reduced_from_composite_applies_rotation():
     system, levels, _ = _tuned_system()
     t = np.array([0.0, 1.3])
-    states = evolve_composite(excited_vacuum(system), t, system)
-    series = reduced_from_composite(states, t, system, levels)
-    atom = partial_trace_field(states[1], system.dims)
+    series = reduced_from_composite(evolve_composite(excited_vacuum(system), t, system), t, levels)
+    atom = partial_trace_field(_full_states(system, t)[1], system.dims)
     phase = np.exp(1j * (levels.omega_1g - levels.omega_2g) * t[1])
     assert series.states[1][1, 2] == pytest.approx(atom[1, 2] * phase, abs=1e-12)
     # populations are phase-free
     assert series.states[1][0, 0] == pytest.approx(atom[0, 0], abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega=st.one_of(st.just(0.0), st.floats(1e-3, 4.0)),
+    g=st.floats(0.05, 1.0),
+    n_max=st.sampled_from([1, 2]),
+)
+def test_generator_has_one_stationary_state(omega, g, n_max):
+    # on the coordinates reachable from the excited atom: one zero eigenvalue, every other
+    # mode decays. The slowest rate goes like Omega^2 (1e-8 at Omega = 1e-4, g = 1), so
+    # Omega is drawn from 1e-3 up, where it stays far above the zero threshold. Omega = 0
+    # is the dark case: the two intermediate levels coincide and a second state survives.
+    system, _, _ = _tuned_system(omega=omega, g=g, n_max=n_max)
+    _, gen = hermitian_generator(lambda rho: lindblad_rhs(rho, system), excited_vacuum(system))
+    lam = np.linalg.eigvals(gen)
+    zero = np.abs(lam) < 1e-10
+    assert np.count_nonzero(zero) == (2 if omega == 0.0 else 1)
+    assert np.all(lam[~zero].real < 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:positivity violated")

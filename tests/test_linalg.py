@@ -8,6 +8,7 @@ from cavity_beats.linalg import (
     THETA13,
     DriftError,
     _coordinates,
+    _hermitian_coordinates,
     _squarings,
     _step_matrix,
     density_matrix,
@@ -146,6 +147,14 @@ def test_propagate_decay_of_a_coherence():
         propagate(lambda rho: rho, rho0, t[::-1])
     with pytest.raises(ValueError, match="Hermitian"):
         propagate(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]), t)
+
+
+def test_coordinate_tables_are_shared_and_read_only():
+    tables = _hermitian_coordinates(16)
+    assert _hermitian_coordinates(16) is tables
+    for a in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
 
 
 def _tuned_problem(model):

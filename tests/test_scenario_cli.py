@@ -301,6 +301,21 @@ def test_csv_memory_stays_flat(tmp_path):
     assert peak <= 4e6
 
 
+def test_composite_run_builds_no_composite_state_stack():
+    # the field is traced out of the propagated coordinates, so a long composite run peaks
+    # far below one (N, 16, 16) complex stack (82 MB here; the run peaked above that with it)
+    samples = 20001
+    sc = parse_scenario(dict(SHORTCUT, mode="composite", t_end=12.0, samples=samples))
+    tracemalloc.start()
+    try:
+        result = run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.series) == samples
+    assert peak < samples * 16 * 16 * 16 / 2
+
+
 # --- command line -----------------------------------------------------------
 
 def _write_scenario(tmp_path, obj):
