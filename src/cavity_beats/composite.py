@@ -14,11 +14,18 @@ against the cavity linewidths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize_and_check, partial_trace_field, propagate, pure_state
+from .linalg import (
+    hermitize_and_check,
+    linear_readout,
+    partial_trace_field,
+    propagate_coordinates,
+    pure_state,
+)
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from .reduced import DRIFT_TOL
 from .reduced import evolve as evolve_reduced
@@ -53,6 +60,12 @@ class CompositeSystem:
     def dim(self) -> int:
         d, na, nb = self.dims
         return d * na * nb
+
+    @functools.cached_property
+    def mode_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """a^dag, b^dag, a^dag a and b^dag b, built once for every call of lindblad_rhs."""
+        ad, bd = self.a_op.conj().T, self.b_op.conj().T
+        return ad, bd, ad @ self.a_op, bd @ self.b_op
 
 
 def build_hamiltonian(
@@ -123,8 +136,7 @@ def lindblad_rhs(rho: np.ndarray, system: CompositeSystem) -> np.ndarray:
     """
     h = system.hamiltonian
     a, b = system.a_op, system.b_op
-    ad, bd = a.conj().T, b.conj().T
-    na, nb = ad @ a, bd @ b
+    ad, bd, na, nb = system.mode_products
     out = -1j * (h @ rho - rho @ h)
     out -= system.kappa_a * (na @ rho + rho @ na - 2 * a @ rho @ ad)
     out -= system.kappa_b * (nb @ rho + rho @ nb - 2 * b @ rho @ bd)
@@ -136,37 +148,40 @@ def excited_vacuum(system: CompositeSystem) -> np.ndarray:
     return pure_state(0, system.dim)
 
 
-def evolve_composite(rho0: np.ndarray, t_grid: np.ndarray, system: CompositeSystem) -> np.ndarray:
-    """Solve the composite equation exactly and return the atom's state on the grid.
+def evolve_composite(
+    rho0: np.ndarray, t_grid: np.ndarray, system: CompositeSystem
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the composite equation exactly and return the atom's coordinates on the grid.
 
-    The generator is constant, so linalg.propagate solves it; both modes are
-    traced out of the matrix of each reachable coordinate rather than out of
-    each state, so only the (len(t_grid), 4, 4) atom states are built.
+    The generator is constant, so linalg.propagate_coordinates solves it. Both modes
+    are traced out of the matrix of each reachable coordinate (linear_readout), never
+    out of a state, so the result is (keep, x): the atom's reachable Hermitian
+    coordinates and their values x[n] at t_grid[n]; linalg.hermitian_states builds
+    the 4x4 states from them.
     """
     dim = system.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim} for this truncation")
-    return propagate(
-        lambda rho: lindblad_rhs(rho, system),
-        rho0,
-        t_grid,
-        lambda m: partial_trace_field(m, system.dims),
-    )
+    keep, x = propagate_coordinates(lambda rho: lindblad_rhs(rho, system), rho0, t_grid)
+    atom_keep, trace = linear_readout(lambda m: partial_trace_field(m, system.dims), keep, dim)
+    return atom_keep, x @ trace
 
 
-def reduced_from_composite(atom: np.ndarray, t_grid: np.ndarray, levels: LevelScheme) -> TimeSeries:
-    """Move the atom states of evolve_composite to the interaction picture of the atom.
+def reduced_from_composite(
+    atom: tuple[np.ndarray, np.ndarray], t_grid: np.ndarray, levels: LevelScheme
+) -> TimeSeries:
+    """Move the atom coordinates of evolve_composite to the interaction picture of the atom.
 
     The reduced equation is written in that picture, so its element (j, k)
     carries the extra phase exp(i (omega_j - omega_k) t) relative to the
-    traced-out state.
+    traced-out state. hermitize_and_check applies it on the coordinates, checks
+    and renormalizes the trace of every sample and builds the states.
     """
     t = np.asarray(t_grid, dtype=float)
     omega = np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0])
-    phase_diff = omega[:, None] - omega[None, :]
-    rotated = atom * np.exp(1j * phase_diff * t[:, None, None])
-    out, max_corr = hermitize_and_check(rotated, t, DRIFT_TOL)
+    keep, x = atom
+    out, max_corr = hermitize_and_check(keep, x, omega[:, None] - omega[None, :], t, DRIFT_TOL)
     return TimeSeries(times=t, states=out, max_drift_correction=max_corr)
 
 

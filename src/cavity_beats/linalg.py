@@ -9,7 +9,6 @@ of dimensions), so dense algebra is used throughout.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable
 
 import numpy as np
@@ -88,34 +87,6 @@ def partial_trace_field(rho: np.ndarray, dims: tuple[int, int, int]) -> np.ndarr
     return np.einsum("...ipqjpq->...ij", r)
 
 
-def hermitize_and_check(states: np.ndarray, times: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Symmetrize and renormalize states[k], sampled at times[k].
-
-    Returns the repaired stack and the largest correction, which per sample
-    is the larger of the anti-Hermitian and the trace deviation. Beyond tol
-    the state is corrupted, not blipped: DriftError names the first such
-    sample.
-    """
-    m = np.asarray(states, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] != np.size(times):
-        raise ValueError(f"need one square matrix per time, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("states contain non-finite entries")
-    mh = m.conj().transpose(0, 2, 1)
-    herm_dev = np.max(np.abs(m - mh), axis=(1, 2))
-    trace_dev = np.abs(np.einsum("nii->n", m) - 1.0)
-    correction = np.maximum(herm_dev, trace_dev)
-    if np.any(correction > tol):
-        i = int(np.argmax(correction > tol))
-        raise DriftError(
-            f"sample {i} (t={times[i]:.6g}): drift {correction[i]:.3e} exceeds tolerance "
-            f"{tol:.1e} (hermiticity {herm_dev[i]:.3e}, trace {trace_dev[i]:.3e})"
-        )
-    out = (m + mh) / 2
-    out /= np.einsum("nii->n", out).real[:, None, None]
-    return out, float(np.max(correction, initial=0.0))
-
-
 # [13/13] Pade coefficients, and the largest 1-norm at which that approximant
 # is accurate to double precision unscaled (Higham, SIAM J. Matrix Anal.
 # Appl. 26:1179, 2005).
@@ -192,6 +163,99 @@ def _hermitian_basis(d: int, coords: np.ndarray) -> np.ndarray:
     return basis
 
 
+def hermitian_states(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
+    """The d x d Hermitian matrices with coordinates x[n] on keep and 0 elsewhere.
+
+    Returns shape (len(x), d, d). Each entry is copied from one coordinate, so the
+    matrices are exactly Hermitian.
+    """
+    rows, cols, is_imag = _hermitian_coordinates(d)
+    imag = is_imag[keep]
+    re, im, x_re, x_im = keep[~imag], keep[imag], x[:, ~imag], x[:, imag]
+    out = np.zeros((len(x), d, d), dtype=complex)
+    out.real[:, rows[re], cols[re]] = x_re
+    out.real[:, cols[re], rows[re]] = x_re
+    out.imag[:, rows[im], cols[im]] = x_im
+    out.imag[:, cols[im], rows[im]] = -x_im
+    return out
+
+
+def lowest_eigenvalues(states: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each Hermitian matrix in states, shape (n, d, d).
+
+    Every coordinate of the states outside keep is zero, so they are block diagonal:
+    a block is a connected component of the levels, linked by the off-diagonal
+    coordinates in keep. A 1 x 1 block gives its diagonal, a 2 x 2 block
+    [[a, b], [b*, c]] the closed form (a + c)/2 - hypot((a - c)/2, |b|), and a larger
+    one eigvalsh.
+    """
+    d = states.shape[-1]
+    rows, cols, _ = _hermitian_coordinates(d)
+    label = np.arange(d)
+    for r, c in zip(rows[keep], cols[keep]):
+        label[label == label[c]] = label[r]
+    lowest = np.full(len(states), np.inf)
+    for block in (np.flatnonzero(label == b) for b in np.unique(label)):
+        if block.size == 1:
+            w = states[:, block[0], block[0]].real
+        elif block.size == 2:
+            i, j = block
+            a, c = states[:, i, i].real, states[:, j, j].real
+            w = (a + c) / 2 - np.hypot((a - c) / 2, np.abs(states[:, i, j]))
+        else:
+            w = np.linalg.eigvalsh(states[:, block[:, None], block])[:, 0]
+        np.minimum(lowest, w, out=lowest)
+    return lowest
+
+
+def hermitize_and_check(
+    keep: np.ndarray, x: np.ndarray, phases: np.ndarray, times: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """Validate the states with coordinates x[n] on keep, sampled at times[n], in a rotated frame.
+
+    phases[j, k] is the frame frequency of element (j, k): each reachable off-diagonal
+    element with a nonzero one is multiplied by exp(i phases[j, k] t), on its real and
+    imaginary coordinates. Then the trace of each sample, summed over the diagonal
+    coordinates in index order, is checked and divided out. Returns the (n, d, d)
+    states and the largest correction. The states are built from real coordinates, so
+    they are Hermitian by construction and the hermiticity part of a correction is 0;
+    the trace part is the deviation from 1. Beyond tol the state is corrupted, not
+    blipped: DriftError names the first such sample.
+    """
+    phases = np.asarray(phases, dtype=float)
+    t = np.asarray(times, dtype=float)
+    x = np.array(x, dtype=float)
+    d = phases.shape[0]
+    if phases.shape != (d, d) or x.shape != (t.size, keep.size):
+        raise ValueError(f"need {d} x {d} phases and one row of {keep.size} coordinates "
+                         f"per time, got {phases.shape} and {x.shape}")
+    rows, cols, is_imag = _hermitian_coordinates(d)
+    n_off = (d * d - d) // 2  # the imaginary coordinate of element k is k + n_off
+    rotated = keep[(rows[keep] != cols[keep]) & (phases[rows[keep], cols[keep]] != 0.0)]
+    column = {k: i for i, k in enumerate(keep.tolist())}
+    for k in np.unique(np.where(is_imag[rotated], rotated - n_off, rotated)).tolist():
+        if k not in column or k + n_off not in column:
+            raise ValueError("a rotated element needs both its real and imaginary coordinates")
+        a, b = column[k], column[k + n_off]
+        z = (x[:, a] + 1j * x[:, b]) * np.exp(1j * phases[rows[k], cols[k]] * t)
+        x[:, a], x[:, b] = z.real, z.imag
+    if not np.all(np.isfinite(x)):
+        raise ValueError("states contain non-finite entries")
+    diagonal = np.flatnonzero(keep < d)
+    trace = np.zeros(t.size)
+    for j in diagonal:
+        trace += x[:, j]
+    trace_dev = np.abs(trace - 1.0)
+    if np.any(trace_dev > tol):
+        i = int(np.argmax(trace_dev > tol))
+        raise DriftError(
+            f"sample {i} (t={t[i]:.6g}): drift {trace_dev[i]:.3e} exceeds tolerance "
+            f"{tol:.1e} (hermiticity 0.000e+00, trace {trace_dev[i]:.3e})"
+        )
+    x *= 1.0 / trace[:, None]
+    return hermitian_states(keep, x, d), float(np.max(trace_dev, initial=0.0))
+
+
 def hermitian_generator(
     rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,27 +308,19 @@ def uniform_step(t: np.ndarray) -> float | None:
     return step if off <= 1e-12 * (t[-1] - t[0]) else None
 
 
-def propagate(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    rho0: np.ndarray,
-    t_grid: np.ndarray,
-    observe: Callable[[np.ndarray], np.ndarray] = lambda m: m,
-) -> np.ndarray:
-    """Solve d(rho)/dt = rhs(rho) exactly on t_grid and return observe(rho) at each time.
+def propagate_coordinates(
+    rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve d(rho)/dt = rhs(rho) exactly on t_grid, on the coordinates rho0 can reach.
 
-    t_grid ascends from the time of rho0. rhs is time-independent and meets the
-    conditions of hermitian_generator; coordinates rho0 cannot reach stay exactly
-    zero. A uniform grid (uniform_step) takes one step matrix S and fills the
-    samples by doubling: with P = S^n, x[n:2n] = P x[:n], then P is squared, so N
-    samples cost about log2(N) matrix products and floor(log2(N - 1)) squarings of
-    S, which count against S's squaring budget (_step_matrix). Any other grid takes
-    one step matrix per step.
-
-    observe is a linear map that works on a stack of matrices, such as a partial
-    trace; by default the state itself. It is applied to the matrix of each
-    reachable coordinate, never to a state, so the output is x @ observe(basis):
-    shape (len(t_grid),) + observe(rho0).shape, and no (len(t_grid), d, d) stack is
-    built unless observe keeps the state whole.
+    Returns (keep, x): the reachable coordinates (hermitian_generator) and x[n], their
+    values at t_grid[n]; every other coordinate stays exactly zero. t_grid ascends
+    from the time of rho0, and rhs is time-independent and meets the conditions of
+    hermitian_generator. A uniform grid (uniform_step) takes one step matrix S and
+    fills the samples by doubling: with P = S^n, x[n:2n] = P x[:n], then P is
+    squared, so N samples cost about log2(N) matrix products and floor(log2(N - 1))
+    squarings of S, which count against S's squaring budget (_step_matrix). Any
+    other grid takes one step matrix per step.
     """
     rho0 = _as_square(rho0, "rho0")
     if np.max(np.abs(rho0 - rho0.conj().T)) > HERM_TOL:
@@ -290,9 +346,32 @@ def propagate(
             n += m
             if n < t.size:
                 power = power @ power
+    return keep, x
 
-    readout = np.asarray(observe(_hermitian_basis(rho0.shape[0], keep)), dtype=complex)
-    shape = readout.shape[1:]
-    # one real product, with the real and imaginary parts of the readout interleaved
-    flat = np.ascontiguousarray(readout.reshape(keep.size, math.prod(shape))).view(float)
-    return (x @ flat).view(complex).reshape((t.size,) + shape)
+
+def linear_readout(
+    observe: Callable[[np.ndarray], np.ndarray], keep: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A linear map of d x d Hermitian matrices, on the coordinates keep.
+
+    observe works on a stack of matrices and maps Hermitian ones to Hermitian ones,
+    such as a partial trace. It is applied to the matrix of each coordinate in keep,
+    never to a state. Returns (keep_out, c): the output coordinates the map reaches
+    and their real matrix, so observe takes the states with coordinates x on keep to
+    those with coordinates x @ c on keep_out.
+    """
+    c = _coordinates(np.asarray(observe(_hermitian_basis(d, keep)), dtype=complex))
+    keep_out = np.flatnonzero(np.any(c, axis=0))
+    return keep_out, c[:, keep_out]
+
+
+def propagate(
+    rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
+) -> np.ndarray:
+    """The states of propagate_coordinates, shape (len(t_grid),) + rho0.shape.
+
+    A run validates the coordinates themselves (hermitize_and_check), which builds
+    the states once, at the end; this builds them as they come out.
+    """
+    keep, x = propagate_coordinates(rhs, rho0, t_grid)
+    return hermitian_states(keep, x, np.shape(rho0)[0])

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import density_matrix, hermitize_and_check, propagate
+from .linalg import density_matrix, hermitize_and_check, lowest_eigenvalues, propagate_coordinates
 from .model import RateSet
 from .series import TimeSeries
 
@@ -152,26 +152,26 @@ def evolve(
 ) -> TimeSeries:
     """Solve the reduced master equation exactly on t_grid.
 
-    Every sample is validated: hermiticity and trace are repaired when the
-    deviation stays below drift_tol and the largest repair is reported on
-    the returned series; larger drift raises DriftError. A negative
-    population eigenvalue beyond positivity_floor is recorded as a
-    diagnostic and warned about, never silently accepted.
+    Every sample is validated on the propagated coordinates: the frame is
+    rotated back on the reachable coherences only, the trace is checked and
+    renormalized when its deviation stays below drift_tol, and the largest
+    correction is reported on the returned series; larger drift raises
+    DriftError. The states are Hermitian by construction. A negative
+    eigenvalue beyond positivity_floor, found block by block
+    (lowest_eigenvalues), is recorded as a diagnostic and warned about, never
+    silently accepted.
     """
     if form not in RHS_FORMS:
         raise ValueError(f"unknown rhs form {form!r}")
     rho0 = density_matrix(rho0)
     t = np.asarray(t_grid, dtype=float)
     dtheta = _frame_phases(rates)
-    t0 = t[0] if t.size else 0.0  # propagate rejects an empty grid
+    t0 = t[0] if t.size else 0.0  # propagate_coordinates rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
-    sigma = propagate(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
-    # dtheta takes five values (0, +-Omega, +-2 Omega): one exponential per value and sample
-    u, inv = np.unique(dtheta, return_inverse=True)
-    sigma *= np.exp(1j * u * t[:, None])[:, inv.reshape(dtheta.shape)]
-    states, max_corr = hermitize_and_check(sigma, t, drift_tol)
+    keep, x = propagate_coordinates(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
+    states, max_corr = hermitize_and_check(keep, x, dtheta, t, drift_tol)
 
-    lowest = np.linalg.eigvalsh(states)[:, 0]
+    lowest = lowest_eigenvalues(states, keep)
     negative = np.flatnonzero(lowest < positivity_floor)
     diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
     if negative.size:

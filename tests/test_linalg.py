@@ -108,20 +108,31 @@ def test_partial_trace_dimension_mismatch():
 
 
 def test_hermitize_repairs_small_drift():
-    rho = np.diag([0.6, 0.4]).astype(complex)
-    drift = rho + np.array([[1e-9, 1e-9j], [0, -2e-9]])
-    fixed, corr = hermitize_and_check(np.stack([rho, drift]), np.array([0.0, 1.0]), tol=1e-6)
-    assert 1e-9 <= corr < 1e-8
-    assert np.array_equal(fixed[0], rho)
+    # coordinates (rho_00, rho_11, re rho_01, im rho_01) of a state with unit trace and of
+    # one whose trace drifted by -1e-9; the frame turns rho_01 by exp(2 i t)
+    keep = np.arange(4)
+    x = np.array([[0.6, 0.4, 0.1, 0.0], [0.6 + 1e-9, 0.4 - 2e-9, 0.1, 0.0]])
+    phases = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    fixed, corr = hermitize_and_check(keep, x, phases, np.array([0.0, 1.0]), tol=1e-6)
+    assert corr == pytest.approx(1e-9, rel=1e-6)
+    assert np.array_equal(fixed[0], [[0.6, 0.1], [0.1, 0.4]])
     assert np.max(np.abs(fixed[1] - fixed[1].conj().T)) == 0.0
     assert abs(fixed[1].trace() - 1.0) < 1e-15
+    assert abs(fixed[1][0, 1] - 0.1 * np.exp(2j) / (1.0 - 1e-9)) < 1e-15
 
 
 def test_hermitize_raises_beyond_tolerance():
-    rho = np.diag([0.6, 0.4]).astype(complex)
-    bad = rho + np.array([[0, 1e-3], [0, 0]])
-    with pytest.raises(DriftError, match=r"^sample 2 \(t=0\.5\): drift 1\.000e-03"):
-        hermitize_and_check(np.stack([rho, rho, bad, bad]), np.linspace(0, 0.75, 4), tol=1e-6)
+    keep = np.array([0, 1, 2])
+    x = np.array([[0.6, 0.4, 0.1]] * 2 + [[0.601, 0.4, 0.1]] * 2)
+    t = np.linspace(0, 0.75, 4)
+    with pytest.raises(DriftError, match=(
+        r"^sample 2 \(t=0\.5\): drift 1\.000e-03 exceeds tolerance 1\.0e-06 "
+        r"\(hermiticity 0\.000e\+00, trace 1\.000e-03\)$"
+    )):
+        hermitize_and_check(keep, x, np.zeros((2, 2)), t, tol=1e-6)
+    # a rotated coherence needs its imaginary coordinate as well
+    with pytest.raises(ValueError, match="both its real and imaginary"):
+        hermitize_and_check(keep, x, np.array([[0.0, 1.0], [-1.0, 0.0]]), t, tol=1e-6)
 
 
 @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, THETA13, 40.0, 200.0])

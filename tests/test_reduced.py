@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_beats.integrator import IntegratorConfig, integrate
-from cavity_beats.linalg import DriftError, hermitian_generator, pure_state
+from cavity_beats.linalg import (
+    DriftError,
+    hermitian_generator,
+    hermitian_states,
+    lowest_eigenvalues,
+    pure_state,
+)
 from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from cavity_beats.reduced import (
     RHS_FORMS,
@@ -204,3 +212,51 @@ def test_rotated_generator_spectrum(omega, eta, stationary):
         zero = np.abs(lam) < 1e-12
         assert zero.sum() == stationary, f"{form}: eigenvalues {np.sort_complex(lam)}"
         assert np.max(lam[~zero].real) < 0
+
+
+@st.composite
+def _explicit_configs(draw):
+    # drawn as the benchmark draws its non-tuned runs: the midpoint layout at a splitting
+    # Omega, detuned modes, unequal linewidths and couplings, a complex G_2e
+    omega = draw(st.floats(0.6, 4.0))
+    levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
+    u = lambda a, b: draw(st.floats(a, b))  # noqa: E731
+    cavity = CavityParams(
+        cavity.omega_a + u(-0.3, 0.3), cavity.omega_b + u(-0.3, 0.3), 1.0, u(0.8, 1.25)
+    )
+    g2e = u(0.8, 1.1) * np.exp(1j * u(0.1, 0.6))
+    couplings = CouplingSet(u(0.8, 1.1), g2e, u(0.8, 1.1), u(0.8, 1.1))
+    return derive_rates(couplings, levels, cavity), draw(st.floats(0.0, 1.0))
+
+
+# the excited atom, and a state with an e-1 coherence, which the cross terms carry on to
+# e-2: its {e, 1, 2} block is 3 x 3 and takes the eigvalsh fallback of lowest_eigenvalues
+_E1_COHERENCE = np.array(
+    [[0.6, 0.2 + 0.1j, 0, 0], [0.2 - 0.1j, 0.4, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+)
+_SUPPORTS = [
+    (pure_state(0, 4), [[0], [1, 2], [3]]),
+    (_E1_COHERENCE, [[0, 1, 2], [3]]),
+]
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@settings(max_examples=30, deadline=None)
+@given(config=_explicit_configs())
+def test_evolution_keeps_hermiticity_trace_and_support(config):
+    rates, eta = config
+    t = np.linspace(0.0, 12.0, 401)
+    for rho0, blocks in _SUPPORTS:
+        series = evolve(rho0, t, rates, eta=eta)
+        states = series.states
+        assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+        inside = np.zeros((4, 4), dtype=bool)
+        for block in blocks:
+            inside[np.ix_(block, block)] = True
+        assert np.all(states[:, ~inside] == 0.0)
+        assert series.max_drift_correction <= 1e-12
+        keep, _ = hermitian_generator(lambda s: rotated_rhs(s, rates, eta), rho0)
+        lowest = lowest_eigenvalues(states, keep)
+        assert np.max(np.abs(lowest - np.linalg.eigvalsh(states)[:, 0])) <= 1e-14
+    if eta > 0.0:  # the cross terms reach e-2, so the 3 x 3 block is really there
+        assert hermitian_states(keep, np.ones((1, keep.size)), 4)[0, 0, 2] != 0.0

@@ -316,6 +316,21 @@ def test_composite_run_builds_no_composite_state_stack():
     assert peak < samples * 16 * 16 * 16 / 2
 
 
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_reduced_run_validates_on_coordinates():
+    # rotation, trace check and positivity work on the few propagated coordinates, so a
+    # long reduced run peaks below two (N, 4, 4) complex stacks (51 MB here)
+    sc = parse_scenario(dict(SHORTCUT, t_end=12.0, samples=SAMPLES_MAX))
+    tracemalloc.start()
+    try:
+        result = run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.series) == SAMPLES_MAX
+    assert peak < 2 * SAMPLES_MAX * 4 * 4 * 16
+
+
 # --- command line -----------------------------------------------------------
 
 def _write_scenario(tmp_path, obj):
