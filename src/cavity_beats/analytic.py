@@ -1,4 +1,4 @@
-"""Closed-form population and coherence dynamics, and beat detection.
+"""Closed-form population and coherence dynamics, beat prediction and pole-fit measurement.
 
 Two analytic routes are provided. secular_solution drops the oscillating
 cross terms entirely and holds for any rate configuration; it shows the
@@ -28,7 +28,7 @@ RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
 PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
-NOISE_FLOOR = 1e-5  # an oscillation below this fraction of the population's peak is rounding noise
+NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -222,70 +222,13 @@ def beat_frequency(rates: RateSet, eta: float = 1.0) -> BeatPrediction:
 class BeatMeasurement:
     """Beat frequency extracted from a sampled trajectory.
 
-    two_f is None when no reliable oscillation was found; method is
-    "crossings", "tone_fit" or "none"; detail says why.
+    two_f is None when no single beat was found; method is "pole_fit" or
+    "none"; detail says why.
     """
 
     two_f: float | None
     method: str
     detail: str
-
-
-def _estimate_gamma(series: TimeSeries) -> float:
-    pe = series.population("e")
-    t = series.times
-    mask = pe > max(pe.max() * 1e-14, 1e-280)
-    if mask.sum() < 2:
-        raise ValueError("cannot estimate decay rate: top population is empty")
-    slope = np.polyfit(t[mask], np.log(pe[mask]), 1)[0]
-    return -slope / 4
-
-
-def _detrended(t: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    basis = np.column_stack([np.ones_like(t), np.exp(-2 * gamma * t), np.exp(-4 * gamma * t)])
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return y - basis @ coef
-
-
-def _crossing_times(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    floor = 0.05 * np.max(np.abs(r))
-    if floor == 0:
-        return np.array([])
-    sign = np.sign(r)
-    # Exact zeros continue the current lobe: each takes the sign of the last nonzero
-    # sample before it (leading zeros keep sign 0).
-    last = np.maximum.accumulate(np.where(sign != 0, np.arange(sign.size), 0))
-    sign = sign[last]
-    # Lobe boundaries; a crossing counts only between two significant lobes,
-    # which rejects least-squares detrending ripple.
-    edges = np.flatnonzero(sign[1:] != sign[:-1])
-    lobe_ok = np.maximum.reduceat(np.abs(r), np.concatenate([[0], edges + 1])) >= floor
-    i = edges[lobe_ok[:-1] & lobe_ok[1:]]
-    return t[i] + (t[i + 1] - t[i]) * r[i] / (r[i] - r[i + 1])
-
-
-def _tone_sse(
-    t: np.ndarray, y: np.ndarray, gamma: float, ws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """SSE and tone amplitude of the least-squares fit of y to
-    {1, e1, e1^2, e1 cos(w t), e1 sin(w t)} at each w in ws, e1 = exp(-2 gamma t).
-
-    One lstsq per frequency, which cuts the directions of the design below its
-    default rank tolerance (gamma = 0, or a sine column that vanishes on the grid).
-    Each SSE is summed from the explicit residual: the envelope SSE minus the
-    explained part would lose every digit when the tone explains nearly all of it.
-    """
-    e1 = np.exp(-2 * gamma * t)
-    base = [np.ones_like(t), e1, np.exp(-4 * gamma * t)]
-    sse = np.empty(ws.size)
-    amp = np.empty(ws.size)
-    for i, w in enumerate(ws):
-        design = np.column_stack(base + [e1 * np.cos(w * t), e1 * np.sin(w * t)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        res = y - design @ coef
-        sse[i] = res @ res
-        amp[i] = np.hypot(coef[3], coef[4])
-    return sse, amp
 
 
 def _pencil_poles(y: np.ndarray, dt: float) -> np.ndarray:
@@ -301,98 +244,84 @@ def _pencil_poles(y: np.ndarray, dt: float) -> np.ndarray:
     _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
     v = vh[:np.count_nonzero(sv > PENCIL_RANK_TOL * sv[0])].T
     z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
-    with np.errstate(divide="ignore"):  # a zero root is a pole at -inf
-        return np.log(np.abs(z)) / dt + 1j * (np.angle(z) / dt)
+    z = z[z != 0]  # a zero root is a pole at -inf, which no sample after the first shows
+    return np.log(np.abs(z)) / dt + 1j * (np.angle(z) / dt)
 
 
-def _tone_fit(t: np.ndarray, r_target: np.ndarray, gamma: float) -> BeatMeasurement:
-    """Read 2f off the poles of r_target and keep it only if a damped tone fits.
+def _pole_fit(
+    tau: np.ndarray, y: np.ndarray, part: slice, dt: float, floor: float
+) -> tuple[np.ndarray, np.ndarray] | str:
+    """The poles lambda of y[part] (samples dt apart) and their sizes three samples in,
+    |c exp(3 lambda dt)| for the amplitudes c fitted on y[part]; or why they do not count.
 
-    The populations are sums of a few damped exponentials, so their poles
-    come from _pencil_poles on every k-th sample of a uniform grid, at most
-    PENCIL_SAMPLES of them. Each oscillating pole, |Im lambda| above 2.5/span,
-    is a candidate 2f. The candidates are scored on the full grid by the
-    envelope {1, e1, e1^2} plus one damped tone e1 cos, e1 sin, and the best
-    is accepted only when the tone clearly dominates the envelope residual
-    and the fit is at a minimum there: an aliased pole from the stride, or a
-    pole of a signal with several beats that no single tone describes, fails
-    those gates.
+    The set counts when the samples of y[part] above floor outnumber its two real
+    parameters per pole, and when sum c exp(lambda tau) reproduces y on the whole grid
+    to within floor. A damped oscillation has four real parameters, so it must stand
+    above the floor on four samples: a transient that dies within one takes any angle.
     """
-    if t.size < 3:
-        return BeatMeasurement(None, "none", "grid too short for a resolvable tone")
-    dt = uniform_step(t)
-    if dt is None:
-        return BeatMeasurement(None, "none", "grid not uniform to 1e-12, no pole fit")
-    span = t[-1] - t[0]
-    stride = -(-t.size // PENCIL_SAMPLES)
-    ws = np.unique(np.abs(_pencil_poles(r_target[::stride], stride * dt).imag))
-    lo = 2.5 / span
-    ws = ws[ws > lo]
-    if ws.size == 0:
-        return BeatMeasurement(None, "none", f"no oscillating pole above {lo:.3g}")
-
-    # At w = 0 the tone lies inside the envelope, so the first SSE is the envelope's.
-    sse, amp = _tone_sse(t, r_target, gamma, np.concatenate([[0.0], ws]))
-    j = 1 + int(np.argmin(sse[1:]))
-    w_best = ws[j - 1]
-    ratio = sse[0] / sse[j] if sse[j] > 0 else np.inf
-    if ratio < 9.0:
-        return BeatMeasurement(None, "none", f"tone explains too little (SSE ratio {ratio:.2f})")
-    if amp[j] < NOISE_FLOOR * np.max(np.abs(r_target)):
-        # A tone this weak is fitting integration noise, not beats.
-        return BeatMeasurement(None, "none", f"tone amplitude negligible ({amp[j]:.2e})")
-    # At a pole of the signal the fit is best: detuned by 0.1/span, the tone's phase is off
-    # by up to 0.1 at the end and the SSE rises on both sides. Rounding noise above the rank
-    # cut (the closed form near resonance) gives noise poles, and a smooth residual can fit
-    # a tone at one of them; there the SSE keeps falling to one side.
-    side, _ = _tone_sse(t, r_target, gamma, w_best + np.array([-0.1, 0.1]) / span)
-    if np.min(side) <= sse[j]:
-        return BeatMeasurement(None, "none", f"tone fit has no minimum at 2f={w_best:.6g}")
-    return BeatMeasurement(float(w_best), "tone_fit", f"SSE ratio {ratio:.3g} at 2f={w_best:.6g}")
+    ys = y[part]
+    poles = _pencil_poles(ys, dt)
+    seen = np.count_nonzero(np.abs(ys) >= floor)
+    if seen <= 2 * poles.size:
+        return f"{poles.size} poles from {seen} samples above the noise floor"
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.linalg.lstsq(np.exp(np.outer(tau[part], poles)), ys, rcond=None)[0]
+        fit = np.zeros(tau.size, dtype=complex)
+        for p, c in zip(poles, amps):  # one pole at a time keeps the memory O(N)
+            fit += c * np.exp(p * tau)
+        miss = np.max(np.abs(y - fit))
+        if not miss <= floor:
+            return f"pole fit off by {miss / floor:.3g} times the noise floor"
+        return poles, np.abs(amps * np.exp(3 * poles * dt))
 
 
 def measure_beats(
-    series: TimeSeries,
-    population: str = "rho_11",
-    gamma: float | None = None,
-    allow_tone_fit: bool = False,
+    series: TimeSeries, population: str = "rho_11", allow_tone_fit: bool = False
 ) -> BeatMeasurement:
     """Extract the beat frequency 2f from a sampled population.
 
-    The population is detrended against the non-oscillating envelope
-    {1, exp(-2 Gamma t), exp(-4 Gamma t)} (Gamma estimated from the top
-    population unless given), then timed through the zero crossings of the
-    residual; a residual below NOISE_FLOOR of the population's peak is
-    rounding noise and has none. With fewer than five clean crossings the
-    method reports no beats, unless allow_tone_fit is set. Then the poles
-    of the population are read off a matrix pencil of its samples (the grid
-    must be uniform), and each oscillating pole is tried as a damped tone on
-    the full grid; the best is accepted only when it clearly dominates the
-    residual and the fit is at a minimum there. Without an oscillating pole
-    the result is none at once.
+    The populations are finite sums of damped exponentials c exp(lambda t)
+    over eigenvalues lambda of the generator, so 2f is read off the poles.
+    They come from a matrix pencil of every k-th sample of a uniform grid, at
+    most PENCIL_SAMPLES of them, and their amplitudes c from one least-squares
+    fit on the same samples (_pole_fit). If that pole set fails, the fit is
+    tried once more on the first PENCIL_SAMPLES samples, unstrided, which
+    resolves beats above the strided Nyquist frequency. 2f = Im lambda is
+    reported when exactly one oscillating pole pair still stands above
+    NOISE_FLOOR of the population's peak three samples in. Otherwise the
+    result is none, and the detail says why: no oscillating pole, several
+    (with their 2f), no pole set that fits, a grid that is not uniform, or a
+    population that is zero throughout.
+
+    allow_tone_fit sets the resolution floor. Without it a beat must turn
+    through five half-periods over the window (2f span >= 5 pi); with it,
+    through more than 2.5 rad (2f span > 2.5).
     """
-    if gamma is None:
-        gamma = _estimate_gamma(series)
+    t = series.times
     y = series.channels()[population]
-    r = _detrended(series.times, y, gamma)
-    # Without beats the residual is rounding noise, whose sign changes would be timed
-    noise = np.max(np.abs(r)) < NOISE_FLOOR * np.max(np.abs(y))
-    times = np.array([]) if noise else _crossing_times(series.times, r)
-    if times.size >= 5:
-        gaps = np.diff(times)
-        spread = float(np.std(gaps) / np.mean(gaps))
-        if spread <= 0.2:
-            return BeatMeasurement(
-                float(np.pi / np.mean(gaps)),
-                "crossings",
-                f"{times.size} crossings, interval spread {spread:.3f}",
-            )
-        detail = f"crossing intervals too uneven (spread {spread:.3f})"
-    else:
-        detail = f"only {times.size} significant crossings"
-    if allow_tone_fit:
-        fit = _tone_fit(series.times, y, gamma)
-        if fit.two_f is not None:
-            return fit
-        detail = f"{detail}; {fit.detail}"
-    return BeatMeasurement(None, "none", detail)
+    peak = np.max(np.abs(y))
+    if peak == 0:
+        return BeatMeasurement(None, "none", "population is zero throughout")
+    dt = uniform_step(t)
+    if dt is None:
+        return BeatMeasurement(None, "none", "grid not uniform to 1e-12, no pole fit")
+    floor = NOISE_FLOOR * peak
+    tau = t - t[0]
+    stride = -(-t.size // PENCIL_SAMPLES)
+    fit = _pole_fit(tau, y, slice(None, None, stride), stride * dt, floor)
+    if isinstance(fit, str) and stride > 1:
+        fit = _pole_fit(tau, y, slice(PENCIL_SAMPLES), dt, floor)
+    if isinstance(fit, str):
+        return BeatMeasurement(None, "none", fit)
+    poles, sizes = fit
+    lo = (2.5 if allow_tone_fit else 5 * np.pi) / tau[-1]
+    # one pole of each conjugate pair, whose size is half the pair's
+    beats = poles[(poles.imag > lo) & (2 * sizes >= floor)]
+    if beats.size == 0:
+        return BeatMeasurement(None, "none", f"no oscillating pole above {lo:.3g}")
+    if beats.size > 1:
+        found = ", ".join(f"{w:.6g}" for w in np.sort(beats.imag))
+        return BeatMeasurement(None, "none", f"{beats.size} oscillating poles, at 2f={found}")
+    two_f = float(beats[0].imag)
+    detail = f"{poles.size} poles, one oscillating at 2f={two_f:.6g}"
+    return BeatMeasurement(two_f, "pole_fit", detail)

@@ -19,7 +19,7 @@ EIG_FLOOR = -1e-9
 
 
 class DriftError(RuntimeError):
-    """The Hermiticity or trace of an evolved state drifted beyond the allowed tolerance."""
+    """The trace of an evolved state drifted beyond the allowed tolerance."""
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -217,10 +217,10 @@ def hermitize_and_check(
     element with a nonzero one is multiplied by exp(i phases[j, k] t), on its real and
     imaginary coordinates. Then the trace of each sample, summed over the diagonal
     coordinates in index order, is checked and divided out. Returns the (n, d, d)
-    states and the largest correction. The states are built from real coordinates, so
-    they are Hermitian by construction and the hermiticity part of a correction is 0;
-    the trace part is the deviation from 1. Beyond tol the state is corrupted, not
-    blipped: DriftError names the first such sample.
+    states and the largest correction, the largest deviation of a trace from 1. The
+    states are built from real coordinates, so they are Hermitian by construction and
+    need no repair. Beyond tol the state is corrupted, not blipped: DriftError names
+    the first such sample.
     """
     phases = np.asarray(phases, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -249,8 +249,7 @@ def hermitize_and_check(
     if np.any(trace_dev > tol):
         i = int(np.argmax(trace_dev > tol))
         raise DriftError(
-            f"sample {i} (t={t[i]:.6g}): drift {trace_dev[i]:.3e} exceeds tolerance "
-            f"{tol:.1e} (hermiticity 0.000e+00, trace {trace_dev[i]:.3e})"
+            f"sample {i} (t={t[i]:.6g}): trace drift {trace_dev[i]:.3e} exceeds tolerance {tol:.1e}"
         )
     x *= 1.0 / trace[:, None]
     return hermitian_states(keep, x, d), float(np.max(trace_dev, initial=0.0))

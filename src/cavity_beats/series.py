@@ -16,7 +16,7 @@ class TimeSeries:
     states[k] is the 4x4 matrix at times[k] in the (e, 1, 2, g) basis.
     diagnostics collects non-fatal anomalies seen while producing the run,
     e.g. positivity excursions; max_drift_correction is the largest
-    hermiticity/trace repair that was applied.
+    trace renormalization that was applied.
     """
 
     times: np.ndarray

@@ -160,7 +160,7 @@ def test_summary_fields_and_json_round_trip(tmp_path):
     assert loaded["rates"]["Gamma_1"] == pytest.approx(0.5)
     assert loaded["alpha"] == pytest.approx([0.5, -0.5])
     assert loaded["beats_predicted"] is True
-    assert loaded["measure_method"] in ("crossings", "tone_fit")
+    assert loaded["measure_method"] == "pole_fit"
     assert loaded["partial"] is False
     assert path.read_text().endswith("\n")
 
