@@ -42,7 +42,11 @@ def annihilation(n_max: int) -> np.ndarray:
 
 
 def _lift(op_atom, op_a, op_b) -> np.ndarray:
-    return np.kron(np.kron(op_atom, op_a), op_b)
+    """op_atom (x) op_a (x) op_b, each entry formed as (atom * a) * b, as nested np.kron does."""
+    (p, q), (r, s), (u, v) = op_atom.shape, op_a.shape, op_b.shape
+    product = (op_atom[:, None, None, :, None, None] * op_a[None, :, None, None, :, None]
+               * op_b[None, None, :, None, None, :])
+    return product.reshape(p * r * u, q * s * v)
 
 
 @dataclass(frozen=True)

@@ -261,20 +261,33 @@ def hermitian_generator(
     """The real matrix of rhs on the Hermitian coordinates that rho0 can reach.
 
     The coordinates are the diagonal, then the real and the imaginary parts of
-    the upper triangle; rhs must map Hermitian matrices to Hermitian ones
-    real-linearly, as every master equation here does. Returns (keep, gen):
-    the coordinates reached from the support of rho0 through nonzero entries,
-    ascending, and the generator on them.
+    the upper triangle. rhs maps a stack of Hermitian matrices, shape (k, d, d),
+    to the stack of their images, real-linearly, as every master equation here
+    does; it is called once per frontier of newly reached coordinates, on the
+    basis matrices of that frontier, and ValueError is raised when it returns
+    another shape. Returns (keep, gen): the coordinates reached from the support
+    of rho0 through nonzero entries, ascending, and the generator on them.
     """
-    columns: dict[int, np.ndarray] = {}
+    d = rho0.shape[0]
+    seen = np.zeros(d * d, dtype=bool)
+    frontiers, images = [], []  # each frontier, and the coordinates of rhs on its basis
     new = np.flatnonzero(_coordinates(rho0))
-    while new.size:  # one frontier of newly reached coordinates at a time
-        for k, basis in zip(new, _hermitian_basis(rho0.shape[0], new)):
-            columns[k] = _coordinates(np.asarray(rhs(basis), dtype=complex))
-        reached = np.flatnonzero(np.any([columns[k] for k in new], axis=0))
-        new = np.setdiff1d(reached, list(columns))
-    keep = np.array(sorted(columns), dtype=int)
-    return keep, np.array([columns[k][keep] for k in keep]).T.reshape(keep.size, keep.size)
+    while new.size:
+        basis = _hermitian_basis(d, new)
+        image = np.asarray(rhs(basis), dtype=complex)
+        if image.shape != basis.shape:
+            raise ValueError(f"rhs must map a stack of shape {basis.shape} to one of the "
+                             f"same shape, got {image.shape}")
+        frontiers.append(new)
+        images.append(_coordinates(image))
+        seen[new] = True
+        new = np.flatnonzero(np.any(images[-1], axis=0) & ~seen)
+    keep = np.flatnonzero(seen)
+    # The frontiers are disjoint and cover keep, so sorting them puts the rows in keep
+    # order. Indexing the rows last leaves them C-ordered, so gen is F-ordered: expm and
+    # the doubling walk follow the memory layout, and with it the bits of every output.
+    rows = np.concatenate(images)[:, keep][np.argsort(np.concatenate(frontiers))]
+    return keep, rows.T
 
 
 def _step_matrix(gen: np.ndarray, h: float, squarings_after: int = 0) -> np.ndarray:
@@ -314,8 +327,9 @@ def propagate_coordinates(
 
     Returns (keep, x): the reachable coordinates (hermitian_generator) and x[n], their
     values at t_grid[n]; every other coordinate stays exactly zero. t_grid ascends
-    from the time of rho0, and rhs is time-independent and meets the conditions of
-    hermitian_generator. A uniform grid (uniform_step) takes one step matrix S and
+    from the time of rho0, and rhs is time-independent: it maps a stack of Hermitian
+    matrices, shape (k, d, d), to the stack of their images, real-linearly
+    (hermitian_generator). A uniform grid (uniform_step) takes one step matrix S and
     fills the samples by doubling: with P = S^n, x[n:2n] = P x[:n], then P is
     squared, so N samples cost about log2(N) matrix products and floor(log2(N - 1))
     squarings of S, which count against S's squaring budget (_step_matrix). Any

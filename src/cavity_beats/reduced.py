@@ -12,7 +12,10 @@ Two implementations of the right-hand side are kept deliberately separate:
 an operator form built from commutators and jump contributions, and an
 element form that spells out all sixteen matrix entries. They are developed
 independently and cross-checked against each other in the tests; do not
-"simplify" one into a call of the other.
+"simplify" one into a call of the other. Both take one 4x4 matrix or a
+stack of them, shape (k, 4, 4), and give a matrix the same bytes alone as
+in a stack, so the generator is built from one call per frontier of
+reached coordinates (linalg.hermitian_generator).
 """
 
 from __future__ import annotations
@@ -58,19 +61,19 @@ def rhs_operator_form(t: float, rho: np.ndarray, rates: RateSet, eta: float = 1.
     out = -1j * (shift @ rho - rho @ shift)
 
     # Independent decay channels e -> 1, e -> 2, 1 -> g, 2 -> g.
-    out += r.Gamma_1 * (2 * rho[0, 0] * A_11 - A_EE @ rho - rho @ A_EE)
-    out += r.Gamma_2 * (2 * rho[0, 0] * A_22 - A_EE @ rho - rho @ A_EE)
-    out += r.Gamma_1p * (2 * rho[1, 1] * A_GG - A_11 @ rho - rho @ A_11)
-    out += r.Gamma_2p * (2 * rho[2, 2] * A_GG - A_22 @ rho - rho @ A_22)
+    out += r.Gamma_1 * (2 * rho[..., 0, 0, None, None] * A_11 - A_EE @ rho - rho @ A_EE)
+    out += r.Gamma_2 * (2 * rho[..., 0, 0, None, None] * A_22 - A_EE @ rho - rho @ A_EE)
+    out += r.Gamma_1p * (2 * rho[..., 1, 1, None, None] * A_GG - A_11 @ rho - rho @ A_11)
+    out += r.Gamma_2p * (2 * rho[..., 2, 2, None, None] * A_GG - A_22 @ rho - rho @ A_22)
 
     # Cross terms: upper feeding of the 1-2 coherence, coherence feeding of
     # the ground state, and the one-sided couplings that mix the coherence
     # into the intermediate populations. Each enters with its conjugate
     # transpose.
-    cross = (eta * r.cross_upper * rho[0, 0] * e_plus) * A_12
-    cross += (eta * r.cross_ground * rho[1, 2] * e_minus) * A_GG
+    cross = (eta * r.cross_upper * rho[..., 0, 0, None, None] * e_plus) * A_12
+    cross += (eta * r.cross_ground * rho[..., 1, 2, None, None] * e_minus) * A_GG
     cross -= eta * e_plus * (r.cross_left * (A_12 @ rho) + r.cross_right * (rho @ A_12))
-    out += cross + cross.conj().T
+    out += cross + cross.conj().swapaxes(-1, -2)
     return out
 
 
@@ -89,40 +92,52 @@ def rhs_element_form(t: float, rho: np.ndarray, rates: RateSet, eta: float = 1.0
     B1 = r.cross_right
     B2 = r.cross_left
 
-    out = np.empty((4, 4), dtype=complex)
+    # One matrix is taken as a stack of one: numpy rounds products of complex scalars
+    # differently from its array loops, and a matrix must give the same bytes alone as
+    # in a stack.
+    shape = np.shape(rho)
+    rho = np.reshape(rho, (-1, 4, 4))
+    out = np.empty(rho.shape, dtype=complex)
 
-    out[0, 0] = -2 * G * rho[0, 0]
-    out[0, 1] = (-1j * dsum + 1j * r.delta_1p - (G + r.Gamma_1p)) * rho[0, 1] \
-        - eta * np.conj(B2) * em * rho[0, 2]
-    out[0, 2] = (-1j * dsum + 1j * r.delta_2p - (G + r.Gamma_2p)) * rho[0, 2] \
-        - eta * B1 * ep * rho[0, 1]
-    out[0, 3] = (-1j * dsum - G) * rho[0, 3]
+    out[..., 0, 0] = -2 * G * rho[..., 0, 0]
+    out[..., 0, 1] = (-1j * dsum + 1j * r.delta_1p - (G + r.Gamma_1p)) * rho[..., 0, 1] \
+        - eta * np.conj(B2) * em * rho[..., 0, 2]
+    out[..., 0, 2] = (-1j * dsum + 1j * r.delta_2p - (G + r.Gamma_2p)) * rho[..., 0, 2] \
+        - eta * B1 * ep * rho[..., 0, 1]
+    out[..., 0, 3] = (-1j * dsum - G) * rho[..., 0, 3]
 
-    out[1, 0] = (1j * dsum - 1j * r.delta_1p - (G + r.Gamma_1p)) * rho[1, 0] \
-        - eta * B2 * ep * rho[2, 0]
-    out[1, 1] = 2 * r.Gamma_1 * rho[0, 0] - 2 * r.Gamma_1p * rho[1, 1] \
-        - eta * B2 * ep * rho[2, 1] - eta * np.conj(B2) * em * rho[1, 2]
-    out[1, 2] = -(r.Gamma_1p + r.Gamma_2p + 1j * (r.delta_1p - r.delta_2p)) * rho[1, 2] \
-        + eta * r.cross_upper * ep * rho[0, 0] \
-        - eta * ep * (B2 * rho[2, 2] + B1 * rho[1, 1])
-    out[1, 3] = -(r.Gamma_1p + 1j * r.delta_1p) * rho[1, 3] - eta * B2 * ep * rho[2, 3]
+    out[..., 1, 0] = (1j * dsum - 1j * r.delta_1p - (G + r.Gamma_1p)) * rho[..., 1, 0] \
+        - eta * B2 * ep * rho[..., 2, 0]
+    out[..., 1, 1] = 2 * r.Gamma_1 * rho[..., 0, 0] - 2 * r.Gamma_1p * rho[..., 1, 1] \
+        - eta * B2 * ep * rho[..., 2, 1] - eta * np.conj(B2) * em * rho[..., 1, 2]
+    out[..., 1, 2] = -(r.Gamma_1p + r.Gamma_2p + 1j * (r.delta_1p - r.delta_2p)) \
+        * rho[..., 1, 2] \
+        + eta * r.cross_upper * ep * rho[..., 0, 0] \
+        - eta * ep * (B2 * rho[..., 2, 2] + B1 * rho[..., 1, 1])
+    out[..., 1, 3] = -(r.Gamma_1p + 1j * r.delta_1p) * rho[..., 1, 3] \
+        - eta * B2 * ep * rho[..., 2, 3]
 
-    out[2, 0] = (1j * dsum - 1j * r.delta_2p - (G + r.Gamma_2p)) * rho[2, 0] \
-        - eta * np.conj(B1) * em * rho[1, 0]
-    out[2, 1] = -(r.Gamma_1p + r.Gamma_2p - 1j * (r.delta_1p - r.delta_2p)) * rho[2, 1] \
-        + eta * np.conj(r.cross_upper) * em * rho[0, 0] \
-        - eta * em * (np.conj(B2) * rho[2, 2] + np.conj(B1) * rho[1, 1])
-    out[2, 2] = 2 * r.Gamma_2 * rho[0, 0] - 2 * r.Gamma_2p * rho[2, 2] \
-        - eta * B1 * ep * rho[2, 1] - eta * np.conj(B1) * em * rho[1, 2]
-    out[2, 3] = -(r.Gamma_2p + 1j * r.delta_2p) * rho[2, 3] - eta * np.conj(B1) * em * rho[1, 3]
+    out[..., 2, 0] = (1j * dsum - 1j * r.delta_2p - (G + r.Gamma_2p)) * rho[..., 2, 0] \
+        - eta * np.conj(B1) * em * rho[..., 1, 0]
+    out[..., 2, 1] = -(r.Gamma_1p + r.Gamma_2p - 1j * (r.delta_1p - r.delta_2p)) \
+        * rho[..., 2, 1] \
+        + eta * np.conj(r.cross_upper) * em * rho[..., 0, 0] \
+        - eta * em * (np.conj(B2) * rho[..., 2, 2] + np.conj(B1) * rho[..., 1, 1])
+    out[..., 2, 2] = 2 * r.Gamma_2 * rho[..., 0, 0] - 2 * r.Gamma_2p * rho[..., 2, 2] \
+        - eta * B1 * ep * rho[..., 2, 1] - eta * np.conj(B1) * em * rho[..., 1, 2]
+    out[..., 2, 3] = -(r.Gamma_2p + 1j * r.delta_2p) * rho[..., 2, 3] \
+        - eta * np.conj(B1) * em * rho[..., 1, 3]
 
-    out[3, 0] = (1j * dsum - G) * rho[3, 0]
-    out[3, 1] = -(r.Gamma_1p - 1j * r.delta_1p) * rho[3, 1] - eta * np.conj(B2) * em * rho[3, 2]
-    out[3, 2] = -(r.Gamma_2p - 1j * r.delta_2p) * rho[3, 2] - eta * B1 * ep * rho[3, 1]
-    out[3, 3] = 2 * r.Gamma_1p * rho[1, 1] + 2 * r.Gamma_2p * rho[2, 2] \
-        + eta * r.cross_ground * em * rho[1, 2] + eta * np.conj(r.cross_ground) * ep * rho[2, 1]
+    out[..., 3, 0] = (1j * dsum - G) * rho[..., 3, 0]
+    out[..., 3, 1] = -(r.Gamma_1p - 1j * r.delta_1p) * rho[..., 3, 1] \
+        - eta * np.conj(B2) * em * rho[..., 3, 2]
+    out[..., 3, 2] = -(r.Gamma_2p - 1j * r.delta_2p) * rho[..., 3, 2] \
+        - eta * B1 * ep * rho[..., 3, 1]
+    out[..., 3, 3] = 2 * r.Gamma_1p * rho[..., 1, 1] + 2 * r.Gamma_2p * rho[..., 2, 2] \
+        + eta * r.cross_ground * em * rho[..., 1, 2] \
+        + eta * np.conj(r.cross_ground) * ep * rho[..., 2, 1]
 
-    return out
+    return out.reshape(shape)
 
 
 RHS_FORMS = {"operator": rhs_operator_form, "element": rhs_element_form}

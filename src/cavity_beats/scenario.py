@@ -29,7 +29,10 @@ from .series import TimeSeries
 
 MODES = ("reduced", "composite", "analytic", "validate")
 CSV_COLUMNS = ("t", "rho_ee", "rho_11", "rho_22", "rho_gg", "re_rho_12", "im_rho_12", "abs_rho_12")
-CSV_BLOCK = 512  # rows formatted per write; larger blocks cost memory, not time
+# Rows formatted per write. The time is flat near 512 to 2048 rows and grows beyond:
+# formatting 20001 x 8 random floats on a 2-vCPU VM took 29 ms at 512 and at 2048
+# rows, 36 ms at 8192, 46 ms in one block, and 39 ms at 128 rows (best of 7).
+CSV_BLOCK = 512
 SWEEP_PARAMS = ("Omega", "eta", "t_end", "G")
 # Output files are <name>.csv and <name>.summary.json inside --out-dir.
 NAME_PATTERN = re.compile(r"\w[\w.+-]*", re.ASCII)

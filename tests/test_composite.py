@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cavity_beats.composite import (
     EliminationCheck,
+    _lift,
     annihilation,
     build_hamiltonian,
     build_system,
@@ -83,6 +84,24 @@ def test_lindblad_rhs_matches_liouvillian_matrix():
         got = lindblad_rhs(rho, system)
         want = (lio @ rho.ravel()).reshape(16, 16)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_lindblad_rhs_on_a_stack_matches_a_per_matrix_loop(n_max):
+    system, _, _ = _tuned_system(n_max=n_max)
+    rng = np.random.default_rng(17)
+    shape = (30, system.dim, system.dim)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack = (m + m.conj().swapaxes(1, 2)) / 2
+    got = lindblad_rhs(stack, system)
+    want = np.array([lindblad_rhs(rho, system) for rho in stack])
+    assert got.shape == stack.shape and got.tobytes() == want.tobytes()
+
+
+def test_lift_is_the_nested_kronecker_product():
+    rng = np.random.default_rng(19)
+    a, b, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (4, 2, 3))
+    assert _lift(a, b, c).tobytes() == np.kron(np.kron(a, b), c).tobytes()
 
 
 def _full_states(system, t):

@@ -8,6 +8,7 @@ from cavity_beats.linalg import (
     THETA13,
     DriftError,
     _coordinates,
+    _hermitian_basis,
     _hermitian_coordinates,
     _squarings,
     _step_matrix,
@@ -20,7 +21,7 @@ from cavity_beats.linalg import (
     pure_state,
 )
 from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
-from cavity_beats.reduced import rotated_rhs
+from cavity_beats.reduced import RHS_FORMS, rotated_rhs
 
 
 def test_density_matrix_accepts_and_freezes():
@@ -194,6 +195,94 @@ def test_propagate_by_doubling_matches_scipy_expm(model, samples):
     assert not np.any(np.delete(got, keep, axis=1))  # unreachable coordinates stay zero
     assert np.array_equal(out, out.conj().transpose(0, 2, 1))
     assert np.max(np.abs(np.einsum("nii->n", out) - 1.0)) <= tol
+
+
+def _per_matrix_generator(rhs, rho0):
+    # the reference for hermitian_generator: rhs on one basis matrix at a time, the reached
+    # coordinates in a dict; returns (keep, gen, number of frontiers)
+    d = rho0.shape[0]
+    columns, frontiers = {}, 0
+    new = np.flatnonzero(_coordinates(rho0))
+    while new.size:
+        frontiers += 1
+        for k, basis in zip(new, _hermitian_basis(d, new)):
+            columns[k] = _coordinates(np.asarray(rhs(basis), dtype=complex))
+        reached = np.flatnonzero(np.any([columns[k] for k in new], axis=0))
+        new = np.setdiff1d(reached, list(columns))
+    keep = np.array(sorted(columns), dtype=int)
+    return keep, np.array([columns[k][keep] for k in keep]).T, frontiers
+
+
+def _counted(rhs, calls):
+    def counted(m):
+        calls.append(m.shape)
+        return rhs(m)
+    return counted
+
+
+def _generator_cases():
+    levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
+    rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    full_support = (m + m.conj().T) / 2
+    for eta in (0.0, 0.37, 1.0):
+        for form in RHS_FORMS:
+            for rho0 in (pure_state(0, 4), full_support):
+                yield (lambda s, eta=eta, form=form: rotated_rhs(s, rates, eta, form)), rho0
+    for n_max in (1, 2):
+        system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max_a=n_max, n_max_b=n_max)
+        yield (lambda rho, system=system: lindblad_rhs(rho, system)), excited_vacuum(system)
+
+
+def test_hermitian_generator_matches_the_per_matrix_build():
+    # one rhs call per frontier of newly reached coordinates, on the whole frontier, gives
+    # the same coordinates and the same generator bytes, in the same (Fortran) layout, as
+    # one call per basis matrix: expm and the doubling walk follow the memory layout
+    for rhs, rho0 in _generator_cases():
+        calls = []
+        keep, gen = hermitian_generator(_counted(rhs, calls), rho0)
+        want_keep, want, frontiers = _per_matrix_generator(rhs, rho0)
+        assert np.array_equal(keep, want_keep)
+        assert gen.tobytes() == want.tobytes()
+        assert gen.flags.f_contiguous and not gen.flags.c_contiguous
+        assert len(calls) == frontiers
+        assert sum(shape[0] for shape in calls) == keep.size
+
+
+def test_hermitian_generator_calls_rhs_once_per_frontier():
+    levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
+    system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max_a=1, n_max_b=1)
+    calls = []
+    keep, _ = hermitian_generator(_counted(lambda rho: lindblad_rhs(rho, system), calls),
+                                  excited_vacuum(system))
+    assert keep.size == 27 and len(calls) == 7  # 27 basis matrices, 7 frontiers
+    rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
+    calls = []
+    keep, _ = hermitian_generator(_counted(lambda s: rotated_rhs(s, rates), calls), pure_state(0, 4))
+    # e, then 1, 2 and the 1-2 coherence, then g
+    assert keep.tolist() == [0, 1, 2, 3, 7, 13]
+    assert calls == [(1, 4, 4), (4, 4, 4), (1, 4, 4)]
+
+
+def test_hermitian_generator_needs_an_rhs_on_stacks():
+    # an rhs written for one matrix fails on a stack: transposing swaps the stack axis
+    # into the matrix, a fixed 4 x 4 output drops it
+    levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
+    rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
+
+    def one_matrix(rho):
+        out = rotated_rhs(rho, rates)
+        return out + out.conj().T
+
+    def fixed_output(rho):
+        out = np.zeros((4, 4), dtype=complex)
+        out[0, 0] = -2.0 * rho[..., 0, 0].sum()
+        return out
+
+    for rhs in (one_matrix, fixed_output):
+        with pytest.raises(ValueError, match="stack"):
+            hermitian_generator(rhs, pure_state(0, 4))
 
 
 def test_step_matrix_takes_eigenvectors_only_for_huge_steps():

@@ -38,6 +38,11 @@ def _random_hermitian(rng):
     return (m + m.conj().T) / 2
 
 
+def _random_hermitian_stack(rng, k):
+    m = rng.standard_normal((k, 4, 4)) + 1j * rng.standard_normal((k, 4, 4))
+    return (m + m.conj().swapaxes(1, 2)) / 2
+
+
 def test_coherence_source_from_excited_state():
     rates = _tuned_rates(1.0)
     rho = pure_state(0, 4)
@@ -64,7 +69,32 @@ def test_operator_and_element_forms_agree():
         a = rhs_operator_form(t, rho, rates, eta)
         b = rhs_element_form(t, rho, rates, eta)
         worst = max(worst, float(np.max(np.abs(a - b))))
+    # the same comparison on one stack of 300 matrices
+    stack = _random_hermitian_stack(rng, 300)
+    for rates in configs:
+        for eta in (0.0, 0.37, 1.0):
+            t = float(rng.uniform(0.0, 5.0))
+            a = rhs_operator_form(t, stack, rates, eta)
+            b = rhs_element_form(t, stack, rates, eta)
+            worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst < 1e-12, f"forms disagree by {worst:.3e}"
+
+
+def test_rhs_on_a_stack_matches_a_per_matrix_loop():
+    # every rhs takes a stack (k, 4, 4) in one call and must give, byte for byte, what it
+    # gives one matrix at a time
+    rng = np.random.default_rng(43)
+    stack = _random_hermitian_stack(rng, 40)
+    for rates in (_tuned_rates(1.0), _asymmetric_rates()):
+        for eta in (0.0, 0.37, 1.0):
+            t = float(rng.uniform(0.0, 5.0))
+            for form, rhs in RHS_FORMS.items():
+                got = rhs(t, stack, rates, eta)
+                want = np.array([rhs(t, m, rates, eta) for m in stack])
+                assert got.shape == stack.shape and got.tobytes() == want.tobytes(), form
+                got = rotated_rhs(stack, rates, eta, form)
+                want = np.array([rotated_rhs(m, rates, eta, form) for m in stack])
+                assert got.shape == stack.shape and got.tobytes() == want.tobytes(), form
 
 
 def test_rhs_is_traceless():
