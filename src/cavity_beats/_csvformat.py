@@ -160,6 +160,7 @@ def format_rows(block: np.ndarray) -> bytes:
     zero = mag == 0
     text[zero, 6] = ord("0")  # a bad value is laid out as 1
     other = np.flatnonzero(bad & ~zero)
-    for i, x in zip(other, a[other].tolist()):
-        text[i, :-1] = np.frombuffer((b"%.17g" % x).ljust(CELL - 1, b"\0"), np.uint8)
+    # all fallback cells in one write, each padded to its cell
+    fallback = b"".join([(b"%.17g" % x).ljust(CELL - 1, b"\0") for x in a[other].tolist()])
+    text[other, :-1] = np.frombuffer(fallback, np.uint8).reshape(other.size, CELL - 1)
     return text.tobytes().translate(None, b"\0")

@@ -29,6 +29,7 @@ DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
 PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
+GROWTH_MAX = 700.0  # Re(lambda) t_max above which a fitted pole's powers could overflow
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -248,11 +249,30 @@ def _pencil_poles(y: np.ndarray, dt: float) -> np.ndarray:
     return np.log(np.abs(z)) / dt + 1j * (np.angle(z) / dt)
 
 
+def _grid_powers(pole: complex, dt: float, n: int) -> np.ndarray:
+    """exp(pole * k * dt) for k = 0, ..., n - 1, filled by doubling.
+
+    With w[:k] known, w[k:2k] = w[:k] exp(pole k dt), so n samples cost about
+    log2(n) complex exponentials and n products, not n exponentials. Each
+    multiplier is its own exponential rather than the last one squared, so the
+    error stays at a few ulps instead of growing with k.
+    """
+    w = np.empty(n, dtype=complex)
+    w[0] = 1.0
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.multiply(w[:m], np.exp(pole * (k * dt)), out=w[k:k + m])
+        k += m
+    return w
+
+
 def _pole_fit(
     tau: np.ndarray, y: np.ndarray, part: slice, dt: float, floor: float
 ) -> tuple[np.ndarray, np.ndarray] | str:
-    """The poles lambda of y[part] (samples dt apart) and their sizes three samples in,
-    |c exp(3 lambda dt)| for the amplitudes c fitted on y[part]; or why they do not count.
+    """The poles lambda of y[part] and their sizes three samples of y[part] in,
+    |c exp(3 lambda h)| for the amplitudes c fitted on y[part]; or why they do not count.
+    y is sampled on the uniform grid tau, dt apart, so y[part] is h = part.step * dt apart.
 
     The set counts when the samples of y[part] above floor outnumber its two real
     parameters per pole, and when sum c exp(lambda tau) reproduces y on the whole grid
@@ -260,7 +280,8 @@ def _pole_fit(
     above the floor on four samples: a transient that dies within one takes any angle.
     """
     ys = y[part]
-    poles = _pencil_poles(ys, dt)
+    h = (part.step or 1) * dt
+    poles = _pencil_poles(ys, h)
     seen = np.count_nonzero(np.abs(ys) >= floor)
     if seen <= 2 * poles.size:
         return f"{poles.size} poles from {seen} samples above the noise floor"
@@ -268,11 +289,15 @@ def _pole_fit(
         amps = np.linalg.lstsq(np.exp(np.outer(tau[part], poles)), ys, rcond=None)[0]
         fit = np.zeros(tau.size, dtype=complex)
         for p, c in zip(poles, amps):  # one pole at a time keeps the memory O(N)
-            fit += c * np.exp(p * tau)
+            # exp(p tau_n) = exp(p dt)^n on the uniform grid, filled by doubling. A pole
+            # that grows past exp(GROWTH_MAX) keeps the plain exponential, so an
+            # overflowing fit reads inf or nan exactly where it always has.
+            grows = p.real * tau[-1] > GROWTH_MAX
+            fit += c * (np.exp(p * tau) if grows else _grid_powers(p, dt, tau.size))
         miss = np.max(np.abs(y - fit))
         if not miss <= floor:
             return f"pole fit off by {miss / floor:.3g} times the noise floor"
-        return poles, np.abs(amps * np.exp(3 * poles * dt))
+        return poles, np.abs(amps * np.exp(3 * poles * h))
 
 
 def measure_beats(
@@ -308,7 +333,7 @@ def measure_beats(
     floor = NOISE_FLOOR * peak
     tau = t - t[0]
     stride = -(-t.size // PENCIL_SAMPLES)
-    fit = _pole_fit(tau, y, slice(None, None, stride), stride * dt, floor)
+    fit = _pole_fit(tau, y, slice(None, None, stride), dt, floor)
     if isinstance(fit, str) and stride > 1:
         fit = _pole_fit(tau, y, slice(PENCIL_SAMPLES), dt, floor)
     if isinstance(fit, str):

@@ -8,6 +8,7 @@ reduced-versus-full validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -135,7 +136,15 @@ def _cmd_validate(args) -> int:
     return _run(sc, args.out_dir)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main() call.
+
+    Building it costs about a millisecond of argparse (every add_argument makes a
+    help formatter), which a process driving main() repeatedly pays only once.
+    Each subcommand's func default is bound to its _cmd_* function here, so
+    patching a _cmd_* function after the first call has no effect.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for CSV and JSON outputs")
 

@@ -66,10 +66,16 @@ class CompositeSystem:
         return d * na * nb
 
     @functools.cached_property
-    def mode_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """a^dag, b^dag, a^dag a and b^dag b, built once for every call of lindblad_rhs."""
+    def rhs_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """K, K^dag, a^dag and b^dag, built once for every call of lindblad_rhs.
+
+        K = -i H - kappa_a a^dag a - kappa_b b^dag b is the effective Hamiltonian
+        times -i: the coherent part and the decay of both modes in one operator.
+        """
         ad, bd = self.a_op.conj().T, self.b_op.conj().T
-        return ad, bd, ad @ self.a_op, bd @ self.b_op
+        k = (-1j * self.hamiltonian - self.kappa_a * (ad @ self.a_op)
+             - self.kappa_b * (bd @ self.b_op))
+        return k, k.conj().T, ad, bd
 
 
 def build_hamiltonian(
@@ -136,14 +142,15 @@ def lindblad_rhs(rho: np.ndarray, system: CompositeSystem) -> np.ndarray:
 
     The damping convention is
     -kappa (a^dag a rho - 2 a rho a^dag + rho a^dag a) per mode, so photon
-    number decays at 2 kappa.
+    number decays at 2 kappa. With K from rhs_operators the whole right-hand
+    side is K rho + rho K^dag + 2 kappa_a a rho a^dag + 2 kappa_b b rho b^dag:
+    six matrix products. rho need not be Hermitian, so rho K^dag is not taken
+    as (K rho)^dag.
     """
-    h = system.hamiltonian
-    a, b = system.a_op, system.b_op
-    ad, bd, na, nb = system.mode_products
-    out = -1j * (h @ rho - rho @ h)
-    out -= system.kappa_a * (na @ rho + rho @ na - 2 * a @ rho @ ad)
-    out -= system.kappa_b * (nb @ rho + rho @ nb - 2 * b @ rho @ bd)
+    k, kd, ad, bd = system.rhs_operators
+    out = k @ rho + rho @ kd
+    out += (2 * system.kappa_a) * (system.a_op @ rho @ ad)
+    out += (2 * system.kappa_b) * (system.b_op @ rho @ bd)
     return out
 
 

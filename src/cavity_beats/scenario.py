@@ -343,9 +343,13 @@ def write_csv(series: TimeSeries, path: str) -> None:
 
 
 def write_summary(summary: dict, path: str) -> None:
+    """The summary as JSON with a two-space indent and a final newline.
+
+    The text is encoded whole and written in one call; json.dump would hand
+    every token to the file separately. The bytes are the same.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2) + "\n")
 
 
 def sweep_variant(sc: Scenario, param: str, value: float) -> Scenario:

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavity_beats import linalg
+from cavity_beats import analytic, linalg
 from cavity_beats.analytic import (
     PENCIL_SAMPLES,
+    _grid_powers,
     _pencil_poles,
+    _pole_fit,
     beat_frequency,
     measure_beats,
     secular_solution,
@@ -250,6 +252,33 @@ def test_tone_fit_memory_stays_flat():
         tracemalloc.stop()
     assert got.two_f == pytest.approx(0.6, rel=1e-6)
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("samples", [1601, 20001, SAMPLES_MAX])
+@pytest.mark.parametrize("pole", [-0.5 + 3j, 3.5j, -2.0, -0.05 + 40j, 0.3 + 1j])
+def test_grid_powers_match_exponentials(samples, pole):
+    # the doubling fill stands in for exp(pole * tau) on a uniform grid
+    tau = np.linspace(0.0, 40.0, samples)
+    got = _grid_powers(pole, linalg.uniform_step(tau), samples)
+    want = np.exp(pole * tau)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+@pytest.mark.parametrize("growth", [0.6, 0.8, 1.5])
+@pytest.mark.parametrize("w", [0.0, 3.0])
+def test_overflowing_pole_fit_reads_as_with_plain_exponentials(monkeypatch, growth, w):
+    # a pole fitted on the first samples that grows far past the grid: the detail of the
+    # failed fit (finite, inf or nan times the floor) is the one that exp(pole * tau) gives
+    tau = np.linspace(0.0, 1000.0, 20001)
+    y = np.zeros_like(tau)
+    y[:PENCIL_SAMPLES] = np.exp(growth * tau[:PENCIL_SAMPLES]) * np.cos(w * tau[:PENCIL_SAMPLES])
+    floor = 1e-5 * np.max(np.abs(y))
+    args = tau, y, slice(PENCIL_SAMPLES), 0.05, floor
+    got = _pole_fit(*args)
+    monkeypatch.setattr(analytic, "_grid_powers", lambda pole, dt, n: np.exp(pole * tau))
+    want = _pole_fit(*args)
+    assert isinstance(got, str) and got.startswith("pole fit off by")
+    assert got == want
 
 
 def _generator_eigenvalues(rates, eta=1.0):

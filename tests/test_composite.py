@@ -76,14 +76,17 @@ def _liouvillian_matrix(system):
 
 
 def test_lindblad_rhs_matches_liouvillian_matrix():
-    system, _, _ = _tuned_system()
-    lio = _liouvillian_matrix(system)
+    # non-Hermitian rho: the effective-Hamiltonian form must not lean on rho = rho^dag
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        rho = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        got = lindblad_rhs(rho, system)
-        want = (lio @ rho.ravel()).reshape(16, 16)
-        assert np.max(np.abs(got - want)) < 1e-12
+    for n_max in (1, 2):
+        system, _, _ = _tuned_system(n_max=n_max)
+        lio = _liouvillian_matrix(system)
+        d = system.dim
+        for _ in range(10):
+            rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            got = lindblad_rhs(rho, system)
+            want = (lio @ rho.ravel()).reshape(d, d)
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("n_max", [1, 2])

@@ -264,6 +264,9 @@ def _explicit_configs(draw):
 _E1_COHERENCE = np.array(
     [[0.6, 0.2 + 0.1j, 0, 0], [0.2 - 0.1j, 0.4, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 )
+# the real and the imaginary unit of the e-1 coherence, the matrices that reach e-2
+_E1_BASIS = np.array([[[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4],
+                      [[0, 1j, 0, 0], [-1j, 0, 0, 0], [0] * 4, [0] * 4]])
 _SUPPORTS = [
     (pure_state(0, 4), [[0], [1, 2], [3]]),
     (_E1_COHERENCE, [[0, 1, 2], [3]]),
@@ -288,5 +291,7 @@ def test_evolution_keeps_hermiticity_trace_and_support(config):
         keep, _ = hermitian_generator(lambda s: rotated_rhs(s, rates, eta), rho0)
         lowest = lowest_eigenvalues(states, keep)
         assert np.max(np.abs(lowest - np.linalg.eigvalsh(states)[:, 0])) <= 1e-14
-    if eta > 0.0:  # the cross terms reach e-2, so the 3 x 3 block is really there
+    # where the rhs carries the e-1 coherence on to e-2, the 3 x 3 block is really there
+    # (at eta = 5e-324, say, eta times a cross coefficient underflows to zero, and it is not)
+    if np.any(rotated_rhs(_E1_BASIS, rates, eta)[:, 0, 2] != 0.0):
         assert hermitian_states(keep, np.ones((1, keep.size)), 4)[0, 0, 2] != 0.0

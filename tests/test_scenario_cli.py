@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,10 @@ from hypothesis import strategies as st
 
 import cavity_beats.composite
 import cavity_beats.linalg
+from cavity_beats import cli
 from cavity_beats._csvformat import format_rows
 from cavity_beats.analytic import symmetric_solution
-from cavity_beats.cli import main
+from cavity_beats.cli import build_parser, main
 from cavity_beats.composite import EliminationCheck
 from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
 from cavity_beats.scenario import (
@@ -287,6 +291,24 @@ def test_format_rows_matches_17g_at_the_boundaries():
     assert format_rows(block) == _lines_17g(block)
 
 
+def test_format_rows_matches_17g_on_fallback_values():
+    # values that print short take "%.17g" itself: exact binary fractions of the time
+    # grids, integers, k / 2**j, signed zeros and the non-finite values, several to a
+    # row and many to a block
+    rng = np.random.default_rng(6)
+    k = rng.integers(-2**20, 2**20, 4000)
+    short = np.concatenate([
+        k.astype(float), k / 2.0 ** rng.integers(1, 30, k.size),
+        [0.0, -0.0, INF, -INF, NAN, 1.0, -1.0, 0.5, 2.0**-1074, 2.0**1023],
+    ])
+    for grid in (np.linspace(0.0, 8.0, 1601), np.linspace(0.0, 12.0, 1601)):
+        block = np.column_stack([grid, grid[::-1], rng.permutation(short)[:grid.size],
+                                 rng.random(grid.size), np.floor(8 * grid) / 8])
+        assert format_rows(block) == _lines_17g(block)
+    block = rng.permutation(short)[:8000].reshape(-1, 8)
+    assert format_rows(block) == _lines_17g(block)
+
+
 def test_csv_memory_stays_flat(tmp_path):
     # blocks bound the writer's working memory, whatever the length of the series
     rng = np.random.default_rng(4)
@@ -507,6 +529,80 @@ def test_cli_preset_analytic_family(tmp_path):
     meas = by_name["fig3_omega1_eta1"]["two_f_measured"]
     assert meas == pytest.approx(np.sqrt(7.0), rel=0.02)
     assert by_name["fig3_omega1_eta0"]["two_f_measured"] is None
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_write_summary_writes_what_json_dump_writes(tmp_path):
+    # one write of json.dumps: the same bytes as json.dump with a final newline
+    def dumped(summary):
+        buf = io.StringIO()
+        json.dump(summary, buf, indent=2)
+        return (buf.getvalue() + "\n").encode()
+
+    base = parse_scenario({"name": "s", "mode": "reduced", "Omega": 1.0, "t_end": 6.0, "samples": 101})
+    runs = run_sweep(base, "eta", [0.0, 1.0])
+    summaries = [
+        run_scenario(base).summary,
+        {"name": "s", "param": "eta", "runs": [{"value": v, "summary": r.summary}
+                                                for v, r in zip((0.0, 1.0), runs)]},
+        {"preset": "fig3", "runs": [run_scenario(sc).summary
+                                    for sc in cli._preset_scenarios("fig3", (1.0,), "analytic")]},
+        run_scenario(parse_scenario({"name": "v", "mode": "validate", "g_values": [0.4, 0.2],
+                                     "samples": 41})).summary,
+    ]
+    for i, summary in enumerate(summaries):
+        path = tmp_path / f"{i}.json"
+        write_summary(summary, str(path))
+        assert path.read_bytes() == dumped(summary)
+
+
+CALLS = [
+    ["run", "analytic.json", "--out-dir", "out"],
+    ["run", "--out-dir", "out"],  # argparse rejects it: no scenario
+    ["sweep", "reduced.json", "--param", "eta", "--values", "0,1", "--out-dir", "out"],
+    ["run", "broken.json", "--out-dir", "out"],  # a scenario error
+    ["preset", "fig3", "--mode", "analytic", "--eta", "1", "--out-dir", "out"],
+    ["preset", "fig5"],  # argparse rejects it: no such preset
+    ["validate", "--g-values", "0.4,0.2", "--samples", "41", "--out-dir", "out"],
+    ["run", "analytic.json", "--out-dir", "again"],
+]
+
+
+def _call_all(directory):
+    # every call of CALLS in directory: exit codes, stdout and stderr, then every file written
+    directory.mkdir()
+    os.chdir(directory)
+    Path("analytic.json").write_text(json.dumps({"name": "a", "mode": "analytic", "Omega": 1.0,
+                                                 "t_end": 6.0, "samples": 101}))
+    Path("reduced.json").write_text(json.dumps({"name": "r", "mode": "reduced", "Omega": 3.0,
+                                                "t_end": 6.0, "samples": 101}))
+    Path("broken.json").write_text("{not json")
+    seen = []
+    for argv in CALLS:
+        out, err = io.StringIO(), io.StringIO()
+        # a fresh warnings state per call, so a warning shown once is shown again when
+        # the filters print it (the default filter shows one per code location)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        seen.append((code, out.getvalue(), err.getvalue()))
+    files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+    return seen, files
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_cli_repeated_calls_match_fresh_parsers(tmp_path, monkeypatch):
+    # one cached parser serves every call in a process, rejections and errors between them
+    monkeypatch.chdir(tmp_path)
+    cached = _call_all(tmp_path / "cached")
+    assert [c for c, _, _ in cached[0]] == [0, ("SystemExit", 2), 0, 2, 0, ("SystemExit", 2), 0, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = _call_all(tmp_path / "fresh")
+    assert cached == fresh
+    assert build_parser() is build_parser()
 
 
 # --- hostile input, property-based -------------------------------------------
