@@ -2,20 +2,24 @@
 
 `format_rows` turns a (rows, columns) float64 block into comma-separated
 lines. A value with 1e-290 <= |x| <= 1e290 is scaled to the 17-digit
-integer D = round(|x| * 10**(16 - X)), X its decimal exponent, in
-double-double arithmetic (about 2**-104 relative error, far inside the
-1e-6 margin below). +-0 is written directly. Every other value -- NaN,
-+-inf, the far ends of the range, and any value whose scaled fraction lies
-within 1e-6 of an integer or of 1/2, where the exponent or the rounding
-could come out either way -- is formatted by "%.17g" itself.
+integer D = round(|x| * 10**(16 - X)), X the decimal exponent "%.17g"
+prints: floor(e log10 2) from the binary exponent e, plus one where |x|
+reaches the least double that rounds up to 10**(X + 1). 10**(16 - X) is
+held as a double-double hi + lo, and |x| * hi is taken with Dekker's
+product (about 2**-104 relative error, far inside the 1e-6 margin below).
++-0 comes out of the same tables. Every other value -- NaN, +-inf, the far
+ends of the range, and any value whose scaled fraction lies within 1e-6 of
+an integer or of 1/2, where the rounding could come out either way -- is
+formatted by "%.17g" itself.
 
-Each value gets a 48-byte cell of six uint64 words, each copied from a
-table: the sign, the "0.000" of 1e-4 <= |x| < 1 and the leading digit;
-four words of four digits, each digit followed by a point slot; the
-exponent and the separator. A keep mask, looked up by notation, exponent,
-significant digits and sign, zeroes the bytes "%.17g" does not print, and
-the zero bytes are dropped. The tables are built from exact integers on
-first use, never at import.
+Each value gets a 32-byte cell built from table words that already hold
+NUL wherever "%.17g" prints nothing: bytes 0-7 the sign, the "0." to
+"0.000" of 1e-4 <= |x| < 1, the leading digit and the point; 8-23 four
+groups of four digits, a group that only zero groups follow with its
+trailing zeros as NUL; 24-31 the exponent and the separator. Fixed
+notation with X = 1..15 then rotates the point from byte 7 to byte 7 + X.
+One translate drops the NUL bytes. The tables are built from exact
+integers on first use, never at import.
 """
 
 from __future__ import annotations
@@ -28,138 +32,129 @@ import numpy as np
 LOW, HIGH = 1e-290, 1e290  # the fast path's range of |x|
 X_MIN, X_MAX = -292, 292  # decimal exponents the tables cover
 MARGIN = 1e-6  # scaled fractions this close to 0, 1/2 or 1 take "%.17g"
-SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-CELL = 48  # bytes per value; the separator is the last one
-SCI, SCI_BIG = 21, 22  # layout classes after fixed notation's X + 4 = 0..20
-
-
-def _split(a):
-    c = SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _words(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, np.uint64)
+CELL = 32  # bytes per value; the separator is the last one
 
 
 @functools.cache
 def _powers() -> tuple[np.ndarray, ...]:
-    """10**(16 - X) = (hi + lo) * 2**k for X in X_MIN..X_MAX, hi with its split."""
-    hi, lo, k = [], [], []
+    """Tables by binary exponent e and by X.
+
+    estimate[e + 1023] = floor(e log10 2) - X_MIN is X - X_MIN or one less
+    (e * 78913 >> 18 is exact for every e of a double; e = -1023, the zeros,
+    gets X = 0). tens[X - X_MIN] is the least double that rounds up to
+    10**(X + 1) at 17 digits. powers[X - X_MIN] = (hi, hi's top, hi's bottom,
+    lo) with 10**(16 - X) = hi + lo; the 26-bit halves split hi's integer
+    mantissa, since splitting 1e308 by a multiplication would overflow.
+    """
+    estimate = np.clip(np.arange(-1023, 1025) * 78913 >> 18, X_MIN, X_MAX) - X_MIN
+    estimate[0] = -X_MIN
+    tens, rows = [], []
     for x in range(X_MIN, X_MAX + 1):
+        # 10**(x + 1) - 10**(x - 16) / 2 = num / den
+        num, den = (2 * 10**17 - 1) * 10**max(x - 16, 0), 2 * 10**max(16 - x, 0)
+        ten = num / den  # correctly rounded
+        n, d = ten.as_integer_ratio()
+        tens.append(ten if n * den >= num * d else math.nextafter(ten, math.inf))
         p = 16 - x
         num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
         s = num.bit_length() - den.bit_length() - 110  # m below has 109-111 bits
         num, den = (num << -s, den) if s < 0 else (num, den << s)
         q, r = divmod(num, den)
         m = q + (2 * r >= den)
-        h = float(m)
-        hi.append(math.ldexp(h, -110))
-        lo.append(math.ldexp(float(m - int(h)), -110))
-        k.append(s + 110)
-    hi = np.array(hi)
-    return (*_split(hi), np.array(lo), np.array(k, np.int32))
+        h = int(float(m))  # m rounded to 53 bits
+        cut = h.bit_length() - 26
+        top = (h + (1 << cut - 1)) >> cut << cut  # h rounded to 26 bits
+        rows.append([math.ldexp(float(v), s) for v in (h, top, h - top, m - h)])
+    return estimate, np.array(tens), np.array(rows)
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Cell words: head by leading digit, four digits, exponent by X; keep masks.
+    """Cell words and, by X, the head offset, exponent word and point rotation.
 
-    The digits' table also gives each group's count of digits up to its
-    last nonzero one. Cell bytes: 0 sign, 1-5 "0.000", then digit k at
-    6 + 2k with its point slot after it, 40-44 the exponent, 47 the
-    separator.
+    head[40 k + 20 sign + 2 lead + point], k = -X for X = -1..-4, else 0.
+    quads[g] is "%04d" % g, quads[10000 + g] the same with trailing zeros NUL.
     """
-    head = _words(b"".join(b"-0.000%d." % d for d in range(10)))
-    text = [b"%04d" % i for i in range(10000)]
-    spread = np.full((10000, 8), ord("."), np.uint8)
-    spread[:, ::2] = np.frombuffer(b"".join(text), np.uint8).reshape(-1, 4)
-    quads = spread.view(np.uint64).ravel()
-    sig = np.array([len(t.rstrip(b"0")) for t in text])
+    head = np.zeros(256, np.uint64)  # a bad value's uint8 index may run past 200
+    head[:200] = np.frombuffer(b"".join(
+        b"\0-"[s:s + 1] + b"0.000"[:k and k + 1].ljust(5, b"\0") + b"%d" % d + (b"." if p and not k else b"\0")
+        for k in range(5) for s in (0, 1) for d in range(10) for p in (0, 1)), np.uint64)
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    kept = np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    quads = np.concatenate([digits, digits * kept]).view(np.uint32).ravel()
     xs = range(X_MIN, X_MAX + 1)
-    expo = _words(b"".join(b"e%+04d\0\0," % x for x in xs))
-    classes = [x + 4 if -4 <= x < 17 else SCI if abs(x) < 100 else SCI_BIG for x in xs]
-    layout = np.array(classes) * 36  # keep row 36 * class + 2 * digits + sign
-    keep = bytearray()
-    for cls in range(SCI_BIG + 1):
-        x = cls - 4
-        lead = 1 if cls >= SCI else max(x + 1, 0)
-        zeros = 1 - x if x < 0 and cls < SCI else 0
-        for nd in range(18):
-            for neg in (0, 1):
-                mask = bytearray(CELL)
-                mask[0] = neg
-                mask[1:1 + zeros] = b"\1" * zeros
-                for k in range(max(nd, lead)):
-                    mask[6 + 2 * k] = 1
-                if 0 < lead < nd:
-                    mask[5 + 2 * lead] = 1
-                if cls >= SCI:
-                    mask[40:45] = b"\1\1\1\1\1" if cls == SCI_BIG else b"\1\1\0\1\1"
-                mask[-1] = 1
-                keep += mask
-    keep = _words(bytes(keep).replace(b"\1", b"\xff"))
-    return head, quads, sig, expo, layout, keep.reshape(-1, CELL // 8)
+    base = np.array([-40 * x if -4 <= x < 0 else 0 for x in xs], np.uint8)
+    expo = np.frombuffer(b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(7, b"\0") + b","
+                                  for x in xs), np.uint64)
+    # bytes 7..22 read from these; X = 16 is left out, since an integer of
+    # 1e16 or more has scaled fraction 0 and never reaches the fast path
+    turn = np.tile(np.arange(7, 23, dtype=np.uint8), (len(xs), 1))
+    for x in range(1, 16):
+        turn[x - X_MIN, :x + 1] = [*range(8, 8 + x), 7]
+    return head, quads, base, expo, turn
 
 
-def _scaled(f, e, row):
-    """floor(f * 2**e * 10**(16 - X)) and the fraction left over, X = X_MIN + row."""
-    p_hi, p_split, p_lo, k = (t.take(row) for t in _powers())
-    hi, lo = _split(f)
-    p = f * p_hi
-    err = ((hi * p_hi - p) + hi * p_split + lo * p_hi) + lo * p_split
-    scale = e + k
-    v = np.ldexp(p, scale)
-    top = np.floor(v)
-    r = (v - top) + np.ldexp(err + f * p_lo, scale)
-    below = np.floor(r)
-    return top.astype(np.int64) + below.astype(np.int64), r - below
+def _scaled(a):
+    """X - X_MIN, D = round(|a| * 10**(16 - X)) half up, and the scaled fraction plus 1/2.
+
+    +-0 and the values outside the fast path's range are scaled as 0.
+    """
+    mag = np.abs(a)
+    y = np.where((mag >= LOW) & (mag <= HIGH), mag, 0.0)
+    estimate, tens, powers = _powers()
+    row = estimate.take(y.view(np.int64) >> 52)  # X - X_MIN or one less
+    row += y >= tens.take(row)
+    hi, top, bottom, lo = powers.take(row, axis=0).T
+    y_top = (y.view(np.uint64) & np.uint64(2**64 - 2**27)).view(np.float64)  # its top 26 bits
+    y_bottom = y - y_top
+    p = y * hi  # 0 or above 2**53, so an integer-valued double
+    r = (((y_top * top - p) + y_top * bottom + y_bottom * top) + y_bottom * bottom) + y * lo + 0.5
+    whole = np.floor(r)
+    return row, p.astype(np.int64) + whole.astype(np.int64), r - whole
+
+
+def _cells(a, row, d):
+    """The (values, CELL) uint8 cells of the values a, with X = X_MIN + row and 17 digits d."""
+    head, quads, base, expo, turn = _tables()
+    lead = d // 10**16
+    d = d - lead * 10**16
+    high = d // 10**8
+    low = d - high * 10**8
+    g0 = high // 10**4
+    g1 = high - g0 * 10**4
+    g2 = low // 10**4
+    g3 = low - g2 * 10**4
+    cells = np.empty((a.size, CELL // 8), np.uint64)
+    groups = cells.view(np.uint32)
+    groups[:, 5] = quads[10000:].take(g3)
+    zero = g3 == 0
+    groups[:, 4] = quads.take(g2 + 10000 * zero)
+    zero &= g2 == 0
+    groups[:, 3] = quads.take(g1 + 10000 * zero)
+    zero &= g1 == 0
+    groups[:, 2] = quads.take(g0 + 10000 * zero)
+    zero &= g0 == 0
+    # head index in uint8: the base by X, the sign, the leading digit and the point
+    sign = np.signbit(a).view(np.uint8)
+    cells[:, 0] = head.take(base.take(row) + 20 * sign + 2 * lead.astype(np.uint8) + (~zero).view(np.uint8))
+    cells[:, 3] = expo.take(row)
+    text = cells.view(np.uint8).reshape(a.size, CELL)
+    # fixed notation with X = 1..15: the point moves from byte 7 to byte 7 + X
+    shift = np.flatnonzero((row > -X_MIN) & (row < 16 - X_MIN))
+    text[shift[:, None], np.arange(7, 23)] = text[shift[:, None], turn.take(row[shift], axis=0)]
+    return text
 
 
 def format_rows(block: np.ndarray) -> bytes:
     """CSV lines of a (rows, columns) float64 block, each value as "%.17g" writes it."""
     cols = block.shape[1]
     a = block.ravel()
-    mag = np.abs(a)
-    fast = (mag >= LOW) & (mag <= HIGH)
-    y = np.where(fast, mag, 1.0)
-    f, e = np.frexp(y)
-    row = np.floor(np.log10(y)).astype(np.intp) - X_MIN
-    t, frac = _scaled(f, e, row)
-    off = np.flatnonzero((t < 10**16) | (t >= 10**17))
-    if off.size:
-        row[off] += np.where(t[off] < 10**16, -1, 1)
-        t[off], frac[off] = _scaled(f[off], e[off], row[off])
-    bad = ~fast | (t < 10**16) | (t >= 10**17)
-    bad |= (frac < MARGIN) | (frac > 1 - MARGIN) | (abs(frac - 0.5) < MARGIN)
-    d = np.where(bad, 10**16, t + (frac > 0.5))
-    carry = d == 10**17
-    d[carry] = 10**16
-    row = np.where(bad, -X_MIN, row + carry)
-
-    head, quads, sig, expo, layout, keep = _tables()
-    cells = np.empty((a.size, CELL // 8), np.uint64)
-    groups = []
-    for j in range(4, 0, -1):
-        q = d // 10000
-        groups.append(d - q * 10000)
-        cells[:, j] = quads.take(groups[-1])
-        d = q
-    cells[:, 0] = head.take(d)
-    cells[:, 5] = expo.take(row)
-    # significant digits run to the last nonzero digit of the last nonzero group
-    nd = 13 + sig.take(groups[0])
-    for lead, r in zip((9, 5, 1), groups[1:]):
-        z = np.flatnonzero(nd == lead + 4)
-        nd[z] = lead + sig.take(r[z])
-    cells &= keep.take(layout.take(row) + 2 * nd + np.signbit(a), axis=0)
-
-    text = cells.view(np.uint8).reshape(a.size, CELL)
+    row, d, frac = _scaled(a)
+    # a tie leaves frac 0 or 1, an exact value (0 too) 1/2
+    bad = abs(abs(frac - 0.5) - 0.25) > 0.25 - MARGIN
+    text = _cells(a, row, d)
     text[cols - 1::cols, -1] = ord("\n")
-    zero = mag == 0
-    text[zero, 6] = ord("0")  # a bad value is laid out as 1
-    other = np.flatnonzero(bad & ~zero)
+    other = np.flatnonzero(bad & (a != 0))
     # all fallback cells in one write, each padded to its cell
     fallback = b"".join([(b"%.17g" % x).ljust(CELL - 1, b"\0") for x in a[other].tolist()])
     text[other, :-1] = np.frombuffer(fallback, np.uint8).reshape(other.size, CELL - 1)

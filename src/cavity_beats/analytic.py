@@ -323,7 +323,7 @@ def measure_beats(
     through more than 2.5 rad (2f span > 2.5).
     """
     t = series.times
-    y = series.channels()[population]
+    y = series.channel(population)
     peak = np.max(np.abs(y))
     if peak == 0:
         return BeatMeasurement(None, "none", "population is zero throughout")

@@ -332,8 +332,8 @@ def write_csv(series: TimeSeries, path: str) -> None:
 
     Every value is written exactly as "%.17g" (or f"{x:.17g}") formats it.
     Rows go out CSV_BLOCK at a time through `_csvformat.format_rows`, which
-    formats a whole block with numpy and keeps "%.17g" itself for the few
-    values whose rounding it cannot settle.
+    builds every value's text of a block from lookup tables in numpy and
+    keeps "%.17g" itself for the few values whose rounding it cannot settle.
     """
     ch = series.channels()
     with open(path, "wb") as fh:

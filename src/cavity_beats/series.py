@@ -8,6 +8,18 @@ import numpy as np
 
 LEVELS = {"e": 0, "1": 1, "2": 2, "g": 3}
 
+# the standard output channels by column name
+CHANNELS = {
+    "t": lambda s: s.times,
+    "rho_ee": lambda s: s.population("e"),
+    "rho_11": lambda s: s.population("1"),
+    "rho_22": lambda s: s.population("2"),
+    "rho_gg": lambda s: s.population("g"),
+    "re_rho_12": lambda s: s.coherence("1", "2").real,
+    "im_rho_12": lambda s: s.coherence("1", "2").imag,
+    "abs_rho_12": lambda s: np.abs(s.coherence("1", "2")),
+}
+
 
 @dataclass
 class TimeSeries:
@@ -42,16 +54,10 @@ class TimeSeries:
     def coherence(self, upper: str, lower: str) -> np.ndarray:
         return self.states[:, LEVELS[upper], LEVELS[lower]]
 
+    def channel(self, name: str) -> np.ndarray:
+        """One standard output channel by column name."""
+        return CHANNELS[name](self)
+
     def channels(self) -> dict[str, np.ndarray]:
         """The standard output channels keyed by column name."""
-        r12 = self.coherence("1", "2")
-        return {
-            "t": self.times,
-            "rho_ee": self.population("e"),
-            "rho_11": self.population("1"),
-            "rho_22": self.population("2"),
-            "rho_gg": self.population("g"),
-            "re_rho_12": r12.real,
-            "im_rho_12": r12.imag,
-            "abs_rho_12": np.abs(r12),
-        }
+        return {name: self.channel(name) for name in CHANNELS}

@@ -238,6 +238,16 @@ def test_measure_beats_other_population_channel():
     assert got.two_f == pytest.approx(beat_frequency(rates).two_f, rel=0.02)
 
 
+def test_measure_beats_reads_only_its_channel(monkeypatch):
+    # one channel is read, not all eight (abs_rho_12 is a full-length np.abs)
+    series = symmetric_solution(np.linspace(0.0, 8.0, 1601), _tuned_rates(3.0))
+    want = measure_beats(series, population="rho_22")
+    for name, values in series.channels().items():
+        assert series.channel(name).tobytes() == values.tobytes()
+    monkeypatch.setattr(TimeSeries, "channels", lambda self: pytest.fail("all channels built"))
+    assert measure_beats(series, population="rho_22") == want
+
+
 def test_tone_fit_memory_stays_flat():
     # the pencil sees at most PENCIL_SAMPLES samples and the fit is summed on the full grid
     # one pole at a time, so the peak stays a few grid-sized arrays at the largest grid

@@ -291,6 +291,24 @@ def test_format_rows_matches_17g_at_the_boundaries():
     assert format_rows(block) == _lines_17g(block)
 
 
+def test_format_rows_matches_17g_in_every_fixed_decade():
+    # random bit patterns seldom land in fixed notation or print short; here every
+    # fixed decade and four scientific ones get random mantissas and short decimals
+    # of 1 to 16 significant digits, so every trimmed group and point position shows
+    rng = np.random.default_rng(9)
+    values = []
+    for x in [*range(-7, 18), -60, -150, 150, 250]:
+        values.append(rng.uniform(1.0, 10.0, 200) * 10.0**x)
+        for digits in range(1, 17):
+            ints = rng.integers(10 ** (digits - 1), 10**digits, 40)
+            values.append(np.array([float(f"{k}e{x - digits + 1}") for k in ints]))
+    v = np.concatenate(values)
+    block = np.concatenate([v, -v]).reshape(-1, 8)
+    assert format_rows(block) == _lines_17g(block)
+    printed = {len(f"{x:.17g}".split("e")[0].replace(".", "").lstrip("0")) for x in v}
+    assert printed == set(range(1, 18))
+
+
 def test_format_rows_matches_17g_on_fallback_values():
     # values that print short take "%.17g" itself: exact binary fractions of the time
     # grids, integers, k / 2**j, signed zeros and the non-finite values, several to a
@@ -678,12 +696,16 @@ def test_cli_needs_no_scipy():
 
 def test_cli_import_builds_no_format_tables():
     # the CSV formatter builds its tables on first use, so start-up pays nothing for them
+    # (every functools.cache of the module, however many it grows)
     code = (
-        "import sys, cavity_beats.cli; from cavity_beats import _csvformat as f; "
-        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
-        "f._powers.cache_info().currsize + f._tables.cache_info().currsize)"
+        "import json, sys, cavity_beats.cli; from cavity_beats import _csvformat as f; "
+        "print(json.dumps([sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
+        "{n: v.cache_info().currsize for n, v in vars(f).items() if hasattr(v, 'cache_info')}]))"
     )
     src = str(Path(cavity_beats.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[] 0"
+    modules, caches = json.loads(out.stdout)
+    assert modules == []
+    assert {"_powers", "_tables"} <= caches.keys()
+    assert set(caches.values()) == {0}
