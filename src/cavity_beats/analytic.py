@@ -27,6 +27,7 @@ from .series import TimeSeries
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
 PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
+PENCIL_FIRST = 64  # samples of the smaller pencil tried first
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
 GROWTH_MAX = 700.0  # Re(lambda) t_max above which a fitted pole's powers could overflow
@@ -232,18 +233,23 @@ class BeatMeasurement:
     detail: str
 
 
-def _pencil_poles(y: np.ndarray, dt: float) -> np.ndarray:
+def _pencil_poles(y: np.ndarray, dt: float, saturates: bool = False) -> np.ndarray | None:
     """The poles lambda of y, sampled every dt, as a sum of damped exponentials exp(lambda t).
 
     Matrix pencil (Hua and Sarkar, IEEE Trans. ASSP 38:814, 1990): one SVD of
     the Hankel matrix of y with y.size // 3 + 1 columns, the singular values
     above PENCIL_RANK_TOL times the largest kept, and the poles read off the
     shift invariance of the kept right singular vectors. Poles beyond the
-    Nyquist frequency pi/dt come back aliased.
+    Nyquist frequency pi/dt come back aliased. With saturates, None instead
+    when the kept rank reaches a third of the columns: y may hold more poles
+    than so few samples resolve, and nothing past the SVD is spent on it.
     """
     hankel = np.lib.stride_tricks.sliding_window_view(y, y.size // 3 + 1)
     _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
-    v = vh[:np.count_nonzero(sv > PENCIL_RANK_TOL * sv[0])].T
+    rank = np.count_nonzero(sv > PENCIL_RANK_TOL * sv[0])
+    if saturates and 3 * rank >= sv.size:
+        return None
+    v = vh[:rank].T
     z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
     z = z[z != 0]  # a zero root is a pole at -inf, which no sample after the first shows
     return np.log(np.abs(z)) / dt + 1j * (np.angle(z) / dt)
@@ -268,11 +274,13 @@ def _grid_powers(pole: complex, dt: float, n: int) -> np.ndarray:
 
 
 def _pole_fit(
-    tau: np.ndarray, y: np.ndarray, part: slice, dt: float, floor: float
+    tau: np.ndarray, y: np.ndarray, part: slice, dt: float, floor: float,
+    h: float | None = None, saturates: bool = False,
 ) -> tuple[np.ndarray, np.ndarray] | str:
-    """The poles lambda of y[part] and their sizes three samples of y[part] in,
-    |c exp(3 lambda h)| for the amplitudes c fitted on y[part]; or why they do not count.
-    y is sampled on the uniform grid tau, dt apart, so y[part] is h = part.step * dt apart.
+    """The poles lambda of y[part] and their sizes 3h in, |c exp(3 lambda h)| for the
+    amplitudes c fitted on y[part]; or why they do not count. y is sampled on the
+    uniform grid tau, dt apart, and h defaults to the spacing of y[part], part.step * dt.
+    saturates is handed to _pencil_poles, and a saturated pencil does not count.
 
     The set counts when the samples of y[part] above floor outnumber its two real
     parameters per pole, and when sum c exp(lambda tau) reproduces y on the whole grid
@@ -280,8 +288,10 @@ def _pole_fit(
     above the floor on four samples: a transient that dies within one takes any angle.
     """
     ys = y[part]
-    h = (part.step or 1) * dt
-    poles = _pencil_poles(ys, h)
+    step = (part.step or 1) * dt
+    poles = _pencil_poles(ys, step, saturates)
+    if poles is None:
+        return f"pencil of {ys.size} samples saturated"
     seen = np.count_nonzero(np.abs(ys) >= floor)
     if seen <= 2 * poles.size:
         return f"{poles.size} poles from {seen} samples above the noise floor"
@@ -297,7 +307,7 @@ def _pole_fit(
         miss = np.max(np.abs(y - fit))
         if not miss <= floor:
             return f"pole fit off by {miss / floor:.3g} times the noise floor"
-        return poles, np.abs(amps * np.exp(3 * poles * h))
+        return poles, np.abs(amps * np.exp(3 * poles * (step if h is None else h)))
 
 
 def measure_beats(
@@ -307,16 +317,27 @@ def measure_beats(
 
     The populations are finite sums of damped exponentials c exp(lambda t)
     over eigenvalues lambda of the generator, so 2f is read off the poles.
-    They come from a matrix pencil of every k-th sample of a uniform grid, at
-    most PENCIL_SAMPLES of them, and their amplitudes c from one least-squares
-    fit on the same samples (_pole_fit). If that pole set fails, the fit is
-    tried once more on the first PENCIL_SAMPLES samples, unstrided, which
-    resolves beats above the strided Nyquist frequency. 2f = Im lambda is
-    reported when exactly one oscillating pole pair still stands above
-    NOISE_FLOOR of the population's peak three samples in. Otherwise the
-    result is none, and the detail says why: no oscillating pole, several
-    (with their 2f), no pole set that fits, a grid that is not uniform, or a
-    population that is zero throughout.
+    They come from a matrix pencil of every k-th sample of a uniform grid, and
+    their amplitudes c from one least-squares fit on the same samples
+    (_pole_fit). Three pole sets are tried in turn, and the first that counts
+    is read:
+    - every k-th sample, at most PENCIL_FIRST of them. Its pencil is
+      saturated, and the set skipped after the SVD, when the kept rank reaches
+      a third of its columns (the full model's spectra). It is not tried when
+      it would take the same samples as the next one (grids of at most
+      PENCIL_FIRST samples);
+    - every k-th sample, at most PENCIL_SAMPLES of them, for signals of more
+      poles or of beats above the first set's Nyquist frequency, which fail
+      its whole-grid check;
+    - the first PENCIL_SAMPLES samples, unstrided, when the grid holds more,
+      which resolves beats above the strided Nyquist frequency.
+    2f = Im lambda is reported when exactly one oscillating pole pair still
+    stands above NOISE_FLOOR of the population's peak three steps of a
+    PENCIL_SAMPLES set in: of the strided one when the first or second set
+    counts, so the first moves no size, and of dt when the third does.
+    Otherwise the result is none, and the detail says why: no oscillating
+    pole, several (with their 2f), no pole set that fits, a grid that is not
+    uniform, or a population that is zero throughout.
 
     allow_tone_fit sets the resolution floor. Without it a beat must turn
     through five half-periods over the window (2f span >= 5 pi); with it,
@@ -333,7 +354,12 @@ def measure_beats(
     floor = NOISE_FLOOR * peak
     tau = t - t[0]
     stride = -(-t.size // PENCIL_SAMPLES)
-    fit = _pole_fit(tau, y, slice(None, None, stride), dt, floor)
+    first = -(-t.size // PENCIL_FIRST)
+    fit = "not tried"
+    if first > stride:
+        fit = _pole_fit(tau, y, slice(None, None, first), dt, floor, stride * dt, saturates=True)
+    if isinstance(fit, str):
+        fit = _pole_fit(tau, y, slice(None, None, stride), dt, floor)
     if isinstance(fit, str) and stride > 1:
         fit = _pole_fit(tau, y, slice(PENCIL_SAMPLES), dt, floor)
     if isinstance(fit, str):

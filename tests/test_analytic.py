@@ -414,3 +414,121 @@ def test_composite_preset_reports_no_wrong_beats(tmp_path):
     for run in runs:
         assert (run["two_f_measured"], run["measure_method"]) == (None, "none"), run["name"]
         assert re.fullmatch(r"[3-9] oscillating poles, at 2f=[\d.]+(, [\d.]+)+", run["measure_detail"])
+
+
+# --- pencil sizes ------------------------------------------------------------
+
+def _spy_pencils(monkeypatch):
+    # (samples, saturated) of every _pencil_poles call
+    calls = []
+    pencil = analytic._pencil_poles
+
+    def spy(y, dt, saturates=False):
+        poles = pencil(y, dt, saturates)
+        calls.append((y.size, poles is None))
+        return poles
+
+    monkeypatch.setattr(analytic, "_pencil_poles", spy)
+    return calls
+
+
+def _measure_256_only(monkeypatch, series, **kwargs):
+    # a first pencil as large as the second is never tried: the path without it
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "PENCIL_FIRST", PENCIL_SAMPLES)
+        return measure_beats(series, **kwargs)
+
+
+def _beat_series(w, samples=1601):
+    t = np.linspace(0.0, 8.0, samples)
+    return _rho_11_series(t, 0.3 - 0.3 * np.exp(-0.5 * t) + 0.05 * np.exp(-0.2 * t) * np.cos(w * t + 0.3))
+
+
+def test_short_grids_make_one_pencil_call(monkeypatch):
+    # at most PENCIL_FIRST samples both pencils would take every sample, so only one runs;
+    # at 65 the first takes every other sample (33, too few columns for 4 poles: saturated)
+    calls = _spy_pencils(monkeypatch)
+    for samples, want in [(8, [(8, False)]), (64, [(64, False)]), (65, [(33, True), (65, False)])]:
+        calls.clear()
+        series = _beat_series(10.0, samples)
+        got = measure_beats(series, allow_tone_fit=True)
+        assert calls == want, samples
+        assert got == _measure_256_only(monkeypatch, series, allow_tone_fit=True)
+
+
+@pytest.mark.parametrize("w", [10.0, 30.0, 40.0, 80.0])
+def test_beats_above_the_first_pencils_nyquist_go_to_the_second(monkeypatch, w):
+    # every 26th of 1601 samples over t = 8 puts the first pencil's Nyquist frequency at
+    # 24.2: a faster beat comes back aliased, misses the whole grid and is read by the
+    # 256 pencil (every 7th sample, Nyquist 89.8)
+    calls = _spy_pencils(monkeypatch)
+    got = measure_beats(_beat_series(w), allow_tone_fit=True)
+    assert got.two_f == pytest.approx(w, rel=1e-9)
+    assert calls == ([(62, False)] if w < 24 else [(62, False), (229, False)])
+
+
+def test_saturated_signals_keep_the_256_result(monkeypatch, tmp_path):
+    # the full model's rho_11 saturates the first pencil, so its summaries are the 256
+    # path's to the last digit; so is the noisy fit just off resonance
+    calls = _spy_pencils(monkeypatch)
+    assert main(["preset", "fig3", "--mode", "composite", "--out-dir", str(tmp_path / "first")]) == 0
+    assert [c for c in calls if c[0] == 62] == [(62, True)] * 3
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "PENCIL_FIRST", PENCIL_SAMPLES)
+        assert main(["preset", "fig3", "--mode", "composite", "--out-dir", str(tmp_path / "only")]) == 0
+    summaries = [json.loads((tmp_path / d / "fig3.summary.json").read_text()) for d in ("first", "only")]
+    assert summaries[0] == summaries[1]
+    series = symmetric_solution(np.linspace(0.0, 14.28, 1601), _tuned_rates(1.594e-4))
+    want = _measure_256_only(monkeypatch, series, allow_tone_fit=True)
+    assert measure_beats(series, allow_tone_fit=True) == want
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_measured_beats_are_generator_eigenvalues(monkeypatch):
+    # whether a beat is read is the 256 path's answer, and every 2f read is the imaginary
+    # part of a generator eigenvalue
+    xcfg = parse_scenario(XCFG)
+    runs = [
+        (derive_rates(xcfg.couplings, xcfg.levels, xcfg.cavity), xcfg.eta, 12.0),
+        (_asymmetric_rates(), 1.0, 12.0),
+    ]
+    for omega in (0.05, 0.2, 0.7, 1.0, 1.25, 2.0, 3.0, 4.0):
+        for eta in (0.3, 0.6, 1.0):
+            rates = _tuned_rates(omega)
+            pred = beat_frequency(rates, eta)
+            runs.append((rates, eta, max(8.0, 3.5 / pred.two_f) if pred.beats else 8.0))
+    measured = 0
+    for rates, eta, t_end in runs:
+        series = evolve(pure_state(0, 4), np.linspace(0.0, t_end, 1601), rates, eta=eta)
+        got = measure_beats(series, allow_tone_fit=True)
+        only = _measure_256_only(monkeypatch, series, allow_tone_fit=True)
+        assert (got.two_f is None) == (only.two_f is None)
+        if got.two_f is not None:
+            measured += 1
+            eig = _generator_eigenvalues(rates, eta)
+            assert np.min(np.abs(eig.imag - got.two_f)) <= 1e-9 * got.two_f, (rates, eta)
+    assert measured >= 20
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_first_pencil_sizes_its_poles_at_256_spacings():
+    # sizes are taken three 256-pencil spacings in whichever pencil found the poles, so the
+    # 2 size >= floor filter reads the same sizes on both
+    t = np.linspace(0.0, 8.0, 1601)
+    runs = [
+        evolve(pure_state(0, 4), t, _tuned_rates(1.0), eta=0.8),
+        symmetric_solution(np.linspace(0.0, 8.0, 20001), _tuned_rates(3.0), eta=0.7),
+    ]
+    for series in runs:
+        tau = series.times - series.times[0]
+        y = series.channel("rho_11")
+        dt = linalg.uniform_step(tau)
+        floor = analytic.NOISE_FLOOR * np.max(np.abs(y))
+        stride = -(-tau.size // PENCIL_SAMPLES)
+        first = -(-tau.size // analytic.PENCIL_FIRST)
+        small = _pole_fit(tau, y, slice(None, None, first), dt, floor, stride * dt, saturates=True)
+        large = _pole_fit(tau, y, slice(None, None, stride), dt, floor)
+        assert not isinstance(small, str) and not isinstance(large, str)
+        order = [np.lexsort((poles.real, poles.imag)) for poles, _ in (small, large)]
+        np.testing.assert_allclose(small[0][order[0]], large[0][order[1]], rtol=1e-9)
+        np.testing.assert_allclose(small[1][order[0]], large[1][order[1]], rtol=1e-9)
