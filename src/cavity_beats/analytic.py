@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import uniform_step
 from .model import RateSet
-from .series import TimeSeries
+from .series import N_UPPER, UPPER, TimeSeries
 
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
@@ -31,6 +31,7 @@ PENCIL_FIRST = 64  # samples of the smaller pencil tried first
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
 GROWTH_MAX = 700.0  # Re(lambda) t_max above which a fitted pole's powers could overflow
+CLOSED_FORM_BLOCK = 2048  # samples a closed form evaluates at a time
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -75,19 +76,6 @@ def _cu(x2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diagonal_series(t, rho_ee, rho_11, rho_22, rho_12=None) -> TimeSeries:
-    n = t.size
-    states = np.zeros((n, 4, 4), dtype=complex)
-    states[:, 0, 0] = rho_ee
-    states[:, 1, 1] = rho_11
-    states[:, 2, 2] = rho_22
-    states[:, 3, 3] = 1.0 - rho_ee - rho_11 - rho_22
-    if rho_12 is not None:
-        states[:, 1, 2] = rho_12
-        states[:, 2, 1] = np.conj(rho_12)
-    return TimeSeries(times=t, states=states)
-
-
 def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
     """Interference-free cascade populations from the excited state.
 
@@ -97,17 +85,21 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
         rho_jj = Gamma_j (exp(-2 Gamma_j' t) - exp(-2 s t)) / (s - Gamma_j')
 
     with s = Gamma_1 + Gamma_2, the drain of the top level. Coherences are
-    zero throughout.
+    zero throughout, so the series holds the four populations only.
     """
     t = np.asarray(t_grid, dtype=float)
     r = rates
     s = r.Gamma_1 + r.Gamma_2
 
-    rho_ee = np.exp(-2 * s * t)
+    x = np.empty((t.size, 4), order="F")
+    x[:, 0] = np.exp(-2 * s * t)
     # Divided-difference form keeps the s -> Gamma_j' limit smooth.
-    rho_11 = 2 * r.Gamma_1 * t * np.exp(-2 * r.Gamma_1p * t) * _expm1_over(-2 * (s - r.Gamma_1p) * t)
-    rho_22 = 2 * r.Gamma_2 * t * np.exp(-2 * r.Gamma_2p * t) * _expm1_over(-2 * (s - r.Gamma_2p) * t)
-    return _diagonal_series(t, rho_ee, rho_11, rho_22)
+    x[:, 1] = (2 * r.Gamma_1 * t * np.exp(-2 * r.Gamma_1p * t)
+               * _expm1_over(-2 * (s - r.Gamma_1p) * t))
+    x[:, 2] = (2 * r.Gamma_2 * t * np.exp(-2 * r.Gamma_2p * t)
+               * _expm1_over(-2 * (s - r.Gamma_2p) * t))
+    x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
+    return TimeSeries(t, keep=np.arange(4), x=x)
 
 
 def _require_symmetric(rates: RateSet) -> tuple[float, float, complex]:
@@ -133,11 +125,39 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
     the same interaction picture as the integrated equation), and the
     ground population by trace. eta scales the interference terms exactly
     as in the master equation; it enters only through alpha -> eta alpha.
+
+    The real parts are pointwise in t, so they are evaluated
+    CLOSED_FORM_BLOCK samples at a time, straight into the series'
+    coordinate rows: the temporaries stay small however long the grid, and
+    no 4x4 state is built.
     """
     t = np.asarray(t_grid, dtype=float)
     gamma, w, alpha = _require_symmetric(rates)
     alpha_eff = eta * alpha
-    aa = abs(alpha_eff) ** 2
+    # rho_ee, rho_11, rho_22, rho_gg, then re and im rho_12, which hold u and v first
+    x = np.empty((t.size, 6), order="F")
+    for a in range(0, t.size, CLOSED_FORM_BLOCK):
+        b = slice(a, a + CLOSED_FORM_BLOCK)
+        x[b, 0], x[b, 1], x[b, 4], x[b, 5] = _symmetric_block(t[b], gamma, w, abs(alpha_eff) ** 2)
+    x[:, 2] = x[:, 1]
+    x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
+    if alpha_eff == 0:
+        x[:, 4:] = 0.0
+    else:
+        sigma = (x[:, 4] + 1j * x[:, 5]) / (2 * np.conj(alpha_eff))
+        # One product over the whole grid, never by block: on large arrays numpy
+        # computes it inside the exponential's buffer with the operands swapped, and
+        # a complex product can round differently in the last bit when they are.
+        rho_12 = sigma * np.exp(2j * rates.Omega * t)
+        x[:, 4], x[:, 5] = rho_12.real, rho_12.imag
+    return TimeSeries(t, keep=[0, 1, 2, 3, UPPER[1, 2], UPPER[1, 2] + N_UPPER], x=x)
+
+
+def _symmetric_block(t: np.ndarray, gamma: float, w: float, aa: float):
+    """rho_ee, rho_ii, u and v of symmetric_solution on t.
+
+    aa is |eta alpha|^2, and rho_12 = (u + i v) / (2 eta alpha*) exp(2 i Omega t).
+    """
     f2 = w * w - aa
     s = gamma * gamma + f2
     scale = gamma * gamma + abs(f2) + aa
@@ -188,13 +208,7 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
 
         v = wv2 / (2 * w) if w != 0.0 else np.zeros_like(t)
 
-    if alpha_eff == 0:
-        rho_12 = np.zeros(t.size, dtype=complex)
-    else:
-        sigma = (u + 1j * v) / (2 * np.conj(alpha_eff))
-        rho_12 = sigma * np.exp(2j * rates.Omega * t)
-
-    return _diagonal_series(t, e2, rho_ii, rho_ii.copy(), rho_12)
+    return e2, rho_ii, u, v
 
 
 @dataclass(frozen=True)

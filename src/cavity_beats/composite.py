@@ -29,7 +29,7 @@ from .linalg import (
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from .reduced import DRIFT_TOL
 from .reduced import evolve as evolve_reduced
-from .series import TimeSeries
+from .series import D, N_UPPER, TimeSeries
 
 
 def annihilation(n_max: int) -> np.ndarray:
@@ -167,8 +167,8 @@ def evolve_composite(
     The generator is constant, so linalg.propagate_coordinates solves it. Both modes
     are traced out of the matrix of each reachable coordinate (linear_readout), never
     out of a state, so the result is (keep, x): the atom's reachable Hermitian
-    coordinates and their values x[n] at t_grid[n]; linalg.hermitian_states builds
-    the 4x4 states from them.
+    coordinates and their values x[n] at t_grid[n], from which reduced_from_composite
+    makes the series. No state of either space is built.
     """
     dim = system.dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -186,14 +186,15 @@ def reduced_from_composite(
 
     The reduced equation is written in that picture, so its element (j, k)
     carries the extra phase exp(i (omega_j - omega_k) t) relative to the
-    traced-out state. hermitize_and_check applies it on the coordinates, checks
-    and renormalizes the trace of every sample and builds the states.
+    traced-out state. hermitize_and_check applies it on the coordinates and
+    checks and renormalizes the trace of every sample; the series holds the
+    result as coordinates, and no 4x4 state is built.
     """
     t = np.asarray(t_grid, dtype=float)
     omega = np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0])
     keep, x = atom
-    out, max_corr = hermitize_and_check(keep, x, omega[:, None] - omega[None, :], t, DRIFT_TOL)
-    return TimeSeries(times=t, states=out, max_drift_correction=max_corr)
+    x, max_corr = hermitize_and_check(keep, x, omega[:, None] - omega[None, :], t, DRIFT_TOL)
+    return TimeSeries(t, max_drift_correction=max_corr, keep=keep, x=x)
 
 
 @dataclass(frozen=True)
@@ -237,5 +238,20 @@ def validate_elimination(
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
         reduced = evolve_reduced(rho0, t, rates, eta=1.0)
-        devs.append(float(np.max(np.abs(full.states - reduced.states))))
+        devs.append(_max_difference(full, reduced))
     return EliminationCheck(g_values=gs, deviations=tuple(devs))
+
+
+def _max_difference(a: TimeSeries, b: TimeSeries) -> float:
+    """The largest |a.states - b.states| over every sample and matrix element.
+
+    Read from the coordinates, without either stack: the difference of each one,
+    the diagonal's modulus, and np.abs of each upper element's complex difference,
+    which its conjugate element shares.
+    """
+    diff = np.zeros((len(a), D * D))
+    diff[:, a.keep] = a.x
+    diff[:, b.keep] -= b.x
+    upper = np.empty((len(a), N_UPPER), dtype=complex)
+    upper.real, upper.imag = diff[:, D:D + N_UPPER], diff[:, D + N_UPPER:]
+    return float(max(np.max(np.abs(diff[:, :D])), np.max(np.abs(upper))))

@@ -16,6 +16,7 @@ import numpy as np
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
+ROTATION_BLOCK = 2048  # samples hermitize_and_check turns to its frame at a time
 
 
 class DriftError(RuntimeError):
@@ -146,7 +147,12 @@ def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _coordinates(m: np.ndarray) -> np.ndarray:
+def stack_coordinates(m: np.ndarray) -> np.ndarray:
+    """The Hermitian coordinates of each d x d matrix in m, shape m.shape[:-2] + (d * d,).
+
+    The diagonal and the upper triangle are read; the lower triangle is taken as
+    their conjugate, whatever it holds.
+    """
     rows, cols, is_imag = _hermitian_coordinates(m.shape[-1])
     v = m[..., rows, cols]
     return np.where(is_imag, v.imag, v.real)
@@ -180,30 +186,38 @@ def hermitian_states(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def lowest_eigenvalues(states: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The lowest eigenvalue of each Hermitian matrix in states, shape (n, d, d).
+def lowest_eigenvalues(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
+    """The lowest eigenvalue of each d x d Hermitian matrix with coordinates x[n] on keep.
 
-    Every coordinate of the states outside keep is zero, so they are block diagonal:
-    a block is a connected component of the levels, linked by the off-diagonal
-    coordinates in keep. A 1 x 1 block gives its diagonal, a 2 x 2 block
-    [[a, b], [b*, c]] the closed form (a + c)/2 - hypot((a - c)/2, |b|), and a larger
-    one eigvalsh.
+    x has shape (n, keep.size), as hermitize_and_check returns it. Every coordinate
+    outside keep is zero, so the matrices are block diagonal: a block is a connected
+    component of the levels, linked by the off-diagonal coordinates in keep. A 1 x 1
+    block gives its diagonal, a 2 x 2 block [[a, b], [b*, c]] the closed form
+    (a + c)/2 - hypot((a - c)/2, |b|), with |b| the np.abs of the complex b, and a
+    larger one eigvalsh.
     """
-    d = states.shape[-1]
     rows, cols, _ = _hermitian_coordinates(d)
+    column = {k: i for i, k in enumerate(keep.tolist())}
+
+    def value(k: int) -> np.ndarray:
+        return x[:, column[k]] if k in column else np.zeros(len(x))
+
     label = np.arange(d)
     for r, c in zip(rows[keep], cols[keep]):
         label[label == label[c]] = label[r]
-    lowest = np.full(len(states), np.inf)
+    lowest = np.full(len(x), np.inf)
     for block in (np.flatnonzero(label == b) for b in np.unique(label)):
         if block.size == 1:
-            w = states[:, block[0], block[0]].real
+            w = value(block[0])
         elif block.size == 2:
             i, j = block
-            a, c = states[:, i, i].real, states[:, j, j].real
-            w = (a + c) / 2 - np.hypot((a - c) / 2, np.abs(states[:, i, j]))
+            a, c = value(i), value(j)
+            k = int(np.flatnonzero((rows == i) & (cols == j))[0])  # the real coordinate of (i, j)
+            b = np.zeros(len(x), dtype=complex)
+            b.real, b.imag = value(k), value(k + (d * d - d) // 2)
+            w = (a + c) / 2 - np.hypot((a - c) / 2, np.abs(b))
         else:
-            w = np.linalg.eigvalsh(states[:, block[:, None], block])[:, 0]
+            w = np.linalg.eigvalsh(hermitian_states(keep, x, d)[:, block[:, None], block])[:, 0]
         np.minimum(lowest, w, out=lowest)
     return lowest
 
@@ -216,15 +230,16 @@ def hermitize_and_check(
     phases[j, k] is the frame frequency of element (j, k): each reachable off-diagonal
     element with a nonzero one is multiplied by exp(i phases[j, k] t), on its real and
     imaginary coordinates. Then the trace of each sample, summed over the diagonal
-    coordinates in index order, is checked and divided out. Returns the (n, d, d)
-    states and the largest correction, the largest deviation of a trace from 1. The
-    states are built from real coordinates, so they are Hermitian by construction and
-    need no repair. Beyond tol the state is corrupted, not blipped: DriftError names
-    the first such sample.
+    coordinates in index order, is checked and divided out. Returns the checked and
+    renormalized coordinates, a new Fortran-ordered (n, keep.size) array, so the
+    values of each coordinate lie contiguous in memory; and the largest correction, the
+    largest deviation of a trace from 1. Coordinates describe Hermitian states by
+    construction, so nothing needs repair, and no 4x4 state is built here. Beyond tol
+    the state is corrupted, not blipped: DriftError names the first such sample.
     """
     phases = np.asarray(phases, dtype=float)
     t = np.asarray(times, dtype=float)
-    x = np.array(x, dtype=float)
+    x = np.array(x, dtype=float, order="F")
     d = phases.shape[0]
     if phases.shape != (d, d) or x.shape != (t.size, keep.size):
         raise ValueError(f"need {d} x {d} phases and one row of {keep.size} coordinates "
@@ -237,22 +252,26 @@ def hermitize_and_check(
         if k not in column or k + n_off not in column:
             raise ValueError("a rotated element needs both its real and imaginary coordinates")
         a, b = column[k], column[k + n_off]
-        z = (x[:, a] + 1j * x[:, b]) * np.exp(1j * phases[rows[k], cols[k]] * t)
-        x[:, a], x[:, b] = z.real, z.imag
+        for s in range(0, t.size, ROTATION_BLOCK):  # pointwise, so blocks keep temporaries small
+            n = slice(s, s + ROTATION_BLOCK)
+            z = (x[n, a] + 1j * x[n, b]) * np.exp(1j * phases[rows[k], cols[k]] * t[n])
+            x[n, a], x[n, b] = z.real, z.imag
     if not np.all(np.isfinite(x)):
         raise ValueError("states contain non-finite entries")
     diagonal = np.flatnonzero(keep < d)
     trace = np.zeros(t.size)
     for j in diagonal:
         trace += x[:, j]
-    trace_dev = np.abs(trace - 1.0)
+    trace_dev = trace - 1.0
+    np.abs(trace_dev, out=trace_dev)
     if np.any(trace_dev > tol):
         i = int(np.argmax(trace_dev > tol))
         raise DriftError(
             f"sample {i} (t={t[i]:.6g}): trace drift {trace_dev[i]:.3e} exceeds tolerance {tol:.1e}"
         )
-    x *= 1.0 / trace[:, None]
-    return hermitian_states(keep, x, d), float(np.max(trace_dev, initial=0.0))
+    np.divide(1.0, trace, out=trace)
+    x *= trace[:, None]
+    return x, float(np.max(trace_dev, initial=0.0))
 
 
 def hermitian_generator(
@@ -271,7 +290,7 @@ def hermitian_generator(
     d = rho0.shape[0]
     seen = np.zeros(d * d, dtype=bool)
     frontiers, images = [], []  # each frontier, and the coordinates of rhs on its basis
-    new = np.flatnonzero(_coordinates(rho0))
+    new = np.flatnonzero(stack_coordinates(rho0))
     while new.size:
         basis = _hermitian_basis(d, new)
         image = np.asarray(rhs(basis), dtype=complex)
@@ -279,7 +298,7 @@ def hermitian_generator(
             raise ValueError(f"rhs must map a stack of shape {basis.shape} to one of the "
                              f"same shape, got {image.shape}")
         frontiers.append(new)
-        images.append(_coordinates(image))
+        images.append(stack_coordinates(image))
         seen[new] = True
         new = np.flatnonzero(np.any(images[-1], axis=0) & ~seen)
     keep = np.flatnonzero(seen)
@@ -344,7 +363,7 @@ def propagate_coordinates(
         raise ValueError("t_grid must be a nonempty, strictly ascending 1-D array")
     keep, gen = hermitian_generator(rhs, rho0)
     x = np.empty((t.size, keep.size))
-    x[0] = _coordinates(rho0)[keep]
+    x[0] = stack_coordinates(rho0)[keep]
     uniform = uniform_step(t)
     if uniform is None:
         for i, h in enumerate(steps):
@@ -373,7 +392,7 @@ def linear_readout(
     and their real matrix, so observe takes the states with coordinates x on keep to
     those with coordinates x @ c on keep_out.
     """
-    c = _coordinates(np.asarray(observe(_hermitian_basis(d, keep)), dtype=complex))
+    c = stack_coordinates(np.asarray(observe(_hermitian_basis(d, keep)), dtype=complex))
     keep_out = np.flatnonzero(np.any(c, axis=0))
     return keep_out, c[:, keep_out]
 
@@ -383,8 +402,9 @@ def propagate(
 ) -> np.ndarray:
     """The states of propagate_coordinates, shape (len(t_grid),) + rho0.shape.
 
-    A run validates the coordinates themselves (hermitize_and_check), which builds
-    the states once, at the end; this builds them as they come out.
+    A run never builds them: it validates the coordinates themselves
+    (hermitize_and_check) and keeps them in its series.TimeSeries, which reads every
+    output from them. This builds the stack, for callers that want the matrices.
     """
     keep, x = propagate_coordinates(rhs, rho0, t_grid)
     return hermitian_states(keep, x, np.shape(rho0)[0])

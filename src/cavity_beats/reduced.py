@@ -171,7 +171,8 @@ def evolve(
     rotated back on the reachable coherences only, the trace is checked and
     renormalized when its deviation stays below drift_tol, and the largest
     correction is reported on the returned series; larger drift raises
-    DriftError. The states are Hermitian by construction. A negative
+    DriftError. The series holds the checked coordinates, which describe
+    Hermitian states by construction; no 4x4 state is built. A negative
     eigenvalue beyond positivity_floor, found block by block
     (lowest_eigenvalues), is recorded as a diagnostic and warned about, never
     silently accepted.
@@ -184,9 +185,9 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate_coordinates rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     keep, x = propagate_coordinates(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
-    states, max_corr = hermitize_and_check(keep, x, dtheta, t, drift_tol)
+    x, max_corr = hermitize_and_check(keep, x, dtheta, t, drift_tol)
 
-    lowest = lowest_eigenvalues(states, keep)
+    lowest = lowest_eigenvalues(keep, x, 4)
     negative = np.flatnonzero(lowest < positivity_floor)
     diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
     if negative.size:
@@ -199,9 +200,4 @@ def evolve(
         if negative.size > len(diagnostics):
             diagnostics.append(f"... {negative.size} samples below {positivity_floor:g} in total")
 
-    return TimeSeries(
-        times=t,
-        states=states,
-        diagnostics=diagnostics,
-        max_drift_correction=max_corr,
-    )
+    return TimeSeries(t, diagnostics=diagnostics, max_drift_correction=max_corr, keep=keep, x=x)

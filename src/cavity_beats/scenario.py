@@ -50,9 +50,9 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
 
 # Bounds that keep an accepted scenario runnable. At unit rates a step of
 # t_end stays far below the step norm (about 2e10) where expm loses the
-# stationary state; a composite run at 100001 samples takes about 0.3 s and
-# 0.08 GB, since the field is traced out of the propagated coordinates and
-# only the atom's 4x4 states are built, once; validate runs each
+# stationary state; a composite run at 100001 samples takes about 0.1 s and
+# peaks near 0.03 GB, since the field is traced out of the propagated
+# coordinates and the run keeps only the atom's; validate runs each
 # rung of the ladder to t = 1.5/g^2, and the adiabatic elimination it checks
 # needs g below the unit cavity linewidth.
 T_END_MAX = 1e6

@@ -7,7 +7,6 @@ from cavity_beats.linalg import (
     MAX_SQUARINGS,
     THETA13,
     DriftError,
-    _coordinates,
     _hermitian_basis,
     _hermitian_coordinates,
     _squarings,
@@ -15,10 +14,12 @@ from cavity_beats.linalg import (
     density_matrix,
     expm,
     hermitian_generator,
+    hermitian_states,
     hermitize_and_check,
     partial_trace_field,
     propagate,
     pure_state,
+    stack_coordinates,
 )
 from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
 from cavity_beats.reduced import RHS_FORMS, rotated_rhs
@@ -114,7 +115,8 @@ def test_hermitize_repairs_small_drift():
     keep = np.arange(4)
     x = np.array([[0.6, 0.4, 0.1, 0.0], [0.6 + 1e-9, 0.4 - 2e-9, 0.1, 0.0]])
     phases = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    fixed, corr = hermitize_and_check(keep, x, phases, np.array([0.0, 1.0]), tol=1e-6)
+    checked, corr = hermitize_and_check(keep, x, phases, np.array([0.0, 1.0]), tol=1e-6)
+    fixed = hermitian_states(keep, checked, 2)
     assert corr == pytest.approx(1e-9, rel=1e-6)
     assert np.array_equal(fixed[0], [[0.6, 0.1], [0.1, 0.4]])
     assert np.max(np.abs(fixed[1] - fixed[1].conj().T)) == 0.0
@@ -188,9 +190,9 @@ def test_propagate_by_doubling_matches_scipy_expm(model, samples):
     t = np.linspace(0.0, 12.0, samples)
     out = propagate(rhs, rho0, t)
     keep, gen = hermitian_generator(rhs, rho0)
-    x0 = _coordinates(rho0)[keep]
+    x0 = stack_coordinates(rho0)[keep]
     want = np.array([scipy.linalg.expm(gen * tk) @ x0 for tk in t])
-    got = _coordinates(out)
+    got = stack_coordinates(out)
     assert np.max(np.abs(got[:, keep] - want)) <= tol
     assert not np.any(np.delete(got, keep, axis=1))  # unreachable coordinates stay zero
     assert np.array_equal(out, out.conj().transpose(0, 2, 1))
@@ -202,11 +204,11 @@ def _per_matrix_generator(rhs, rho0):
     # coordinates in a dict; returns (keep, gen, number of frontiers)
     d = rho0.shape[0]
     columns, frontiers = {}, 0
-    new = np.flatnonzero(_coordinates(rho0))
+    new = np.flatnonzero(stack_coordinates(rho0))
     while new.size:
         frontiers += 1
         for k, basis in zip(new, _hermitian_basis(d, new)):
-            columns[k] = _coordinates(np.asarray(rhs(basis), dtype=complex))
+            columns[k] = stack_coordinates(np.asarray(rhs(basis), dtype=complex))
         reached = np.flatnonzero(np.any([columns[k] for k in new], axis=0))
         new = np.setdiff1d(reached, list(columns))
     keep = np.array(sorted(columns), dtype=int)

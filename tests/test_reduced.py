@@ -289,7 +289,7 @@ def test_evolution_keeps_hermiticity_trace_and_support(config):
         assert np.all(states[:, ~inside] == 0.0)
         assert series.max_drift_correction <= 1e-12
         keep, _ = hermitian_generator(lambda s: rotated_rhs(s, rates, eta), rho0)
-        lowest = lowest_eigenvalues(states, keep)
+        lowest = lowest_eigenvalues(keep, series.x, 4)
         assert np.max(np.abs(lowest - np.linalg.eigvalsh(states)[:, 0])) <= 1e-14
     # where the rhs carries the e-1 coherence on to e-2, the 3 x 3 block is really there
     # (at eta = 5e-324, say, eta times a cross coefficient underflows to zero, and it is not)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 import cavity_beats.composite
 import cavity_beats.linalg
+import cavity_beats.reduced
+import cavity_beats.series
 from cavity_beats import cli
 from cavity_beats._csvformat import format_rows
 from cavity_beats.analytic import symmetric_solution
@@ -369,6 +371,39 @@ def test_reduced_run_validates_on_coordinates():
         tracemalloc.stop()
     assert len(result.series) == SAMPLES_MAX
     assert peak < 2 * SAMPLES_MAX * 4 * 4 * 16
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_runs_and_csv_build_no_state_stack(monkeypatch, tmp_path):
+    # a run holds its coordinates, and every output reads them: no (N, 4, 4) stack
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stack of 4x4 states was built")
+
+    for module in (cavity_beats.series, cavity_beats.reduced, cavity_beats.composite,
+                   cavity_beats.linalg):
+        if hasattr(module, "hermitian_states"):
+            monkeypatch.setattr(module, "hermitian_states", refuse)
+    for mode in ("reduced", "analytic", "composite"):
+        result = run_scenario(parse_scenario(dict(SHORTCUT, mode=mode, samples=401)))
+        write_csv(result.series, str(tmp_path / f"{mode}.csv"))
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@pytest.mark.parametrize("mode", ["analytic", "reduced"])
+def test_run_peaks_below_half_a_state_stack(mode):
+    # the series holds six real coordinates per sample, and the closed form, the frame
+    # rotation and the checks work in blocks or one coordinate at a time, so a long run
+    # peaks below half of one (N, 4, 4) complex stack (2.56 MB here)
+    samples = 20001
+    sc = parse_scenario(dict(SHORTCUT, mode=mode, t_end=12.0, samples=samples))
+    tracemalloc.start()
+    try:
+        result = run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.series) == samples
+    assert peak < samples * 4 * 4 * 16 / 2
 
 
 # --- command line -----------------------------------------------------------
