@@ -18,7 +18,8 @@ NUL wherever "%.17g" prints nothing: bytes 0-7 the sign, the "0." to
 groups of four digits, a group that only zero groups follow with its
 trailing zeros as NUL; 24-31 the exponent and the separator. Fixed
 notation with X = 1..15 then rotates the point from byte 7 to byte 7 + X.
-One translate drops the NUL bytes. The tables are built from exact
+The cells are built in a bytearray the caller may own and reuse, and one
+translate drops the NUL bytes. The tables are built from exact
 integers on first use, never at import.
 """
 
@@ -113,8 +114,11 @@ def _scaled(a):
     return row, p.astype(np.int64) + whole.astype(np.int64), r - whole
 
 
-def _cells(a, row, d):
-    """The (values, CELL) uint8 cells of the values a, with X = X_MIN + row and 17 digits d."""
+def _cells(a, row, d, text):
+    """Build the cells of the values a in text, a (values, CELL) uint8 array.
+
+    X = X_MIN + row, and d holds the 17 digits.
+    """
     head, quads, base, expo, turn = _tables()
     lead = d // 10**16
     d = d - lead * 10**16
@@ -124,8 +128,8 @@ def _cells(a, row, d):
     g1 = high - g0 * 10**4
     g2 = low // 10**4
     g3 = low - g2 * 10**4
-    cells = np.empty((a.size, CELL // 8), np.uint64)
-    groups = cells.view(np.uint32)
+    cells = text.view(np.uint64)
+    groups = text.view(np.uint32)
     groups[:, 5] = quads[10000:].take(g3)
     zero = g3 == 0
     groups[:, 4] = quads.take(g2 + 10000 * zero)
@@ -138,24 +142,35 @@ def _cells(a, row, d):
     sign = np.signbit(a).view(np.uint8)
     cells[:, 0] = head.take(base.take(row) + 20 * sign + 2 * lead.astype(np.uint8) + (~zero).view(np.uint8))
     cells[:, 3] = expo.take(row)
-    text = cells.view(np.uint8).reshape(a.size, CELL)
     # fixed notation with X = 1..15: the point moves from byte 7 to byte 7 + X
     shift = np.flatnonzero((row > -X_MIN) & (row < 16 - X_MIN))
     text[shift[:, None], np.arange(7, 23)] = text[shift[:, None], turn.take(row[shift], axis=0)]
-    return text
 
 
-def format_rows(block: np.ndarray) -> bytes:
-    """CSV lines of a (rows, columns) float64 block, each value as "%.17g" writes it."""
+def format_rows(block: np.ndarray, buf: bytearray | None = None) -> bytearray:
+    """CSV lines of a (rows, columns) float64 block, each value as "%.17g" writes it.
+
+    The cells are built in buf, resized to the block's rows x columns x CELL
+    bytes, so a caller that formats many blocks hands the same bytearray to
+    every call; without one a fresh buffer is made. The lines come back as a
+    new bytearray either way.
+    """
     cols = block.shape[1]
     a = block.ravel()
     row, d, frac = _scaled(a)
     # a tie leaves frac 0 or 1, an exact value (0 too) 1/2
     bad = abs(abs(frac - 0.5) - 0.25) > 0.25 - MARGIN
-    text = _cells(a, row, d)
+    size = a.size * CELL
+    if buf is None:
+        buf = bytearray(size)
+    elif len(buf) != size:
+        buf.extend(bytes(max(size - len(buf), 0)))
+        del buf[size:]
+    text = np.frombuffer(buf, np.uint8).reshape(a.size, CELL)
+    _cells(a, row, d, text)
     text[cols - 1::cols, -1] = ord("\n")
     other = np.flatnonzero(bad & (a != 0))
     # all fallback cells in one write, each padded to its cell
     fallback = b"".join([(b"%.17g" % x).ljust(CELL - 1, b"\0") for x in a[other].tolist()])
     text[other, :-1] = np.frombuffer(fallback, np.uint8).reshape(other.size, CELL - 1)
-    return text.tobytes().translate(None, b"\0")
+    return buf.translate(None, b"\0")

@@ -126,38 +126,29 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
     ground population by trace. eta scales the interference terms exactly
     as in the master equation; it enters only through alpha -> eta alpha.
 
-    The real parts are pointwise in t, so they are evaluated
+    Every channel is pointwise in t, so the solution is evaluated
     CLOSED_FORM_BLOCK samples at a time, straight into the series'
     coordinate rows: the temporaries stay small however long the grid, and
     no 4x4 state is built.
     """
     t = np.asarray(t_grid, dtype=float)
     gamma, w, alpha = _require_symmetric(rates)
-    alpha_eff = eta * alpha
-    # rho_ee, rho_11, rho_22, rho_gg, then re and im rho_12, which hold u and v first
+    # rho_ee, rho_11, rho_22, rho_gg, re and im rho_12
     x = np.empty((t.size, 6), order="F")
     for a in range(0, t.size, CLOSED_FORM_BLOCK):
         b = slice(a, a + CLOSED_FORM_BLOCK)
-        x[b, 0], x[b, 1], x[b, 4], x[b, 5] = _symmetric_block(t[b], gamma, w, abs(alpha_eff) ** 2)
+        x[b, 0], x[b, 1], x[b, 4], x[b, 5] = _symmetric_block(t[b], gamma, w, eta * alpha, rates.Omega)
     x[:, 2] = x[:, 1]
     x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
-    if alpha_eff == 0:
-        x[:, 4:] = 0.0
-    else:
-        sigma = (x[:, 4] + 1j * x[:, 5]) / (2 * np.conj(alpha_eff))
-        # One product over the whole grid, never by block: on large arrays numpy
-        # computes it inside the exponential's buffer with the operands swapped, and
-        # a complex product can round differently in the last bit when they are.
-        rho_12 = sigma * np.exp(2j * rates.Omega * t)
-        x[:, 4], x[:, 5] = rho_12.real, rho_12.imag
     return TimeSeries(t, keep=[0, 1, 2, 3, UPPER[1, 2], UPPER[1, 2] + N_UPPER], x=x)
 
 
-def _symmetric_block(t: np.ndarray, gamma: float, w: float, aa: float):
-    """rho_ee, rho_ii, u and v of symmetric_solution on t.
+def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omega: float):
+    """rho_ee, rho_ii and the real and imaginary parts of rho_12 of symmetric_solution on t.
 
-    aa is |eta alpha|^2, and rho_12 = (u + i v) / (2 eta alpha*) exp(2 i Omega t).
+    alpha is eta alpha, and rho_12 = (u + i v) / (2 alpha*) exp(2 i Omega t).
     """
+    aa = abs(alpha) ** 2
     f2 = w * w - aa
     s = gamma * gamma + f2
     scale = gamma * gamma + abs(f2) + aa
@@ -208,7 +199,14 @@ def _symmetric_block(t: np.ndarray, gamma: float, w: float, aa: float):
 
         v = wv2 / (2 * w) if w != 0.0 else np.zeros_like(t)
 
-    return e2, rho_ii, u, v
+    if alpha == 0:
+        return e2, rho_ii, 0.0, 0.0
+    sigma = (u + 1j * v) / (2 * np.conj(alpha))
+    # np.multiply keeps the operand order: sigma * np.exp(...) lets numpy compute the
+    # product in the exponential's buffer, operands swapped, once the arrays reach
+    # 256 KB, and a complex product can round differently in the last bit when they are
+    rho_12 = np.multiply(sigma, np.exp(2j * omega * t))
+    return e2, rho_ii, rho_12.real, rho_12.imag
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import composite as composite_mod
-from ._csvformat import format_rows
+from ._csvformat import CELL, format_rows
 from .analytic import BeatMeasurement, beat_frequency, measure_beats, symmetric_solution
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from .reduced import evolve
@@ -29,10 +29,13 @@ from .series import TimeSeries
 
 MODES = ("reduced", "composite", "analytic", "validate")
 CSV_COLUMNS = ("t", "rho_ee", "rho_11", "rho_22", "rho_gg", "re_rho_12", "im_rho_12", "abs_rho_12")
-# Rows formatted per write. The time is flat near 512 to 2048 rows and grows beyond:
-# formatting 20001 x 8 random floats on a 2-vCPU VM took 29 ms at 512 and at 2048
-# rows, 36 ms at 8192, 46 ms in one block, and 39 ms at 128 rows (best of 7).
-CSV_BLOCK = 512
+# Most rows formatted per write: a file goes out in the fewest equal blocks of at most
+# this many, their 32-byte cells built in one buffer per file. Larger blocks make fewer
+# numpy calls per value (a 20001-row file writes about 6% faster than at 512 rows) until
+# a block's cells and temporaries cross glibc's heap-trim threshold, and every block
+# faults its pages back in: at 2048 a 1601-row file is one block with 410 KB of cells,
+# and a reduced-scan pass of bench/run.py takes 3880 minor faults (0 at 1024, seed 3).
+CSV_BLOCK = 1024
 SWEEP_PARAMS = ("Omega", "eta", "t_end", "G")
 # Output files are <name>.csv and <name>.summary.json inside --out-dir.
 NAME_PATTERN = re.compile(r"\w[\w.+-]*", re.ASCII)
@@ -331,15 +334,25 @@ def write_csv(series: TimeSeries, path: str) -> None:
     """All channels at 17 significant digits, LF line endings.
 
     Every value is written exactly as "%.17g" (or f"{x:.17g}") formats it.
-    Rows go out CSV_BLOCK at a time through `_csvformat.format_rows`, which
-    builds every value's text of a block from lookup tables in numpy and
-    keeps "%.17g" itself for the few values whose rounding it cannot settle.
+    Rows go out in equal blocks of at most CSV_BLOCK (1601 rows as 801 + 800)
+    through `_csvformat.format_rows`, which builds every value's text of a
+    block from lookup tables in numpy and keeps "%.17g" itself for the few
+    values whose rounding it cannot settle. One row block and one cell
+    buffer, both sized for the first block, serve every block of the file.
     """
     ch = series.channels()
+    n = len(series)
+    # the fewest blocks of at most CSV_BLOCK rows, all of one size but the last
+    rows = -(-n // -(-n // CSV_BLOCK)) if n else 1
+    block = np.empty((rows, len(CSV_COLUMNS)))
+    buf = bytearray(block.size * CELL)
     with open(path, "wb") as fh:
         fh.write((",".join(CSV_COLUMNS) + "\n").encode())
-        for a in range(0, len(series), CSV_BLOCK):
-            fh.write(format_rows(np.column_stack([ch[c][a:a + CSV_BLOCK] for c in CSV_COLUMNS])))
+        for a in range(0, n, rows):
+            part = block[:n - a]
+            for j, c in enumerate(CSV_COLUMNS):
+                part[:, j] = ch[c][a:a + rows]
+            fh.write(format_rows(part, buf))
 
 
 def write_summary(summary: dict, path: str) -> None:

@@ -149,6 +149,19 @@ def test_symmetric_trace_is_exact():
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("omega, eta", [(3.0, 0.7), (0.9, 0.45)])
+def test_symmetric_solution_does_not_depend_on_the_grid_length(omega, eta):
+    # every channel is computed pointwise, so a prefix of a grid gives the full grid's
+    # bits at the common times, also across the 16384 samples where numpy starts to
+    # reuse the buffers of large temporaries
+    t = np.linspace(0.0, 8.0, 20001)
+    full = symmetric_solution(t, _tuned_rates(omega), eta=eta).channels()
+    for n in (1000, 16383, 16384, 20001):
+        part = symmetric_solution(t[:n], _tuned_rates(omega), eta=eta).channels()
+        for name, values in part.items():
+            assert values.tobytes() == full[name][:n].tobytes(), (n, name)
+
+
 # --- beat prediction -------------------------------------------------------
 
 def test_beat_prediction_frozen_values():

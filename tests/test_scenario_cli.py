@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 import cavity_beats.composite
 import cavity_beats.linalg
 import cavity_beats.reduced
+import cavity_beats.scenario
 import cavity_beats.series
 from cavity_beats import cli
-from cavity_beats._csvformat import format_rows
+from cavity_beats._csvformat import CELL, format_rows
 from cavity_beats.analytic import symmetric_solution
 from cavity_beats.cli import build_parser, main
 from cavity_beats.composite import EliminationCheck
 from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
 from cavity_beats.scenario import (
+    CSV_BLOCK,
     CSV_COLUMNS,
     MODES,
     SAMPLES_MAX,
@@ -38,7 +40,7 @@ from cavity_beats.scenario import (
     write_csv,
     write_summary,
 )
-from cavity_beats.series import TimeSeries
+from cavity_beats.series import N_UPPER, UPPER, TimeSeries
 
 SHORTCUT = {"name": "case", "mode": "reduced", "Omega": 1.0, "t_end": 6.0}
 
@@ -327,6 +329,47 @@ def test_format_rows_matches_17g_on_fallback_values():
         assert format_rows(block) == _lines_17g(block)
     block = rng.permutation(short)[:8000].reshape(-1, 8)
     assert format_rows(block) == _lines_17g(block)
+
+
+def test_format_rows_leaves_no_stale_byte_in_a_reused_buffer():
+    # long texts (values that take "%.17g" itself, fixed notation with its point
+    # rotated, exponents) fill the buffer's cells; shorter texts formatted into the
+    # same buffer, in a block of the same, a smaller and a larger size, come out as
+    # a fresh format of their block
+    rng = np.random.default_rng(5)
+    long = np.concatenate([
+        [1e-300, -2.0**-1074, 2.0**1000, -1.7976931348623157e308],
+        -rng.uniform(1.0, 10.0, 12) * 10.0 ** rng.integers(1, 16, 12),
+        -rng.uniform(1.0, 10.0, 16) * 10.0 ** rng.integers(-290, -100, 16),
+    ]).reshape(4, 8)
+    buf = bytearray()
+    assert format_rows(long, buf) == _lines_17g(long)
+    for rows in (4, 2, 6):
+        short = rng.choice([0.0, -0.0, 1.0, 0.5, 3.0, 0.25], (rows, 8))
+        short[:, ::3] = rng.integers(1, 10, (rows, 3)) / 10
+        assert format_rows(short, buf) == format_rows(short) == _lines_17g(short)
+        assert len(buf) == short.size * CELL
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 1023, 1024, 1025, 1601, 2049, 20001])
+def test_csv_goes_out_in_equal_blocks(tmp_path, rows, monkeypatch):
+    # the fewest blocks of at most CSV_BLOCK rows, as equal as they come (1601 rows as
+    # 801 + 800), each row as "%.17g" writes it; an empty series writes the header alone
+    sizes = []
+
+    def recording(block, buf):
+        sizes.append(len(block))
+        return format_rows(block, buf)
+
+    monkeypatch.setattr(cavity_beats.scenario, "format_rows", recording)
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-20, 20, (rows, 6))
+    series = TimeSeries(np.linspace(0.0, 8.0, rows), keep=[0, 1, 2, 3, UPPER[1, 2], UPPER[1, 2] + N_UPPER], x=x)
+    write_csv(series, str(tmp_path / "x.csv"))
+    block = np.column_stack([series.channel(c) for c in CSV_COLUMNS])
+    assert (tmp_path / "x.csv").read_bytes() == (",".join(CSV_COLUMNS) + "\n").encode() + _lines_17g(block)
+    assert sum(sizes) == rows and len(sizes) == -(-rows // CSV_BLOCK)
+    assert all(sizes[-1] <= n == sizes[0] <= CSV_BLOCK for n in sizes[:-1])
 
 
 def test_csv_memory_stays_flat(tmp_path):
