@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import uniform_step
+from .linalg import element_coordinates, uniform_step
 from .model import RateSet
-from .series import N_UPPER, UPPER, TimeSeries
+from .series import TimeSeries
 
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
@@ -99,7 +99,7 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
     x[:, 2] = (2 * r.Gamma_2 * t * np.exp(-2 * r.Gamma_2p * t)
                * _expm1_over(-2 * (s - r.Gamma_2p) * t))
     x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
-    return TimeSeries(t, keep=np.arange(4), x=x)
+    return TimeSeries(t, keep=np.diag(element_coordinates(4)), x=x)
 
 
 def _require_symmetric(rates: RateSet) -> tuple[float, float, complex]:
@@ -133,14 +133,15 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
     """
     t = np.asarray(t_grid, dtype=float)
     gamma, w, alpha = _require_symmetric(rates)
-    # rho_ee, rho_11, rho_22, rho_gg, re and im rho_12
-    x = np.empty((t.size, 6), order="F")
+    # the coordinates of rho_ee, rho_11, rho_22, rho_gg, and of re and im rho_12
+    keep = element_coordinates(4)[[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]]
+    x = np.empty((t.size, keep.size), order="F")
     for a in range(0, t.size, CLOSED_FORM_BLOCK):
         b = slice(a, a + CLOSED_FORM_BLOCK)
         x[b, 0], x[b, 1], x[b, 4], x[b, 5] = _symmetric_block(t[b], gamma, w, eta * alpha, rates.Omega)
     x[:, 2] = x[:, 1]
     x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
-    return TimeSeries(t, keep=[0, 1, 2, 3, UPPER[1, 2], UPPER[1, 2] + N_UPPER], x=x)
+    return TimeSeries(t, keep=keep, x=x)
 
 
 def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omega: float):

@@ -2,9 +2,9 @@
 
 The composite state lives on atom x mode_a x mode_b with atom-major
 ordering and truncated photon numbers. Starting from the bare excited
-atom the cascade emits at most one photon into each mode, so a one-photon
-truncation is exact for every quantity computed here; the truncation knob
-exists to demonstrate that, not to fix accuracy.
+atom the cascade emits at most one photon into each mode, so the default
+n_max = 1 photons per mode is exact for every quantity computed here; a
+larger n_max exists to demonstrate that, not to fix accuracy.
 
 validate_elimination solves the same physical configuration both ways
 (full model here, reduced equation in the interaction picture of the bare
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    element_coordinates,
     hermitize_and_check,
     linear_readout,
     partial_trace_field,
@@ -29,7 +30,9 @@ from .linalg import (
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from .reduced import DRIFT_TOL
 from .reduced import evolve as evolve_reduced
-from .series import D, N_UPPER, TimeSeries
+from .series import D, TimeSeries
+
+_UPPER = np.triu_indices(D, 1)  # the (j, k) of every element above the diagonal
 
 
 def annihilation(n_max: int) -> np.ndarray:
@@ -51,13 +54,18 @@ def _lift(op_atom, op_a, op_b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Hamiltonian, mode operators and decay rates on the composite space."""
+    """Hamiltonian, mode operators and decay rates on the composite space, and the atom's levels.
+
+    levels is the scheme the Hamiltonian was built from; evolve_composite reads the
+    interaction picture of the atom from it.
+    """
 
     hamiltonian: np.ndarray
     a_op: np.ndarray
     b_op: np.ndarray
     kappa_a: float
     kappa_b: float
+    levels: LevelScheme
     dims: tuple[int, int, int]
 
     @property
@@ -78,62 +86,44 @@ class CompositeSystem:
         return k, k.conj().T, ad, bd
 
 
-def build_hamiltonian(
-    couplings: CouplingSet,
-    levels: LevelScheme,
-    cavity: CavityParams,
-    n_max_a: int = 1,
-    n_max_b: int = 1,
-) -> np.ndarray:
-    """Composite Hamiltonian: bare atom, bare modes, and the exchange terms.
+def build_system(
+    couplings: CouplingSet, levels: LevelScheme, cavity: CavityParams, n_max: int = 1
+) -> CompositeSystem:
+    """The composite system with up to n_max photons in each mode.
 
-    The exchange part is -i G_1e a^dag |1><e| - i G_2e a^dag |2><e|
-    - i G_g1 b^dag |g><1| - i G_g2 b^dag |g><2| plus conjugates: lowering
-    the atom one rung creates the corresponding photon.
+    The Hamiltonian holds the bare atom, the bare modes and the exchange terms
+    -i G_1e a^dag |1><e| - i G_2e a^dag |2><e| - i G_g1 b^dag |g><1|
+    - i G_g2 b^dag |g><2| plus conjugates: lowering the atom one rung creates
+    the corresponding photon.
     """
-    ia = np.eye(n_max_a + 1, dtype=complex)
-    ib = np.eye(n_max_b + 1, dtype=complex)
-    i4 = np.eye(4, dtype=complex)
-    a = annihilation(n_max_a)
-    b = annihilation(n_max_b)
+    i4, i_n = np.eye(4, dtype=complex), np.eye(n_max + 1, dtype=complex)
+    a = annihilation(n_max)
+    ad = a.conj().T
 
     h_atom = np.diag(
         np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0], dtype=complex)
     )
-    h = _lift(h_atom, ia, ib)
-    h += cavity.omega_a * _lift(i4, a.conj().T @ a, ib)
-    h += cavity.omega_b * _lift(i4, ia, b.conj().T @ b)
+    h = _lift(h_atom, i_n, i_n)
+    h += cavity.omega_a * _lift(i4, ad @ a, i_n)
+    h += cavity.omega_b * _lift(i4, i_n, ad @ a)
 
     def drop(i: int, j: int) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
         m[i, j] = 1.0
         return m
 
-    hx = -1j * couplings.G_1e * _lift(drop(1, 0), a.conj().T, ib)
-    hx += -1j * couplings.G_2e * _lift(drop(2, 0), a.conj().T, ib)
-    hx += -1j * couplings.G_g1 * _lift(drop(3, 1), ia, b.conj().T)
-    hx += -1j * couplings.G_g2 * _lift(drop(3, 2), ia, b.conj().T)
-    return h + hx + hx.conj().T
-
-
-def build_system(
-    couplings: CouplingSet,
-    levels: LevelScheme,
-    cavity: CavityParams,
-    n_max_a: int = 1,
-    n_max_b: int = 1,
-) -> CompositeSystem:
-    h = build_hamiltonian(couplings, levels, cavity, n_max_a, n_max_b)
-    ia = np.eye(n_max_a + 1, dtype=complex)
-    ib = np.eye(n_max_b + 1, dtype=complex)
-    i4 = np.eye(4, dtype=complex)
+    hx = -1j * couplings.G_1e * _lift(drop(1, 0), ad, i_n)
+    hx += -1j * couplings.G_2e * _lift(drop(2, 0), ad, i_n)
+    hx += -1j * couplings.G_g1 * _lift(drop(3, 1), i_n, ad)
+    hx += -1j * couplings.G_g2 * _lift(drop(3, 2), i_n, ad)
     return CompositeSystem(
-        hamiltonian=h,
-        a_op=_lift(i4, annihilation(n_max_a), ib),
-        b_op=_lift(i4, ia, annihilation(n_max_b)),
+        hamiltonian=h + hx + hx.conj().T,
+        a_op=_lift(i4, a, i_n),
+        b_op=_lift(i4, i_n, a),
         kappa_a=cavity.kappa_a,
         kappa_b=cavity.kappa_b,
-        dims=(4, n_max_a + 1, n_max_b + 1),
+        levels=levels,
+        dims=(4, n_max + 1, n_max + 1),
     )
 
 
@@ -161,40 +151,28 @@ def excited_vacuum(system: CompositeSystem) -> np.ndarray:
 
 def evolve_composite(
     rho0: np.ndarray, t_grid: np.ndarray, system: CompositeSystem
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the composite equation exactly and return the atom's coordinates on the grid.
+) -> TimeSeries:
+    """Solve the composite equation exactly and return the atom's TimeSeries.
 
     The generator is constant, so linalg.propagate_coordinates solves it. Both modes
     are traced out of the matrix of each reachable coordinate (linear_readout), never
-    out of a state, so the result is (keep, x): the atom's reachable Hermitian
-    coordinates and their values x[n] at t_grid[n], from which reduced_from_composite
-    makes the series. No state of either space is built.
+    out of a state. The reduced equation is written in the interaction picture of the
+    bare atom, so its element (j, k) carries the extra phase exp(i (omega_j - omega_k) t)
+    relative to the traced-out state: hermitize_and_check applies it on the atom's
+    coordinates and checks and renormalizes the trace of every sample. No state of
+    either space is built.
     """
+    t = np.asarray(t_grid, dtype=float)
     dim = system.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim} for this truncation")
-    keep, x = propagate_coordinates(lambda rho: lindblad_rhs(rho, system), rho0, t_grid)
+    keep, x = propagate_coordinates(lambda rho: lindblad_rhs(rho, system), rho0, t)
     atom_keep, trace = linear_readout(lambda m: partial_trace_field(m, system.dims), keep, dim)
-    return atom_keep, x @ trace
-
-
-def reduced_from_composite(
-    atom: tuple[np.ndarray, np.ndarray], t_grid: np.ndarray, levels: LevelScheme
-) -> TimeSeries:
-    """Move the atom coordinates of evolve_composite to the interaction picture of the atom.
-
-    The reduced equation is written in that picture, so its element (j, k)
-    carries the extra phase exp(i (omega_j - omega_k) t) relative to the
-    traced-out state. hermitize_and_check applies it on the coordinates and
-    checks and renormalizes the trace of every sample; the series holds the
-    result as coordinates, and no 4x4 state is built.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    omega = np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0])
-    keep, x = atom
-    x, max_corr = hermitize_and_check(keep, x, omega[:, None] - omega[None, :], t, DRIFT_TOL)
-    return TimeSeries(t, max_drift_correction=max_corr, keep=keep, x=x)
+    lv = system.levels
+    omega = np.array([lv.omega_eg, lv.omega_1g, lv.omega_2g, 0.0])
+    x, max_corr = hermitize_and_check(atom_keep, x @ trace, omega[:, None] - omega, t, DRIFT_TOL)
+    return TimeSeries(t, max_drift_correction=max_corr, keep=atom_keep, x=x)
 
 
 @dataclass(frozen=True)
@@ -226,17 +204,15 @@ def validate_elimination(
     if any(g <= 0 for g in gs) or len(gs) < 2:
         raise ValueError("need at least two positive couplings, decreasing")
     devs = []
+    rho0 = pure_state(0, 4)
     for g in gs:
         levels, cavity = midpoint_levels(Omega + 1.0, Omega, Omega)
         couplings = CouplingSet.uniform(g)
         system = build_system(couplings, levels, cavity)
         t_end = 1.5 / (g * g)
         t = np.linspace(0.0, t_end, samples)
-        atom = evolve_composite(excited_vacuum(system), t, system)
-        full = reduced_from_composite(atom, t, levels)
+        full = evolve_composite(excited_vacuum(system), t, system)
         rates = derive_rates(couplings, levels, cavity)
-        rho0 = np.zeros((4, 4), dtype=complex)
-        rho0[0, 0] = 1.0
         reduced = evolve_reduced(rho0, t, rates, eta=1.0)
         devs.append(_max_difference(full, reduced))
     return EliminationCheck(g_values=gs, deviations=tuple(devs))
@@ -249,9 +225,11 @@ def _max_difference(a: TimeSeries, b: TimeSeries) -> float:
     the diagonal's modulus, and np.abs of each upper element's complex difference,
     which its conjugate element shares.
     """
+    element = element_coordinates(D)
+    j, k = _UPPER
     diff = np.zeros((len(a), D * D))
     diff[:, a.keep] = a.x
     diff[:, b.keep] -= b.x
-    upper = np.empty((len(a), N_UPPER), dtype=complex)
-    upper.real, upper.imag = diff[:, D:D + N_UPPER], diff[:, D + N_UPPER:]
-    return float(max(np.max(np.abs(diff[:, :D])), np.max(np.abs(upper))))
+    upper = np.empty((len(a), j.size), dtype=complex)
+    upper.real, upper.imag = diff[:, element[j, k]], diff[:, element[k, j]]
+    return float(max(np.max(np.abs(diff[:, np.diag(element)])), np.max(np.abs(upper))))

@@ -147,6 +147,20 @@ def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.cache
+def element_coordinates(d: int) -> np.ndarray:
+    """The coordinate that holds each element of a d x d Hermitian matrix, a (d, d) table.
+
+    [j, j] holds the diagonal element, [j, k] with j < k the real part of element
+    (j, k), and [k, j] its imaginary part. Cached per d and read-only.
+    """
+    rows, cols, is_imag = _hermitian_coordinates(d)
+    table = np.empty((d, d), dtype=np.intp)
+    table[np.where(is_imag, cols, rows), np.where(is_imag, rows, cols)] = np.arange(d * d)
+    table.flags.writeable = False
+    return table
+
+
 def stack_coordinates(m: np.ndarray) -> np.ndarray:
     """The Hermitian coordinates of each d x d matrix in m, shape m.shape[:-2] + (d * d,).
 
@@ -197,6 +211,7 @@ def lowest_eigenvalues(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
     larger one eigvalsh.
     """
     rows, cols, _ = _hermitian_coordinates(d)
+    element = element_coordinates(d)
     column = {k: i for i, k in enumerate(keep.tolist())}
 
     def value(k: int) -> np.ndarray:
@@ -208,13 +223,12 @@ def lowest_eigenvalues(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
     lowest = np.full(len(x), np.inf)
     for block in (np.flatnonzero(label == b) for b in np.unique(label)):
         if block.size == 1:
-            w = value(block[0])
+            w = value(element[block[0], block[0]])
         elif block.size == 2:
             i, j = block
-            a, c = value(i), value(j)
-            k = int(np.flatnonzero((rows == i) & (cols == j))[0])  # the real coordinate of (i, j)
+            a, c = value(element[i, i]), value(element[j, j])
             b = np.zeros(len(x), dtype=complex)
-            b.real, b.imag = value(k), value(k + (d * d - d) // 2)
+            b.real, b.imag = value(element[i, j]), value(element[j, i])
             w = (a + c) / 2 - np.hypot((a - c) / 2, np.abs(b))
         else:
             w = np.linalg.eigvalsh(hermitian_states(keep, x, d)[:, block[:, None], block])[:, 0]
@@ -244,17 +258,18 @@ def hermitize_and_check(
     if phases.shape != (d, d) or x.shape != (t.size, keep.size):
         raise ValueError(f"need {d} x {d} phases and one row of {keep.size} coordinates "
                          f"per time, got {phases.shape} and {x.shape}")
-    rows, cols, is_imag = _hermitian_coordinates(d)
-    n_off = (d * d - d) // 2  # the imaginary coordinate of element k is k + n_off
+    rows, cols, _ = _hermitian_coordinates(d)
+    element = element_coordinates(d)
     rotated = keep[(rows[keep] != cols[keep]) & (phases[rows[keep], cols[keep]] != 0.0)]
     column = {k: i for i, k in enumerate(keep.tolist())}
-    for k in np.unique(np.where(is_imag[rotated], rotated - n_off, rotated)).tolist():
-        if k not in column or k + n_off not in column:
+    for j, k in sorted(set(zip(rows[rotated].tolist(), cols[rotated].tolist()))):
+        re, im = int(element[j, k]), int(element[k, j])
+        if re not in column or im not in column:
             raise ValueError("a rotated element needs both its real and imaginary coordinates")
-        a, b = column[k], column[k + n_off]
+        a, b = column[re], column[im]
         for s in range(0, t.size, ROTATION_BLOCK):  # pointwise, so blocks keep temporaries small
             n = slice(s, s + ROTATION_BLOCK)
-            z = (x[n, a] + 1j * x[n, b]) * np.exp(1j * phases[rows[k], cols[k]] * t[n])
+            z = (x[n, a] + 1j * x[n, b]) * np.exp(1j * phases[j, k] * t[n])
             x[n, a], x[n, b] = z.real, z.imag
     if not np.all(np.isfinite(x)):
         raise ValueError("states contain non-finite entries")

@@ -23,12 +23,13 @@ import numpy as np
 from . import composite as composite_mod
 from ._csvformat import CELL, format_rows
 from .analytic import BeatMeasurement, beat_frequency, measure_beats, symmetric_solution
+from .linalg import pure_state
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
 from .reduced import evolve
-from .series import TimeSeries
+from .series import CHANNELS, TimeSeries
 
 MODES = ("reduced", "composite", "analytic", "validate")
-CSV_COLUMNS = ("t", "rho_ee", "rho_11", "rho_22", "rho_gg", "re_rho_12", "im_rho_12", "abs_rho_12")
+CSV_COLUMNS = tuple(CHANNELS)
 # Most rows formatted per write: a file goes out in the fewest equal blocks of at most
 # this many, their 32-byte cells built in one buffer per file. Larger blocks make fewer
 # numpy calls per value (a 20001-row file writes about 6% faster than at 512 rows) until
@@ -305,11 +306,9 @@ def run_scenario(sc: Scenario) -> RunResult:
             couplings = CouplingSet.uniform(sc.G)
         rates = derive_rates(couplings, levels, cavity)
         t = np.linspace(0.0, sc.t_end, sc.samples)
-        rho0 = np.zeros((4, 4), dtype=complex)
-        rho0[0, 0] = 1.0
 
         if sc.mode == "reduced":
-            series = evolve(rho0, t, rates, eta=sc.eta)
+            series = evolve(pure_state(0, 4), t, rates, eta=sc.eta)
         elif sc.mode == "analytic":
             if rates.alpha is None:
                 raise ScenarioError(
@@ -320,8 +319,7 @@ def run_scenario(sc: Scenario) -> RunResult:
             if sc.eta != 1.0:
                 raise ScenarioError("the full model has no interference dial; eta must stay 1")
             system = composite_mod.build_system(couplings, levels, cavity)
-            atom = composite_mod.evolve_composite(composite_mod.excited_vacuum(system), t, system)
-            series = composite_mod.reduced_from_composite(atom, t, levels)
+            series = composite_mod.evolve_composite(composite_mod.excited_vacuum(system), t, system)
 
         return RunResult(scenario=sc, summary=_summarize(sc, series, rates), series=series)
     except ScenarioError:

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .linalg import hermitian_states, stack_coordinates
+from .linalg import element_coordinates, hermitian_states, stack_coordinates
 
 LEVELS = {"e": 0, "1": 1, "2": 2, "g": 3}
 D = len(LEVELS)
-N_UPPER = D * (D - 1) // 2
-# the real coordinate of each upper element (j, k), in the order of np.triu_indices; its
-# imaginary one is N_UPPER further on
-UPPER = {pair: D + n for n, pair in enumerate(itertools.combinations(range(D), 2))}
+_ELEMENT = element_coordinates(D)
 
 # the standard output channels by column name
 CHANNELS = {
@@ -22,8 +17,8 @@ CHANNELS = {
     "rho_11": lambda s: s.population("1"),
     "rho_22": lambda s: s.population("2"),
     "rho_gg": lambda s: s.population("g"),
-    "re_rho_12": lambda s: s.coordinate(UPPER[1, 2]),
-    "im_rho_12": lambda s: s.coordinate(UPPER[1, 2] + N_UPPER),
+    "re_rho_12": lambda s: s.coordinate(_ELEMENT[1, 2]),
+    "im_rho_12": lambda s: s.coordinate(_ELEMENT[2, 1]),
     "abs_rho_12": lambda s: np.abs(s.coherence("1", "2")),
 }
 
@@ -31,12 +26,11 @@ CHANNELS = {
 class TimeSeries:
     """Atomic density matrices sampled on a time grid, held as their real coordinates.
 
-    x[n] holds the Hermitian coordinates keep (linalg.hermitian_states: the
-    diagonal, then the real and the imaginary parts of the upper triangle) of
-    the 4x4 matrix at times[n] in the (e, 1, 2, g) basis; every other
-    coordinate is zero. x is Fortran-ordered, so the values of each
-    coordinate, x[:, i], lie contiguous in memory, and the channels read them
-    without a copy.
+    x[n] holds the Hermitian coordinates keep (linalg.element_coordinates
+    says which element each one holds) of the 4x4 matrix at times[n] in the
+    (e, 1, 2, g) basis; every other coordinate is zero. x is Fortran-ordered,
+    so the values of each coordinate, x[:, i], lie contiguous in memory, and
+    the channels read them without a copy.
     TimeSeries(times, states) converts an (n, 4, 4) stack once and keeps all
     16 coordinates, its upper triangle read as the Hermitian matrix's.
     diagnostics collects non-fatal anomalies seen while producing the run,
@@ -86,7 +80,8 @@ class TimeSeries:
         return np.zeros(self.times.size) if i is None else self.x[:, i]
 
     def population(self, level: str) -> np.ndarray:
-        return self.coordinate(LEVELS[level])
+        i = LEVELS[level]
+        return self.coordinate(_ELEMENT[i, i])
 
     def coherence(self, upper: str, lower: str) -> np.ndarray:
         """Element (upper, lower) of every matrix, complex, filled part by part.
@@ -96,7 +91,7 @@ class TimeSeries:
         """
         i, j = LEVELS[upper], LEVELS[lower]
         a, b = min(i, j), max(i, j)
-        re, im = (a, None) if a == b else (UPPER[a, b], UPPER[a, b] + N_UPPER)
+        re, im = _ELEMENT[a, b], (None if a == b else _ELEMENT[b, a])
         out = np.zeros(self.times.size, dtype=complex)
         if re in self._column:
             out.real = self.x[:, self._column[re]]

@@ -12,6 +12,7 @@ from cavity_beats.linalg import (
     _squarings,
     _step_matrix,
     density_matrix,
+    element_coordinates,
     expm,
     hermitian_generator,
     hermitian_states,
@@ -109,7 +110,7 @@ def test_partial_trace_dimension_mismatch():
         partial_trace_field(np.eye(10), (4, 2, 2))
 
 
-def test_hermitize_repairs_small_drift():
+def test_trace_check_rotates_and_renormalizes_small_drift():
     # coordinates (rho_00, rho_11, re rho_01, im rho_01) of a state with unit trace and of
     # one whose trace drifted by -1e-9; the frame turns rho_01 by exp(2 i t)
     keep = np.arange(4)
@@ -124,7 +125,7 @@ def test_hermitize_repairs_small_drift():
     assert abs(fixed[1][0, 1] - 0.1 * np.exp(2j) / (1.0 - 1e-9)) < 1e-15
 
 
-def test_hermitize_raises_beyond_tolerance():
+def test_trace_check_raises_beyond_tolerance():
     keep = np.array([0, 1, 2])
     x = np.array([[0.6, 0.4, 0.1]] * 2 + [[0.601, 0.4, 0.1]] * 2)
     t = np.linspace(0, 0.75, 4)
@@ -168,6 +169,19 @@ def test_coordinate_tables_are_shared_and_read_only():
     for a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[1]
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 4, 16):
+        element = element_coordinates(d)
+        assert element_coordinates(d) is element and element.shape == (d, d)
+        with pytest.raises(ValueError, match="read-only"):
+            element[0, 0] = 0
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = stack_coordinates(m)
+        for j in range(d):
+            for k in range(j, d):
+                assert x[element[j, k]] == m[j, k].real
+                if j < k:
+                    assert x[element[k, j]] == m[j, k].imag
 
 
 def _tuned_problem(model):
@@ -175,7 +189,7 @@ def _tuned_problem(model):
     if model == "reduced":
         rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
         return (lambda s: rotated_rhs(s, rates)), pure_state(0, 4)
-    system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max_a=1, n_max_b=1)
+    system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=1)
     return (lambda rho: lindblad_rhs(rho, system)), excited_vacuum(system)
 
 
@@ -233,7 +247,7 @@ def _generator_cases():
             for rho0 in (pure_state(0, 4), full_support):
                 yield (lambda s, eta=eta, form=form: rotated_rhs(s, rates, eta, form)), rho0
     for n_max in (1, 2):
-        system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max_a=n_max, n_max_b=n_max)
+        system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=n_max)
         yield (lambda rho, system=system: lindblad_rhs(rho, system)), excited_vacuum(system)
 
 
@@ -254,7 +268,7 @@ def test_hermitian_generator_matches_the_per_matrix_build():
 
 def test_hermitian_generator_calls_rhs_once_per_frontier():
     levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
-    system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max_a=1, n_max_b=1)
+    system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=1)
     calls = []
     keep, _ = hermitian_generator(_counted(lambda rho: lindblad_rhs(rho, system), calls),
                                   excited_vacuum(system))
