@@ -323,10 +323,8 @@ def _pole_fit(
         return poles, np.abs(amps * np.exp(3 * poles * (step if h is None else h)))
 
 
-def measure_beats(
-    series: TimeSeries, population: str = "rho_11", allow_tone_fit: bool = False
-) -> BeatMeasurement:
-    """Extract the beat frequency 2f from a sampled population.
+def measure_beats(series: TimeSeries, allow_tone_fit: bool = False) -> BeatMeasurement:
+    """Extract the beat frequency 2f from the sampled population rho_11.
 
     The populations are finite sums of damped exponentials c exp(lambda t)
     over eigenvalues lambda of the generator, so 2f is read off the poles.
@@ -357,7 +355,7 @@ def measure_beats(
     through more than 2.5 rad (2f span > 2.5).
     """
     t = series.times
-    y = series.channel(population)
+    y = series.population("1")
     peak = np.max(np.abs(y))
     if peak == 0:
         return BeatMeasurement(None, "none", "population is zero throughout")

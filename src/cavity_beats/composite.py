@@ -144,11 +144,6 @@ def lindblad_rhs(rho: np.ndarray, system: CompositeSystem) -> np.ndarray:
     return out
 
 
-def excited_vacuum(system: CompositeSystem) -> np.ndarray:
-    """Excited atom, both modes empty."""
-    return pure_state(0, system.dim)
-
-
 def evolve_composite(
     rho0: np.ndarray, t_grid: np.ndarray, system: CompositeSystem
 ) -> TimeSeries:
@@ -211,7 +206,7 @@ def validate_elimination(
         system = build_system(couplings, levels, cavity)
         t_end = 1.5 / (g * g)
         t = np.linspace(0.0, t_end, samples)
-        full = evolve_composite(excited_vacuum(system), t, system)
+        full = evolve_composite(pure_state(0, system.dim), t, system)
         rates = derive_rates(couplings, levels, cavity)
         reduced = evolve_reduced(rho0, t, rates, eta=1.0)
         devs.append(_max_difference(full, reduced))
@@ -219,9 +214,9 @@ def validate_elimination(
 
 
 def _max_difference(a: TimeSeries, b: TimeSeries) -> float:
-    """The largest |a.states - b.states| over every sample and matrix element.
+    """The largest modulus of an element of a's matrix minus b's, over every sample.
 
-    Read from the coordinates, without either stack: the difference of each one,
+    Read from the coordinates, without building a matrix: the difference of each one,
     the diagonal's modulus, and np.abs of each upper element's complex difference,
     which its conjugate element shares.
     """

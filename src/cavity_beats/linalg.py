@@ -32,40 +32,40 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def density_matrix(
-    m: np.ndarray,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIG_FLOOR,
-) -> np.ndarray:
+def density_matrix(m: np.ndarray) -> np.ndarray:
     """Validate m as a density matrix and return it read-only.
 
-    Checks Hermiticity, unit trace and positivity (smallest eigenvalue not
-    below eig_floor). Raises ValueError describing the first violation.
+    Checks Hermiticity to HERM_TOL, unit trace to TRACE_TOL and positivity
+    (smallest eigenvalue not below EIG_FLOOR). Raises ValueError describing
+    the first violation.
     """
     m = _as_square(m, "density matrix")
     herm_dev = np.max(np.abs(m - m.conj().T))
-    if herm_dev > herm_tol:
-        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}")
+    if herm_dev > HERM_TOL:
+        raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e} > {HERM_TOL:.1e}")
     trace_dev = abs(m.trace() - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
-    # eigvalsh on the symmetrized matrix; the anti-Hermitian part is below herm_tol
+    if trace_dev > TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {TRACE_TOL:.1e}")
+    # eigvalsh on the symmetrized matrix; the anti-Hermitian part is below HERM_TOL
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if w[0] < eig_floor:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e} below {eig_floor:.1e}")
+    if w[0] < EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {w[0]:.3e} below {EIG_FLOOR:.1e}")
     out = m.copy()
     out.flags.writeable = False
     return out
 
 
 def pure_state(index: int, dim: int) -> np.ndarray:
-    """Density matrix |i><i| on a dim-dimensional space."""
+    """Density matrix |i><i| on a dim-dimensional space, read-only.
+
+    A density matrix by construction, so density_matrix's checks are skipped.
+    """
     if not 0 <= index < dim:
         raise ValueError(f"index {index} outside [0, {dim})")
     m = np.zeros((dim, dim), dtype=complex)
     m[index, index] = 1.0
-    return density_matrix(m)
+    m.flags.writeable = False
+    return m
 
 
 def partial_trace_field(rho: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
@@ -410,16 +410,3 @@ def linear_readout(
     c = stack_coordinates(np.asarray(observe(_hermitian_basis(d, keep)), dtype=complex))
     keep_out = np.flatnonzero(np.any(c, axis=0))
     return keep_out, c[:, keep_out]
-
-
-def propagate(
-    rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
-) -> np.ndarray:
-    """The states of propagate_coordinates, shape (len(t_grid),) + rho0.shape.
-
-    A run never builds them: it validates the coordinates themselves
-    (hermitize_and_check) and keeps them in its series.TimeSeries, which reads every
-    output from them. This builds the stack, for callers that want the matrices.
-    """
-    keep, x = propagate_coordinates(rhs, rho0, t_grid)
-    return hermitian_states(keep, x, np.shape(rho0)[0])

@@ -1,4 +1,4 @@
-"""Level scheme, dipole geometry, cavity couplings and derived rates.
+"""Level scheme, cavity couplings, dipole products and derived rates.
 
 The atom is a four-level cascade e -> {1, 2} -> g with two near-degenerate
 intermediate levels split by 2*Omega. Mode a couples the upper transitions,
@@ -10,7 +10,7 @@ specify G directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,45 +67,6 @@ def detunings(levels: LevelScheme, cavity: CavityParams) -> tuple[float, float, 
         levels.omega_1g - cavity.omega_b,
         levels.omega_2g - cavity.omega_b,
     )
-
-
-def _unit3(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
-    n = np.sqrt(np.vdot(v, v).real)
-    if abs(n - 1.0) > DOT_TOL:
-        raise ValueError(f"{name} must have unit norm, got {n}")
-    return v
-
-
-@dataclass(frozen=True)
-class DipoleGeometry:
-    """Transition dipoles plus cavity polarizations and propagation axis."""
-
-    d_1e: np.ndarray
-    d_2e: np.ndarray
-    d_g1: np.ndarray
-    d_g2: np.ndarray
-    epsilon_a: np.ndarray
-    epsilon_b: np.ndarray
-    k_hat: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("d_1e", "d_2e", "d_g1", "d_g2"):
-            v = np.asarray(getattr(self, name), dtype=complex)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "epsilon_a", _unit3(self.epsilon_a, "epsilon_a"))
-        object.__setattr__(self, "epsilon_b", _unit3(self.epsilon_b, "epsilon_b"))
-        k = np.asarray(self.k_hat, dtype=float)
-        if k.shape != (3,) or abs(np.linalg.norm(k) - 1.0) > DOT_TOL:
-            raise ValueError("k_hat must be a real unit 3-vector")
-        object.__setattr__(self, "k_hat", k)
-        for name in ("epsilon_a", "epsilon_b"):
-            if abs(np.sum(getattr(self, name) * k)) > DOT_TOL:
-                raise ValueError(f"{name} must be transverse to k_hat")
 
 
 @dataclass(frozen=True)
@@ -172,28 +133,6 @@ def sigma_dipoles(reduced_d: float) -> tuple[np.ndarray, np.ndarray]:
     return d_g1, d_g2
 
 
-def coupling_constant(
-    dipole: np.ndarray,
-    polarization: np.ndarray,
-    mode_omega: float = 1.0,
-    volume: float = 2 * np.pi,
-    scale: float | None = None,
-) -> complex:
-    """Projection of a dipole on a mode polarization times the field scale.
-
-    The physical prefactor sqrt(2 pi mode_omega / volume) (hbar = 1) can be
-    overridden with an explicit scale, which is how kappa-unit scenarios
-    specify couplings.
-    """
-    if scale is None:
-        if volume <= 0 or mode_omega <= 0:
-            raise ValueError("mode_omega and volume must be positive")
-        scale = np.sqrt(2 * np.pi * mode_omega / volume)
-    d = np.asarray(dipole, dtype=complex)
-    e = np.asarray(polarization, dtype=complex)
-    return scale * complex(np.sum(d * e))
-
-
 def preselected_product(d1, d2, pol, scale: float = 1.0) -> complex:
     """Coupling product (d1 . e)(d2* . e*) for one fixed polarization.
 
@@ -239,20 +178,6 @@ def interference_condition(d1, d2) -> bool:
     d1 = np.asarray(d1, dtype=complex)
     d2 = np.asarray(d2, dtype=complex)
     return bool(abs(np.sum(d1 * np.conj(d2))) > DOT_TOL)
-
-
-def couplings_from_geometry(
-    geometry: DipoleGeometry,
-    scale_a: float = 1.0,
-    scale_b: float = 1.0,
-) -> CouplingSet:
-    """Project the four dipoles on their mode polarizations."""
-    return CouplingSet(
-        G_1e=coupling_constant(geometry.d_1e, geometry.epsilon_a, scale=scale_a),
-        G_2e=coupling_constant(geometry.d_2e, geometry.epsilon_a, scale=scale_a),
-        G_g1=coupling_constant(geometry.d_g1, geometry.epsilon_b, scale=scale_b),
-        G_g2=coupling_constant(geometry.d_g2, geometry.epsilon_b, scale=scale_b),
-    )
 
 
 def _symmetric_alpha(

@@ -162,18 +162,16 @@ def evolve(
     rates: RateSet,
     eta: float = 1.0,
     form: str = "operator",
-    drift_tol: float = DRIFT_TOL,
-    positivity_floor: float = POSITIVITY_FLOOR,
 ) -> TimeSeries:
     """Solve the reduced master equation exactly on t_grid.
 
     Every sample is validated on the propagated coordinates: the frame is
     rotated back on the reachable coherences only, the trace is checked and
-    renormalized when its deviation stays below drift_tol, and the largest
+    renormalized when its deviation stays below DRIFT_TOL, and the largest
     correction is reported on the returned series; larger drift raises
     DriftError. The series holds the checked coordinates, which describe
     Hermitian states by construction; no 4x4 state is built. A negative
-    eigenvalue beyond positivity_floor, found block by block
+    eigenvalue beyond POSITIVITY_FLOOR, found block by block
     (lowest_eigenvalues), is recorded as a diagnostic and warned about, never
     silently accepted.
     """
@@ -185,10 +183,10 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate_coordinates rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     keep, x = propagate_coordinates(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
-    x, max_corr = hermitize_and_check(keep, x, dtheta, t, drift_tol)
+    x, max_corr = hermitize_and_check(keep, x, dtheta, t, DRIFT_TOL)
 
     lowest = lowest_eigenvalues(keep, x, 4)
-    negative = np.flatnonzero(lowest < positivity_floor)
+    negative = np.flatnonzero(lowest < POSITIVITY_FLOOR)
     diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
     if negative.size:
         worst_eig = min(0.0, float(np.min(lowest[negative])))
@@ -198,6 +196,6 @@ def evolve(
             stacklevel=2,
         )
         if negative.size > len(diagnostics):
-            diagnostics.append(f"... {negative.size} samples below {positivity_floor:g} in total")
+            diagnostics.append(f"... {negative.size} samples below {POSITIVITY_FLOOR:g} in total")
 
     return TimeSeries(t, diagnostics=diagnostics, max_drift_correction=max_corr, keep=keep, x=x)

@@ -319,7 +319,7 @@ def run_scenario(sc: Scenario) -> RunResult:
             if sc.eta != 1.0:
                 raise ScenarioError("the full model has no interference dial; eta must stay 1")
             system = composite_mod.build_system(couplings, levels, cavity)
-            series = composite_mod.evolve_composite(composite_mod.excited_vacuum(system), t, system)
+            series = composite_mod.evolve_composite(pure_state(0, system.dim), t, system)
 
         return RunResult(scenario=sc, summary=_summarize(sc, series, rates), series=series)
     except ScenarioError:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import element_coordinates, hermitian_states, stack_coordinates
+from .linalg import element_coordinates
 
 LEVELS = {"e": 0, "1": 1, "2": 2, "g": 3}
 D = len(LEVELS)
@@ -31,8 +31,6 @@ class TimeSeries:
     (e, 1, 2, g) basis; every other coordinate is zero. x is Fortran-ordered,
     so the values of each coordinate, x[:, i], lie contiguous in memory, and
     the channels read them without a copy.
-    TimeSeries(times, states) converts an (n, 4, 4) stack once and keeps all
-    16 coordinates, its upper triangle read as the Hermitian matrix's.
     diagnostics collects non-fatal anomalies seen while producing the run,
     e.g. positivity excursions; max_drift_correction is the largest
     trace renormalization that was applied.
@@ -41,23 +39,14 @@ class TimeSeries:
     def __init__(
         self,
         times: np.ndarray,
-        states: np.ndarray | None = None,
+        keep: np.ndarray,
+        x: np.ndarray,
         diagnostics: list[str] | None = None,
         max_drift_correction: float = 0.0,
-        *,
-        keep: np.ndarray | None = None,
-        x: np.ndarray | None = None,
     ) -> None:
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1:
             raise ValueError("times must be one-dimensional")
-        if (states is None) == (x is None):
-            raise ValueError("give either states or the coordinates keep and x")
-        if states is not None:
-            states = np.asarray(states, dtype=complex)
-            if states.shape != (self.times.size, D, D):
-                raise ValueError(f"states must have shape (len(times), {D}, {D})")
-            keep, x = np.arange(D * D), stack_coordinates(states)
         self.keep = np.asarray(keep, dtype=np.intp)
         self.x = np.asfortranarray(x, dtype=float)
         if self.x.shape != (self.times.size, self.keep.size):
@@ -68,11 +57,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.times.size
-
-    @property
-    def states(self) -> np.ndarray:
-        """The (n, 4, 4) complex stack, built anew on every access."""
-        return hermitian_states(self.keep, self.x, D)
 
     def coordinate(self, k: int) -> np.ndarray:
         """The values of coordinate k on the grid: a view of x, or zeros outside keep."""

@@ -17,7 +17,7 @@ from cavity_beats.analytic import (
     symmetric_solution,
 )
 from cavity_beats.cli import main
-from cavity_beats.linalg import hermitian_generator, pure_state
+from cavity_beats.linalg import hermitian_generator, pure_state, stack_coordinates
 from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, RateSet, derive_rates, midpoint_levels
 from cavity_beats.reduced import evolve, rotated_rhs
 from cavity_beats.scenario import SAMPLES_MAX, parse_scenario
@@ -50,7 +50,7 @@ XCFG = {
 def _rho_11_series(t, y):
     states = np.zeros((t.size, 4, 4), dtype=complex)
     states[:, 1, 1] = y
-    return TimeSeries(t, states)
+    return TimeSeries(t, np.arange(16), stack_coordinates(states))
 
 
 def _rate_only(g1, g2, g1p, g2p):
@@ -196,7 +196,7 @@ def test_eta_moves_the_beat_frequency():
 # --- beat measurement ------------------------------------------------------
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
-def test_measure_beats_by_crossings():
+def test_measure_beats_reads_resolved_beats_at_the_default_floor():
     # beats that turn through five half-periods are read without allow_tone_fit, to
     # rounding: from 101 samples, at eta = 0.157, and at Omega = 60, where 2f = 120 lies
     # above the Nyquist frequency 90 of every 7th sample and only the unstrided retry sees it
@@ -218,7 +218,7 @@ def test_measure_beats_by_crossings():
         assert got.two_f == pytest.approx(beat_frequency(rates, eta).two_f, rel=1e-8), omega
 
 
-def test_measure_beats_tone_fit_for_slow_beats():
+def test_slow_beats_need_the_lower_resolution_floor():
     rates = _tuned_rates(0.5)
     t = np.linspace(0.0, 20.0, 1601)
     series = symmetric_solution(t, rates)
@@ -243,25 +243,17 @@ def test_measure_beats_reports_absence():
     assert (got.two_f, got.method, got.detail) == (None, "none", "population is zero throughout")
 
 
-def test_measure_beats_other_population_channel():
-    rates = _tuned_rates(3.0)
-    t = np.linspace(0.0, 8.0, 1601)
-    series = symmetric_solution(t, rates)
-    got = measure_beats(series, population="rho_22")
-    assert got.two_f == pytest.approx(beat_frequency(rates).two_f, rel=0.02)
-
-
 def test_measure_beats_reads_only_its_channel(monkeypatch):
     # one channel is read, not all eight (abs_rho_12 is a full-length np.abs)
     series = symmetric_solution(np.linspace(0.0, 8.0, 1601), _tuned_rates(3.0))
-    want = measure_beats(series, population="rho_22")
+    want = measure_beats(series)
     for name, values in series.channels().items():
         assert series.channel(name).tobytes() == values.tobytes()
     monkeypatch.setattr(TimeSeries, "channels", lambda self: pytest.fail("all channels built"))
-    assert measure_beats(series, population="rho_22") == want
+    assert measure_beats(series) == want
 
 
-def test_tone_fit_memory_stays_flat():
+def test_pole_fit_memory_stays_flat():
     # the pencil sees at most PENCIL_SAMPLES samples and the fit is summed on the full grid
     # one pole at a time, so the peak stays a few grid-sized arrays at the largest grid
     t = np.linspace(0.0, 40.0, SAMPLES_MAX)
@@ -354,7 +346,7 @@ def test_no_pole_without_interference(omega):
         assert (got.two_f, got.method, got.detail) == (None, "none", "no oscillating pole above 0.125")
 
 
-def test_tone_fit_ignores_poles_below_the_floor():
+def test_pole_fit_ignores_poles_below_the_resolution_floor():
     # a beat slower than 2.5/span turns by less than 2.5 rad over the window: not claimed
     t = np.linspace(0.0, 20.0, 1601)
     for w in (0.05, 0.12, 0.2):
@@ -367,13 +359,13 @@ def test_tone_fit_ignores_poles_below_the_floor():
 
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
-def test_tone_fit_needs_a_uniform_grid(monkeypatch):
+def test_pole_fit_needs_a_uniform_grid(monkeypatch):
     rates = _tuned_rates(0.5)
     t = np.linspace(0.0, 20.0, 1601)
     t[1:-1] += 1e-9 * np.sin(np.arange(1, t.size - 1))  # off the line by 5e-11 of the span
     got = measure_beats(symmetric_solution(t, rates), allow_tone_fit=True)
     assert (got.two_f, got.method, got.detail) == (None, "none", "grid not uniform to 1e-12, no pole fit")
-    # propagate shares the rule: one step matrix per step on this grid
+    # propagate_coordinates shares the rule: one step matrix per step on this grid
     steps = []
     step_matrix = linalg._step_matrix
     monkeypatch.setattr(linalg, "_step_matrix", lambda gen, h: steps.append(h) or step_matrix(gen, h))
@@ -387,7 +379,7 @@ def test_tone_fit_needs_a_uniform_grid(monkeypatch):
     assert got.two_f == pytest.approx(0.6, rel=1e-12)
 
 
-def test_no_tone_from_rounding_noise_near_resonance():
+def test_no_beat_from_rounding_noise_near_resonance():
     # the closed form just off resonance carries rounding noise near 1e-9 of the signal, so
     # the pencil returns dozens of noise poles; their sum does not reproduce the samples
     rates = _tuned_rates(1.594e-4)
@@ -400,20 +392,19 @@ def test_no_tone_from_rounding_noise_near_resonance():
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
 @pytest.mark.parametrize("omega", [0.5, 1.0, 3.0])
-def test_no_crossings_timed_in_rounding_noise(omega):
+def test_no_beat_read_from_rounding_noise(omega):
     # at eta = 0 rho_11 carries no beat, only rounding noise near 1e-15 of a population of 0.25
     series = evolve(pure_state(0, 4), np.linspace(0.0, 8.0, 1601), _tuned_rates(omega), eta=0.0)
     assert measure_beats(series).detail == "no oscillating pole above 1.96"
 
 
-def test_crossings_need_a_residual_above_the_noise_floor():
+def test_beats_need_an_amplitude_above_the_noise_floor():
     # a regular tone at 4e-15 of the population is rounding noise, not beats
     t = np.linspace(0.0, 8.0, 1601)
-    states = np.zeros((t.size, 4, 4), dtype=complex)
-    states[:, 1, 1] = 0.25 * (1.0 - np.exp(-t)) + 1e-15 * np.cos(5.0 * t)
-    assert measure_beats(TimeSeries(t, states)).detail == "no oscillating pole above 1.96"
-    states[:, 1, 1] += 1e-5 * np.cos(5.0 * t)  # 4e-5 of the population, above the floor
-    got = measure_beats(TimeSeries(t, states))
+    y = 0.25 * (1.0 - np.exp(-t)) + 1e-15 * np.cos(5.0 * t)
+    assert measure_beats(_rho_11_series(t, y)).detail == "no oscillating pole above 1.96"
+    y += 1e-5 * np.cos(5.0 * t)  # 4e-5 of the population, above the floor
+    got = measure_beats(_rho_11_series(t, y))
     assert got.method == "pole_fit"
     assert got.two_f == pytest.approx(5.0, rel=1e-8)
 

@@ -1,0 +1,60 @@
+"""Every public top-level function and class of the package is reached from a root.
+
+The roots are the names tests/test_acceptance.py imports from the package, the
+names the package root imports, and the names module-level code uses. A
+definition reached from a root reaches every name its body uses, as a bare name
+or as an attribute; a name used only from unreached definitions is unreached.
+The sources are read with ast; nothing is imported.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cavity_beats"
+
+
+def _used(nodes) -> set[str]:
+    """The names the nodes use, bare or as an attribute."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    return {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def public_definitions() -> tuple[list[str], list[str]]:
+    """(every public top-level function and class, the unreached ones), as module.name."""
+    definitions, roots = {}, _imported(ast.parse((TESTS / "test_acceptance.py").read_text()))
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.stem == "__init__":
+            roots |= _imported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _used([node])
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_used(node for _, node in definitions.get(name, ())))
+    public = sorted(f"{module}.{name}" for name, found in definitions.items()
+                    for module, _ in found if not name.startswith("_"))
+    return public, [q for q in public if q.rsplit(".", 1)[1] not in reached]
+
+
+def test_every_public_definition_is_reached():
+    public, unreached = public_definitions()
+    assert "reduced.evolve" in public and "cli.main" in public
+    assert unreached == []

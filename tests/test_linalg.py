@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavity_beats.composite import build_system, excited_vacuum, lindblad_rhs
+from cavity_beats import linalg
+from cavity_beats.composite import build_system, lindblad_rhs
 from cavity_beats.linalg import (
     MAX_SQUARINGS,
     THETA13,
@@ -18,7 +19,7 @@ from cavity_beats.linalg import (
     hermitian_states,
     hermitize_and_check,
     partial_trace_field,
-    propagate,
+    propagate_coordinates,
     pure_state,
     stack_coordinates,
 )
@@ -54,17 +55,19 @@ def test_density_matrix_rejections():
         density_matrix(np.diag([np.nan, 1.0]).astype(complex))
 
 
-def test_density_matrix_tolerances_are_adjustable():
-    rho = np.diag([1.002, -0.002]).astype(complex)
-    with pytest.raises(ValueError):
-        density_matrix(rho)
-    out = density_matrix(rho, trace_tol=1e-2, eig_floor=-1e-2)
-    assert out[1, 1] == -0.002
+def test_pure_state(monkeypatch):
+    # |i><i| is a density matrix by construction: pure_state does not validate it again
+    def refuse(m):
+        raise AssertionError("pure_state passed its state through density_matrix")
 
-
-def test_pure_state():
+    monkeypatch.setattr(linalg, "density_matrix", refuse)
     rho = pure_state(2, 4)
-    assert rho[2, 2] == 1.0 and rho.trace() == 1.0
+    want = np.zeros((4, 4), dtype=complex)
+    want[2, 2] = 1.0
+    assert rho.dtype == complex and np.array_equal(rho, want)
+    assert not rho.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rho[0, 0] = 1.0
     with pytest.raises(ValueError):
         pure_state(4, 4)
 
@@ -154,13 +157,14 @@ def test_propagate_decay_of_a_coherence():
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     t = np.array([0.0, 0.3, 1.1, 4.0])
     h = np.diag([0.0, w]).astype(complex)
-    out = propagate(lambda rho: -1j * (h @ rho - rho @ h), rho0, t)
+    keep, x = propagate_coordinates(lambda rho: -1j * (h @ rho - rho @ h), rho0, t)
+    out = hermitian_states(keep, x, 2)
     assert np.max(np.abs(out[:, 0, 1] - 0.5 * np.exp(1j * w * t))) < 1e-14
     assert np.max(np.abs(out[:, 0, 0] - 0.5)) < 1e-15
     with pytest.raises(ValueError, match="ascending"):
-        propagate(lambda rho: rho, rho0, t[::-1])
+        propagate_coordinates(lambda rho: rho, rho0, t[::-1])
     with pytest.raises(ValueError, match="Hermitian"):
-        propagate(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]), t)
+        propagate_coordinates(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]), t)
 
 
 def test_coordinate_tables_are_shared_and_read_only():
@@ -190,7 +194,7 @@ def _tuned_problem(model):
         rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
         return (lambda s: rotated_rhs(s, rates)), pure_state(0, 4)
     system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=1)
-    return (lambda rho: lindblad_rhs(rho, system)), excited_vacuum(system)
+    return (lambda rho: lindblad_rhs(rho, system)), pure_state(0, system.dim)
 
 
 @pytest.mark.parametrize("model", ["reduced", "composite"])
@@ -202,7 +206,7 @@ def test_propagate_by_doubling_matches_scipy_expm(model, samples):
     rhs, rho0 = _tuned_problem(model)
     tol = 1e-14 + samples * np.finfo(float).eps
     t = np.linspace(0.0, 12.0, samples)
-    out = propagate(rhs, rho0, t)
+    out = hermitian_states(*propagate_coordinates(rhs, rho0, t), rho0.shape[0])
     keep, gen = hermitian_generator(rhs, rho0)
     x0 = stack_coordinates(rho0)[keep]
     want = np.array([scipy.linalg.expm(gen * tk) @ x0 for tk in t])
@@ -248,7 +252,7 @@ def _generator_cases():
                 yield (lambda s, eta=eta, form=form: rotated_rhs(s, rates, eta, form)), rho0
     for n_max in (1, 2):
         system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=n_max)
-        yield (lambda rho, system=system: lindblad_rhs(rho, system)), excited_vacuum(system)
+        yield (lambda rho, system=system: lindblad_rhs(rho, system)), pure_state(0, system.dim)
 
 
 def test_hermitian_generator_matches_the_per_matrix_build():
@@ -271,7 +275,7 @@ def test_hermitian_generator_calls_rhs_once_per_frontier():
     system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=1)
     calls = []
     keep, _ = hermitian_generator(_counted(lambda rho: lindblad_rhs(rho, system), calls),
-                                  excited_vacuum(system))
+                                  pure_state(0, system.dim))
     assert keep.size == 27 and len(calls) == 7  # 27 basis matrices, 7 frontiers
     rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
     calls = []

@@ -4,10 +4,7 @@ import pytest
 from cavity_beats.model import (
     CavityParams,
     CouplingSet,
-    DipoleGeometry,
     LevelScheme,
-    coupling_constant,
-    couplings_from_geometry,
     derive_rates,
     detunings,
     interference_condition,
@@ -56,15 +53,6 @@ def test_sigma_dipoles_are_orthogonal_circular():
     assert not interference_condition(d_g1, d_g2)
     with pytest.raises(ValueError):
         sigma_dipoles(0.0)
-
-
-def test_coupling_constant_scales():
-    # default mode_omega=1, volume=2*pi makes the prefactor exactly 1
-    assert coupling_constant(XHAT, XHAT) == 1.0
-    assert coupling_constant(XHAT, XHAT, scale=3.0) == 3.0
-    assert coupling_constant(2.0 * XHAT, XHAT, mode_omega=2.0, volume=np.pi) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        coupling_constant(XHAT, XHAT, volume=0.0)
 
 
 def test_preselected_product_revives_orthogonal_dipoles():
@@ -122,26 +110,6 @@ def test_transverse_basis_deterministic_on_ties():
     assert np.allclose(e1, np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0))
     a1, a2 = transverse_basis(k)
     assert np.array_equal(e1, a1) and np.array_equal(e2, a2)
-
-
-def test_dipole_geometry_validation():
-    d_g1, d_g2 = sigma_dipoles(1.0)
-    geo = DipoleGeometry(XHAT, XHAT, d_g1, d_g2, XHAT, XHAT, ZHAT)
-    assert geo.k_hat[2] == 1.0
-    with pytest.raises(ValueError, match="transverse"):
-        DipoleGeometry(XHAT, XHAT, d_g1, d_g2, ZHAT, XHAT, ZHAT)
-    with pytest.raises(ValueError, match="unit"):
-        DipoleGeometry(XHAT, XHAT, d_g1, d_g2, XHAT, XHAT, 2.0 * ZHAT)
-
-
-def test_couplings_from_geometry_projects():
-    d_g1, d_g2 = sigma_dipoles(1.0)
-    geo = DipoleGeometry(XHAT, XHAT, d_g1, d_g2, XHAT, XHAT, ZHAT)
-    c = couplings_from_geometry(geo, scale_a=2.0, scale_b=1.0)
-    assert c.G_1e == 2.0 and c.G_2e == 2.0
-    assert c.G_g1 == -1.0 and c.G_g2 == 1.0
-    # the product G_g1 G_g2* reproduces the preselected result
-    assert c.G_g1 * np.conj(c.G_g2) == preselected_product(d_g1, d_g2, XHAT)
 
 
 def _tuned_rates(omega, g=1.0):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavity_beats import reduced
 from cavity_beats.integrator import IntegratorConfig, integrate
 from cavity_beats.linalg import (
     DriftError,
@@ -31,6 +32,11 @@ def _asymmetric_rates():
     cavity = CavityParams(3.1, 1.2, kappa_a=1.0, kappa_b=1.7)
     couplings = CouplingSet(0.9, 1.1 + 0.2j, 0.8, 1.3 - 0.4j)
     return derive_rates(couplings, levels, cavity)
+
+
+def _states(series):
+    # the (n, 4, 4) stack of the series' coordinates
+    return hermitian_states(series.keep, series.x, 4)
 
 
 def _random_hermitian(rng):
@@ -118,7 +124,7 @@ def test_evolve_reports_tiny_drift():
     series = evolve(pure_state(0, 4), np.linspace(0.0, 6.0, 61), rates)
     assert series.max_drift_correction < 1e-9
     for i in (0, 30, 60):
-        rho = series.states[i]
+        rho = _states(series)[i]
         assert np.max(np.abs(rho - rho.conj().T)) == 0.0
         assert abs(rho.trace() - 1.0) < 1e-14
 
@@ -150,10 +156,11 @@ def test_eta_interpolates_cross_terms():
     assert half[0, 0] == full[0, 0] == none[0, 0]
 
 
-def test_drift_error_carries_sample_position():
+def test_drift_error_carries_sample_position(monkeypatch):
+    monkeypatch.setattr(reduced, "DRIFT_TOL", 0.0)
     rates = _tuned_rates(1.0)
     with pytest.raises(DriftError, match=r"sample \d+ \(t="):
-        evolve(pure_state(0, 4), np.linspace(0.0, 6.0, 61), rates, drift_tol=0.0)
+        evolve(pure_state(0, 4), np.linspace(0.0, 6.0, 61), rates)
 
 
 def test_positivity_violation_is_flagged():
@@ -166,7 +173,7 @@ def test_positivity_violation_is_flagged():
         series = evolve(pure_state(0, 4), t, rates)
     assert series.diagnostics
     assert "negative eigenvalue" in series.diagnostics[0]
-    lowest = [(float(np.linalg.eigvalsh(rho)[0]), ti) for rho, ti in zip(series.states, t)]
+    lowest = [(float(np.linalg.eigvalsh(rho)[0]), ti) for rho, ti in zip(_states(series), t)]
     neg = [(lo, ti) for lo, ti in lowest if lo < -1e-6]
     assert len(neg) > 20
     want = [f"negative eigenvalue {lo:.3e} at t={ti:.6g}" for lo, ti in neg[:20]]
@@ -175,18 +182,6 @@ def test_positivity_violation_is_flagged():
     assert str(record[0].message) == (
         f"positivity violated at {len(neg)} of {t.size} samples (worst eigenvalue {worst:.3e})"
     )
-
-
-def test_positivity_floor_is_adjustable():
-    rates = _tuned_rates(1.0)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        series = evolve(
-            pure_state(0, 4), np.linspace(0.0, 12.0, 241), rates, positivity_floor=-1.0
-        )
-    assert not series.diagnostics
 
 
 def test_evolve_validates_initial_state():
@@ -213,7 +208,7 @@ def test_tight_config_is_accepted():
             ref = integrate(
                 lambda s, y: rhs(s, y.reshape(4, 4), rates, eta).ravel(), rho0.ravel(), t, cfg
             )
-            worst = max(worst, float(np.max(np.abs(series.states.reshape(-1, 16) - ref))))
+            worst = max(worst, float(np.max(np.abs(_states(series).reshape(-1, 16) - ref))))
     assert worst < 1e-9, f"exact and Runge-Kutta evolution differ by {worst:.3e}"
 
 
@@ -281,7 +276,7 @@ def test_evolution_keeps_hermiticity_trace_and_support(config):
     t = np.linspace(0.0, 12.0, 401)
     for rho0, blocks in _SUPPORTS:
         series = evolve(rho0, t, rates, eta=eta)
-        states = series.states
+        states = _states(series)
         assert np.array_equal(states, states.conj().transpose(0, 2, 1))
         inside = np.zeros((4, 4), dtype=bool)
         for block in blocks:

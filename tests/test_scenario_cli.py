@@ -24,6 +24,7 @@ from cavity_beats._csvformat import CELL, format_rows
 from cavity_beats.analytic import symmetric_solution
 from cavity_beats.cli import build_parser, main
 from cavity_beats.composite import EliminationCheck
+from cavity_beats.linalg import stack_coordinates
 from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
 from cavity_beats.scenario import (
     CSV_BLOCK,
@@ -238,7 +239,7 @@ def test_csv_matches_per_value_formatting(tmp_path):
         states[n - 1 - k, 1, 2] = complex(x, -x)
     times = np.linspace(0.0, 7.0, n)
     times[-1] = 5e-324
-    series = TimeSeries(times, states)
+    series = TimeSeries(times, np.arange(16), stack_coordinates(states))
     path = tmp_path / "x.csv"
     write_csv(series, str(path))
     ch = series.channels()
@@ -376,7 +377,7 @@ def test_csv_memory_stays_flat(tmp_path):
     # blocks bound the writer's working memory, whatever the length of the series
     rng = np.random.default_rng(4)
     states = rng.normal(size=(SAMPLES_MAX, 4, 4)) + 1j * rng.normal(size=(SAMPLES_MAX, 4, 4))
-    series = TimeSeries(np.linspace(0.0, 8.0, SAMPLES_MAX), states)
+    series = TimeSeries(np.linspace(0.0, 8.0, SAMPLES_MAX), np.arange(16), stack_coordinates(states))
     tracemalloc.start()
     try:
         write_csv(series, str(tmp_path / "x.csv"))
