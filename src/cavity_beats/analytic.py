@@ -46,34 +46,23 @@ def _expm1_over(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su(x2: np.ndarray) -> np.ndarray:
-    """sin(sqrt(x2))/sqrt(x2), continued through x2 <= 0 (sinh branch)."""
+def _sin_cos(x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(sqrt(x2))/sqrt(x2) and cos(sqrt(x2)), continued through x2 <= 0 (sinh, cosh)."""
     x2 = np.asarray(x2, dtype=float)
-    out = np.empty_like(x2)
+    su, cu = np.empty_like(x2), np.empty_like(x2)
     small = np.abs(x2) < 1e-2
     xs = x2[small]
-    out[small] = 1.0 + xs * (-1 / 6 + xs * (1 / 120 + xs * (-1 / 5040 + xs / 362880)))
+    su[small] = 1.0 + xs * (-1 / 6 + xs * (1 / 120 + xs * (-1 / 5040 + xs / 362880)))
+    cu[small] = 1.0 + xs * (-1 / 2 + xs * (1 / 24 + xs * (-1 / 720 + xs / 40320)))
     pos = ~small & (x2 > 0)
     sp = np.sqrt(x2[pos])
-    out[pos] = np.sin(sp) / sp
+    su[pos] = np.sin(sp) / sp
+    cu[pos] = np.cos(sp)
     neg = ~small & (x2 < 0)
     sn = np.sqrt(-x2[neg])
-    out[neg] = np.sinh(sn) / sn
-    return out
-
-
-def _cu(x2: np.ndarray) -> np.ndarray:
-    """cos(sqrt(x2)), continued through x2 <= 0 (cosh branch)."""
-    x2 = np.asarray(x2, dtype=float)
-    out = np.empty_like(x2)
-    small = np.abs(x2) < 1e-2
-    xs = x2[small]
-    out[small] = 1.0 + xs * (-1 / 2 + xs * (1 / 24 + xs * (-1 / 720 + xs / 40320)))
-    pos = ~small & (x2 > 0)
-    out[pos] = np.cos(np.sqrt(x2[pos]))
-    neg = ~small & (x2 < 0)
-    out[neg] = np.cosh(np.sqrt(-x2[neg]))
-    return out
+    su[neg] = np.sinh(sn) / sn
+    cu[neg] = np.cosh(sn)
+    return su, cu
 
 
 def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
@@ -129,7 +118,7 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
     Every channel is pointwise in t, so the solution is evaluated
     CLOSED_FORM_BLOCK samples at a time, straight into the series'
     coordinate rows: the temporaries stay small however long the grid, and
-    no 4x4 state is built.
+    no 4x4 state is built. Raises ValueError when a coordinate is not finite.
     """
     t = np.asarray(t_grid, dtype=float)
     gamma, w, alpha = _require_symmetric(rates)
@@ -141,6 +130,8 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
         x[b, 0], x[b, 1], x[b, 4], x[b, 5] = _symmetric_block(t[b], gamma, w, eta * alpha, rates.Omega)
     x[:, 2] = x[:, 1]
     x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
+    if not np.isfinite(x.sum()):  # one reduction, no grid-sized temporary
+        raise ValueError("the closed form overflows at these rates")
     return TimeSeries(t, keep=keep, x=x)
 
 
@@ -168,9 +159,8 @@ def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omeg
         x2 = 4 * f2 * t * t
         deep = x2 < DEEP_HYPERBOLIC
         x2_safe = np.where(deep, 0.0, x2)
-        su = _su(x2_safe)
-        cu = _cu(x2_safe)
-        suh = _su(np.where(deep, 0.0, f2 * t * t))
+        su, cu = _sin_cos(x2_safe)
+        suh, _ = _sin_cos(np.where(deep, 0.0, f2 * t * t))
 
         bracket = 1.0 + cu + 2 * (gamma * t * suh) ** 2 - 4 * gamma * t * su
         rho_ii = -(1 + 2 * a_amp) * e2 + e1 * (1.0 + a_amp * bracket)

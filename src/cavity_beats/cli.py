@@ -1,8 +1,9 @@
 """Command line front end: run, sweep, preset families, validation ladder.
 
-Exit codes: 0 success, 2 bad scenario input, 3 drift beyond tolerance or
-failed sweep points (nothing partial is written for a drifted run), 4
-reduced-versus-full validation failure.
+Exit codes: 0 success, 2 bad scenario input or an output location that
+cannot be written, 3 drift beyond tolerance or failed sweep points (nothing
+partial is written for a drifted run), 4 reduced-versus-full validation
+failure. Everything printed about a run is read from its summary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from . import scenario as scn
 from .analytic import beat_frequency
 from .linalg import DriftError
-from .model import CouplingSet, derive_rates, midpoint_levels
+from .model import derive_rates, tuned_configuration
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -24,7 +25,6 @@ EXIT_DRIFT = 3
 EXIT_VALIDATION = 4
 
 PRESET_OMEGAS = {"fig3": (0.5, 1.0, 3.0), "fig4": (0.0, 0.5, 1.0, 3.0)}
-PRESET_SAMPLES = 1601
 
 
 def _values(text: str, flag: str) -> list[float]:
@@ -34,17 +34,20 @@ def _values(text: str, flag: str) -> list[float]:
         raise scn.ScenarioError(f"{flag}: {exc}") from exc
 
 
-def _emit(result: scn.RunResult, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    name = result.scenario.name
+def _write_series(result: scn.RunResult, out_dir: str) -> None:
     if result.series is not None:
-        csv_path = os.path.join(out_dir, f"{name}.csv")
+        csv_path = os.path.join(out_dir, f"{result.summary['name']}.csv")
         scn.write_csv(result.series, csv_path)
         print(f"wrote {csv_path}")
-    summary_path = os.path.join(out_dir, f"{name}.summary.json")
-    scn.write_summary(result.summary, summary_path)
-    print(f"wrote {summary_path}")
+
+
+def _emit(result: scn.RunResult, out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    _write_series(result, out_dir)
     s = result.summary
+    summary_path = os.path.join(out_dir, f"{s['name']}.summary.json")
+    scn.write_summary(s, summary_path)
+    print(f"wrote {summary_path}")
     if "two_f_predicted" in s:
         print(
             f"  beats predicted: {s['beats_predicted']}"
@@ -56,11 +59,12 @@ def _emit(result: scn.RunResult, out_dir: str) -> None:
 def _run(sc: scn.Scenario, out_dir: str) -> int:
     result = scn.run_scenario(sc)
     _emit(result, out_dir)
-    if sc.mode != "validate":
+    s = result.summary
+    if s["mode"] != "validate":
         return EXIT_OK
-    for g, dev in zip(result.check.g_values, result.check.deviations):
+    for g, dev in zip(s["g_values"], s["deviations"]):
         print(f"  g = {g:<8g} max deviation = {dev:.6e}")
-    if not result.check.monotone:
+    if not s["monotone"]:
         print("validation FAILED: deviations do not shrink with the coupling")
         return EXIT_VALIDATION
     print("validation passed: deviations shrink with the coupling")
@@ -79,11 +83,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     failed = 0
     for value, result in zip(values, results):
-        if result.series is not None:
-            csv_path = os.path.join(args.out_dir, f"{result.scenario.name}.csv")
-            scn.write_csv(result.series, csv_path)
-            print(f"wrote {csv_path}")
-        if result.partial:
+        _write_series(result, args.out_dir)
+        if "error" in result.summary:
             failed += 1
             print(f"  point {value:g} failed: {result.summary['error']}")
         # strict JSON: a non-finite value is written as in the point's name
@@ -98,14 +99,13 @@ def _cmd_sweep(args) -> int:
 def _preset_scenarios(which: str, eta_values, mode: str) -> list[scn.Scenario]:
     cases = []
     for omega in PRESET_OMEGAS[which]:
-        levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
-        rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
+        rates = derive_rates(*tuned_configuration(omega, 1.0))
         for eta in eta_values:
             pred = beat_frequency(rates, eta)
             t_end = max(8.0, 3.5 / pred.two_f) if pred.beats else 8.0
             cases.append(scn.parse_scenario({
                 "name": f"{which}_omega{omega:g}_eta{eta:g}", "mode": mode, "eta": eta,
-                "Omega": omega, "t_end": t_end, "samples": PRESET_SAMPLES,
+                "Omega": omega, "t_end": t_end,
             }))
     return cases
 
@@ -192,6 +192,9 @@ def main(argv=None) -> int:
     except DriftError as exc:
         print(f"evolution drifted out of tolerance: {exc}", file=sys.stderr)
         return EXIT_DRIFT
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ from .linalg import (
     propagate_coordinates,
     pure_state,
 )
-from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
-from .reduced import DRIFT_TOL
+from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, tuned_configuration
 from .reduced import evolve as evolve_reduced
 from .series import D, TimeSeries
 
@@ -166,7 +165,7 @@ def evolve_composite(
     atom_keep, trace = linear_readout(lambda m: partial_trace_field(m, system.dims), keep, dim)
     lv = system.levels
     omega = np.array([lv.omega_eg, lv.omega_1g, lv.omega_2g, 0.0])
-    x, max_corr = hermitize_and_check(atom_keep, x @ trace, omega[:, None] - omega, t, DRIFT_TOL)
+    x, max_corr = hermitize_and_check(atom_keep, x @ trace, omega[:, None] - omega, t)
     return TimeSeries(t, max_drift_correction=max_corr, keep=atom_keep, x=x)
 
 
@@ -201,13 +200,12 @@ def validate_elimination(
     devs = []
     rho0 = pure_state(0, 4)
     for g in gs:
-        levels, cavity = midpoint_levels(Omega + 1.0, Omega, Omega)
-        couplings = CouplingSet.uniform(g)
-        system = build_system(couplings, levels, cavity)
+        config = tuned_configuration(Omega, g)
+        system = build_system(*config)
         t_end = 1.5 / (g * g)
         t = np.linspace(0.0, t_end, samples)
         full = evolve_composite(pure_state(0, system.dim), t, system)
-        rates = derive_rates(couplings, levels, cavity)
+        rates = derive_rates(*config)
         reduced = evolve_reduced(rho0, t, rates, eta=1.0)
         devs.append(_max_difference(full, reduced))
     return EliminationCheck(g_values=gs, deviations=tuple(devs))

@@ -16,6 +16,7 @@ import numpy as np
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
+DRIFT_TOL = 1e-6  # trace deviation hermitize_and_check renormalizes; beyond it, DriftError
 ROTATION_BLOCK = 2048  # samples hermitize_and_check turns to its frame at a time
 
 
@@ -237,7 +238,7 @@ def lowest_eigenvalues(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
 
 
 def hermitize_and_check(
-    keep: np.ndarray, x: np.ndarray, phases: np.ndarray, times: np.ndarray, tol: float
+    keep: np.ndarray, x: np.ndarray, phases: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Validate the states with coordinates x[n] on keep, sampled at times[n], in a rotated frame.
 
@@ -248,8 +249,8 @@ def hermitize_and_check(
     renormalized coordinates, a new Fortran-ordered (n, keep.size) array, so the
     values of each coordinate lie contiguous in memory; and the largest correction, the
     largest deviation of a trace from 1. Coordinates describe Hermitian states by
-    construction, so nothing needs repair, and no 4x4 state is built here. Beyond tol
-    the state is corrupted, not blipped: DriftError names the first such sample.
+    construction, so nothing needs repair, and no 4x4 state is built here. Beyond
+    DRIFT_TOL the state is corrupted, not blipped: DriftError names the first such sample.
     """
     phases = np.asarray(phases, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -279,11 +280,10 @@ def hermitize_and_check(
         trace += x[:, j]
     trace_dev = trace - 1.0
     np.abs(trace_dev, out=trace_dev)
-    if np.any(trace_dev > tol):
-        i = int(np.argmax(trace_dev > tol))
-        raise DriftError(
-            f"sample {i} (t={t[i]:.6g}): trace drift {trace_dev[i]:.3e} exceeds tolerance {tol:.1e}"
-        )
+    if np.any(trace_dev > DRIFT_TOL):
+        i = int(np.argmax(trace_dev > DRIFT_TOL))
+        raise DriftError(f"sample {i} (t={t[i]:.6g}): trace drift {trace_dev[i]:.3e} "
+                         f"exceeds tolerance {DRIFT_TOL:.1e}")
     np.divide(1.0, trace, out=trace)
     x *= trace[:, None]
     return x, float(np.max(trace_dev, initial=0.0))

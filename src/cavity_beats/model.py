@@ -133,7 +133,7 @@ def sigma_dipoles(reduced_d: float) -> tuple[np.ndarray, np.ndarray]:
     return d_g1, d_g2
 
 
-def preselected_product(d1, d2, pol, scale: float = 1.0) -> complex:
+def preselected_product(d1, d2, pol) -> complex:
     """Coupling product (d1 . e)(d2* . e*) for one fixed polarization.
 
     This is the quantity that survives when the cavity admits a single
@@ -142,7 +142,7 @@ def preselected_product(d1, d2, pol, scale: float = 1.0) -> complex:
     d1 = np.asarray(d1, dtype=complex)
     d2 = np.asarray(d2, dtype=complex)
     e = np.asarray(pol, dtype=complex)
-    return scale * complex(np.sum(d1 * e)) * np.conj(complex(np.sum(d2 * e)))
+    return complex(np.sum(d1 * e)) * np.conj(complex(np.sum(d2 * e)))
 
 
 def transverse_basis(k_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -162,15 +162,15 @@ def transverse_basis(k_hat) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def summed_product(d1, d2, k_hat, scale: float = 1.0) -> complex:
+def summed_product(d1, d2, k_hat) -> complex:
     """Coupling product summed over both polarizations transverse to k_hat.
 
-    For dipoles transverse to k_hat this equals scale * (d1 . d2*): the
+    For dipoles transverse to k_hat this equals d1 . d2*: the
     free-space interference criterion, which vanishes for orthogonal
     dipoles no matter the basis.
     """
     e1, e2 = transverse_basis(k_hat)
-    return preselected_product(d1, d2, e1, scale) + preselected_product(d1, d2, e2, scale)
+    return preselected_product(d1, d2, e1) + preselected_product(d1, d2, e2)
 
 
 def interference_condition(d1, d2) -> bool:
@@ -255,3 +255,8 @@ def midpoint_levels(upper_gap: float, mid: float, Omega: float) -> tuple[LevelSc
     )
     cavity = CavityParams(omega_a=upper_gap, omega_b=mid)
     return levels, cavity
+
+
+def tuned_configuration(Omega: float, g: complex) -> tuple[CouplingSet, LevelScheme, CavityParams]:
+    """The evenly tuned (couplings, levels, cavity), in derive_rates' order: every coupling g."""
+    return CouplingSet.uniform(g), *midpoint_levels(Omega + 1.0, Omega, Omega)

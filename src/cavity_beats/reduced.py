@@ -28,7 +28,6 @@ from .linalg import density_matrix, hermitize_and_check, lowest_eigenvalues, pro
 from .model import RateSet
 from .series import TimeSeries
 
-DRIFT_TOL = 1e-6
 POSITIVITY_FLOOR = -1e-6
 
 
@@ -167,7 +166,7 @@ def evolve(
 
     Every sample is validated on the propagated coordinates: the frame is
     rotated back on the reachable coherences only, the trace is checked and
-    renormalized when its deviation stays below DRIFT_TOL, and the largest
+    renormalized when its deviation stays below linalg.DRIFT_TOL, and the largest
     correction is reported on the returned series; larger drift raises
     DriftError. The series holds the checked coordinates, which describe
     Hermitian states by construction; no 4x4 state is built. A negative
@@ -183,7 +182,7 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate_coordinates rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     keep, x = propagate_coordinates(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
-    x, max_corr = hermitize_and_check(keep, x, dtheta, t, DRIFT_TOL)
+    x, max_corr = hermitize_and_check(keep, x, dtheta, t)
 
     lowest = lowest_eigenvalues(keep, x, 4)
     negative = np.flatnonzero(lowest < POSITIVITY_FLOOR)

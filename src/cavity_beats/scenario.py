@@ -24,7 +24,7 @@ from . import composite as composite_mod
 from ._csvformat import CELL, format_rows
 from .analytic import BeatMeasurement, beat_frequency, measure_beats, symmetric_solution
 from .linalg import pure_state
-from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
+from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, tuned_configuration
 from .reduced import evolve
 from .series import CHANNELS, TimeSeries
 
@@ -157,7 +157,8 @@ _PHYSICS_KEYS = (
 _VALIDATE_KEYS = ("name", "mode", "g_values", "Omega", "samples")
 
 
-def parse_scenario(obj: dict, path: str = "scenario") -> Scenario:
+def parse_scenario(obj: dict) -> Scenario:
+    path = "scenario"
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     name = obj.get("name")
@@ -223,13 +224,11 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(obj)
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
+class RunResult(NamedTuple):
+    """A run's summary, and its series; a failed sweep point has "error" and no series."""
+
     summary: dict
     series: TimeSeries | None = None
-    check: composite_mod.EliminationCheck | None = None
-    partial: bool = False
 
 
 def _json_complex(z: complex | None):
@@ -249,7 +248,7 @@ def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
         except ValueError as exc:
             meas = BeatMeasurement(None, "none", f"measurement failed: {exc}")
     gg = series.population("g")
-    slope = np.gradient(gg, series.times) if len(series) >= 2 else np.zeros(1)
+    slope = np.gradient(gg, series.times)
     return {
         "name": sc.name,
         "mode": sc.mode,
@@ -298,12 +297,11 @@ def run_scenario(sc: Scenario) -> RunResult:
                 "deviations": list(check.deviations),
                 "monotone": check.monotone,
             }
-            return RunResult(scenario=sc, summary=summary, check=check)
+            return RunResult(summary)
 
-        levels, cavity, couplings = sc.levels, sc.cavity, sc.couplings
+        couplings, levels, cavity = sc.couplings, sc.levels, sc.cavity
         if sc.Omega is not None:
-            levels, cavity = midpoint_levels(sc.Omega + 1.0, sc.Omega, sc.Omega)
-            couplings = CouplingSet.uniform(sc.G)
+            couplings, levels, cavity = tuned_configuration(sc.Omega, sc.G)
         rates = derive_rates(couplings, levels, cavity)
         t = np.linspace(0.0, sc.t_end, sc.samples)
 
@@ -321,7 +319,7 @@ def run_scenario(sc: Scenario) -> RunResult:
             system = composite_mod.build_system(couplings, levels, cavity)
             series = composite_mod.evolve_composite(pure_state(0, system.dim), t, system)
 
-        return RunResult(scenario=sc, summary=_summarize(sc, series, rates), series=series)
+        return RunResult(_summarize(sc, series, rates), series)
     except ScenarioError:
         raise
     except (ValueError, ArithmeticError) as exc:
@@ -392,5 +390,5 @@ def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
         except ScenarioError as exc:
             # a bad point is recorded under its would-be name, the rest still run
             summary = {"name": f"{sc.name}_{param}_{v:g}", "mode": sc.mode, "error": str(exc)}
-            results.append(RunResult(scenario=sc, summary=summary, partial=True))
+            results.append(RunResult(summary))
     return results

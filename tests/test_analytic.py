@@ -18,15 +18,22 @@ from cavity_beats.analytic import (
 )
 from cavity_beats.cli import main
 from cavity_beats.linalg import hermitian_generator, pure_state, stack_coordinates
-from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, RateSet, derive_rates, midpoint_levels
+from cavity_beats.model import (
+    CavityParams,
+    CouplingSet,
+    LevelScheme,
+    RateSet,
+    derive_rates,
+    midpoint_levels,
+    tuned_configuration,
+)
 from cavity_beats.reduced import evolve, rotated_rhs
 from cavity_beats.scenario import SAMPLES_MAX, parse_scenario
 from cavity_beats.series import TimeSeries
 
 
 def _tuned_rates(omega, g=1.0):
-    levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
-    return derive_rates(CouplingSet.uniform(g), levels, cavity)
+    return derive_rates(*tuned_configuration(omega, g))
 
 
 def _asymmetric_rates():
@@ -134,6 +141,13 @@ def test_symmetric_solution_near_resonance_continuity():
     numeric = evolve(pure_state(0, 4), t, rates)
     dev = max(np.max(np.abs(closed.population(k) - numeric.population(k))) for k in "e12g")
     assert dev < 1e-4
+
+
+def test_symmetric_solution_rejects_overflowing_rates():
+    # at G = 1e77 the rates overflow (|alpha|^2 is inf) and the closed form turns NaN
+    rates = _tuned_rates(1.0, g=1e77)
+    with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore", invalid="ignore"):
+        symmetric_solution(np.linspace(0.0, 5.0, 41), rates)
 
 
 def test_symmetric_solution_requires_tuned_rates():

@@ -20,12 +20,11 @@ from cavity_beats.linalg import (
     propagate_coordinates,
     pure_state,
 )
-from cavity_beats.model import CouplingSet, midpoint_levels
+from cavity_beats.model import tuned_configuration
 
 
 def _tuned_system(omega=1.0, g=0.3, n_max=1):
-    levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
-    couplings = CouplingSet.uniform(g)
+    couplings, levels, cavity = tuned_configuration(omega, g)
     system = build_system(couplings, levels, cavity, n_max=n_max)
     return system, levels, couplings
 

@@ -119,7 +119,7 @@ def test_trace_check_rotates_and_renormalizes_small_drift():
     keep = np.arange(4)
     x = np.array([[0.6, 0.4, 0.1, 0.0], [0.6 + 1e-9, 0.4 - 2e-9, 0.1, 0.0]])
     phases = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    checked, corr = hermitize_and_check(keep, x, phases, np.array([0.0, 1.0]), tol=1e-6)
+    checked, corr = hermitize_and_check(keep, x, phases, np.array([0.0, 1.0]))
     fixed = hermitian_states(keep, checked, 2)
     assert corr == pytest.approx(1e-9, rel=1e-6)
     assert np.array_equal(fixed[0], [[0.6, 0.1], [0.1, 0.4]])
@@ -135,10 +135,10 @@ def test_trace_check_raises_beyond_tolerance():
     with pytest.raises(DriftError, match=(
         r"^sample 2 \(t=0\.5\): trace drift 1\.000e-03 exceeds tolerance 1\.0e-06$"
     )):
-        hermitize_and_check(keep, x, np.zeros((2, 2)), t, tol=1e-6)
+        hermitize_and_check(keep, x, np.zeros((2, 2)), t)
     # a rotated coherence needs its imaginary coordinate as well
     with pytest.raises(ValueError, match="both its real and imaginary"):
-        hermitize_and_check(keep, x, np.array([[0.0, 1.0], [-1.0, 0.0]]), t, tol=1e-6)
+        hermitize_and_check(keep, x, np.array([[0.0, 1.0], [-1.0, 0.0]]), t)
 
 
 @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, THETA13, 40.0, 200.0])

@@ -13,6 +13,7 @@ from cavity_beats.model import (
     sigma_dipoles,
     summed_product,
     transverse_basis,
+    tuned_configuration,
 )
 
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -61,7 +62,6 @@ def test_preselected_product_revives_orthogonal_dipoles():
     assert preselected_product(d_g1, d_g2, XHAT) == -1.0
     # along y the i factors flip the sign
     assert preselected_product(d_g1, d_g2, YHAT) == 1.0
-    assert preselected_product(d_g1, d_g2, XHAT, scale=2.5) == -2.5
 
 
 def test_summed_product_vanishes_for_sigma_pair():
@@ -113,8 +113,15 @@ def test_transverse_basis_deterministic_on_ties():
 
 
 def _tuned_rates(omega, g=1.0):
-    levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
-    return derive_rates(CouplingSet.uniform(g), levels, cavity)
+    return derive_rates(*tuned_configuration(omega, g))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0, 3.0])
+def test_tuned_configuration_is_the_uniform_midpoint_layout(omega):
+    # couplings first, in the order derive_rates and build_system take them
+    got = tuned_configuration(omega, 0.7)
+    assert got == (CouplingSet.uniform(0.7), *midpoint_levels(omega + 1.0, omega, omega))
+    assert derive_rates(*got).alpha is not None
 
 
 def test_derive_rates_symmetric_point():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_beats import reduced
+from cavity_beats import linalg
 from cavity_beats.integrator import IntegratorConfig, integrate
 from cavity_beats.linalg import (
     DriftError,
@@ -12,7 +12,14 @@ from cavity_beats.linalg import (
     lowest_eigenvalues,
     pure_state,
 )
-from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, derive_rates, midpoint_levels
+from cavity_beats.model import (
+    CavityParams,
+    CouplingSet,
+    LevelScheme,
+    derive_rates,
+    midpoint_levels,
+    tuned_configuration,
+)
 from cavity_beats.reduced import (
     RHS_FORMS,
     evolve,
@@ -23,8 +30,7 @@ from cavity_beats.reduced import (
 
 
 def _tuned_rates(omega, g=1.0):
-    levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
-    return derive_rates(CouplingSet.uniform(g), levels, cavity)
+    return derive_rates(*tuned_configuration(omega, g))
 
 
 def _asymmetric_rates():
@@ -157,7 +163,7 @@ def test_eta_interpolates_cross_terms():
 
 
 def test_drift_error_carries_sample_position(monkeypatch):
-    monkeypatch.setattr(reduced, "DRIFT_TOL", 0.0)
+    monkeypatch.setattr(linalg, "DRIFT_TOL", 0.0)
     rates = _tuned_rates(1.0)
     with pytest.raises(DriftError, match=r"sample \d+ \(t="):
         evolve(pure_state(0, 4), np.linspace(0.0, 6.0, 61), rates)

@@ -196,9 +196,8 @@ def test_run_sweep_records_bad_points(tmp_path):
     for param, bad in (("Omega", -3.0), ("eta", NAN)):
         results = run_sweep(sc, param, [1.0, bad])
         assert len(results) == 2
-        assert results[0].series is not None and not results[0].partial
-        assert results[1].series is None and results[1].partial
-        assert "error" in results[1].summary
+        assert results[0].series is not None and "error" not in results[0].summary
+        assert results[1].series is None and "error" in results[1].summary
     # a sweep value is checked as the file field is: the NaN point fails, exit 3
     path = _write_scenario(tmp_path, base)
     out = tmp_path / "out"
@@ -547,6 +546,7 @@ BAD_INPUT = {
     "t_end-max-float": (dict(SHORTCUT, t_end=1e308), None),
     "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
     "G-overflow": (dict(SHORTCUT, G=1e200), None),
+    "analytic-G-overflow": (dict(SHORTCUT, mode="analytic", G=1e77, t_end=5.0, samples=41), None),
     "samples-too-many": (dict(SHORTCUT, samples=100002), None),
     "n_max_a-negative": (dict(SHORTCUT, n_max_a=-5), None),
     "n_max_b-set": (dict(SHORTCUT, mode="composite", n_max_b=2), None),
@@ -571,6 +571,49 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, a
     assert code == 2
     assert "scenario error" in capsys.readouterr().err
     assert {p for p in tmp_path.rglob("*") if p.is_file()} == inputs
+
+
+def test_cli_unwritable_outputs_exit_2(tmp_path, capsys):
+    # an output location the system refuses exits 2 with the reason, as bad input does
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    quick = {"name": "q", "mode": "analytic", "Omega": 1.0, "t_end": 5.0, "samples": 41}
+    cases = {
+        "out-dir-is-a-file": (quick, blocker),
+        "out-dir-under-a-file": (quick, blocker / "sub"),
+        "name-too-long": (dict(quick, name="x" * 300), tmp_path / "out"),
+    }
+    for case, (scenario, out) in cases.items():
+        path = _write_scenario(tmp_path, scenario)
+        assert main(["run", path, "--out-dir", str(out)]) == 2, case
+        assert capsys.readouterr().err.startswith("cannot write outputs: "), case
+    written = {p.name for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {"file", "scenario.json"}
+
+
+@pytest.mark.parametrize("samples", [2, 7])
+def test_summary_of_a_short_run_is_not_measured(samples):
+    # below eight samples no pole fit is tried
+    sc = parse_scenario(dict(SHORTCUT, mode="analytic", samples=samples))
+    summary = run_scenario(sc).summary
+    assert summary["measure_detail"] == "not measured"
+    assert summary["measure_method"] == "none" and summary["two_f_measured"] is None
+
+
+def test_cli_run_records_a_failed_measurement(tmp_path, monkeypatch):
+    scenario = {"name": "m", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101}
+    fields = list(run_scenario(parse_scenario(scenario)).summary)
+
+    def fail(series, allow_tone_fit=False):
+        raise ValueError("no poles")
+
+    monkeypatch.setattr(cavity_beats.scenario, "measure_beats", fail)
+    assert main(["run", _write_scenario(tmp_path, scenario), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "m.summary.json").read_text())
+    assert list(summary) == fields
+    assert summary["measure_detail"] == "measurement failed: no poles"
+    assert summary["measure_method"] == "none" and summary["two_f_measured"] is None
+    assert summary["two_f_predicted"] == pytest.approx(np.sqrt(7.0), rel=1e-12)
 
 
 def test_cli_validate_failure_exit_code(tmp_path, capsys, monkeypatch):
