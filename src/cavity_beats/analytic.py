@@ -16,7 +16,7 @@ would otherwise cancel against the decaying envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most th
 PENCIL_FIRST = 64  # samples of the smaller pencil tried first
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
-GROWTH_MAX = 700.0  # Re(lambda) t_max above which a fitted pole's powers could overflow
 CLOSED_FORM_BLOCK = 2048  # samples a closed form evaluates at a time
 
 
@@ -200,8 +199,7 @@ def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omeg
     return e2, rho_ii, rho_12.real, rho_12.imag
 
 
-@dataclass(frozen=True)
-class BeatPrediction:
+class BeatPrediction(NamedTuple):
     """Whether populations oscillate, and at what angular frequency."""
 
     beats: bool
@@ -223,8 +221,7 @@ def beat_frequency(rates: RateSet, eta: float = 1.0) -> BeatPrediction:
     return BeatPrediction(beats=beats, two_f=2 * float(np.sqrt(f2)) if beats else None, f_squared=f2)
 
 
-@dataclass(frozen=True)
-class BeatMeasurement:
+class BeatMeasurement(NamedTuple):
     """Beat frequency extracted from a sampled trajectory.
 
     two_f is None when no single beat was found; method is "pole_fit" or
@@ -302,11 +299,8 @@ def _pole_fit(
         amps = np.linalg.lstsq(np.exp(np.outer(tau[part], poles)), ys, rcond=None)[0]
         fit = np.zeros(tau.size, dtype=complex)
         for p, c in zip(poles, amps):  # one pole at a time keeps the memory O(N)
-            # exp(p tau_n) = exp(p dt)^n on the uniform grid, filled by doubling. A pole
-            # that grows past exp(GROWTH_MAX) keeps the plain exponential, so an
-            # overflowing fit reads inf or nan exactly where it always has.
-            grows = p.real * tau[-1] > GROWTH_MAX
-            fit += c * (np.exp(p * tau) if grows else _grid_powers(p, dt, tau.size))
+            # exp(p tau_n) = exp(p dt)^n on the uniform grid, filled by doubling
+            fit += c * _grid_powers(p, dt, tau.size)
         miss = np.max(np.abs(y - fit))
         if not miss <= floor:
             return f"pole fit off by {miss / floor:.3g} times the noise floor"

@@ -14,8 +14,7 @@ against the cavity linewidths.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +50,12 @@ def _lift(op_atom, op_a, op_b) -> np.ndarray:
     return product.reshape(p * r * u, q * s * v)
 
 
-@dataclass(frozen=True)
-class CompositeSystem:
+class CompositeSystem(NamedTuple):
     """Hamiltonian, mode operators and decay rates on the composite space, and the atom's levels.
 
     levels is the scheme the Hamiltonian was built from; evolve_composite reads the
-    interaction picture of the atom from it.
+    interaction picture of the atom from it. rhs_operators holds K, K^dag, a^dag and
+    b^dag for every call of lindblad_rhs.
     """
 
     hamiltonian: np.ndarray
@@ -66,23 +65,12 @@ class CompositeSystem:
     kappa_b: float
     levels: LevelScheme
     dims: tuple[int, int, int]
+    rhs_operators: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def dim(self) -> int:
         d, na, nb = self.dims
         return d * na * nb
-
-    @functools.cached_property
-    def rhs_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """K, K^dag, a^dag and b^dag, built once for every call of lindblad_rhs.
-
-        K = -i H - kappa_a a^dag a - kappa_b b^dag b is the effective Hamiltonian
-        times -i: the coherent part and the decay of both modes in one operator.
-        """
-        ad, bd = self.a_op.conj().T, self.b_op.conj().T
-        k = (-1j * self.hamiltonian - self.kappa_a * (ad @ self.a_op)
-             - self.kappa_b * (bd @ self.b_op))
-        return k, k.conj().T, ad, bd
 
 
 def build_system(
@@ -115,14 +103,15 @@ def build_system(
     hx += -1j * couplings.G_2e * _lift(drop(2, 0), ad, i_n)
     hx += -1j * couplings.G_g1 * _lift(drop(3, 1), i_n, ad)
     hx += -1j * couplings.G_g2 * _lift(drop(3, 2), i_n, ad)
+    h = h + hx + hx.conj().T
+    a_op, b_op = _lift(i4, a, i_n), _lift(i4, i_n, a)
+    # K = -i H - kappa_a a^dag a - kappa_b b^dag b is the effective Hamiltonian
+    # times -i: the coherent part and the decay of both modes in one operator.
+    a_dag, b_dag = a_op.conj().T, b_op.conj().T
+    k = -1j * h - cavity.kappa_a * (a_dag @ a_op) - cavity.kappa_b * (b_dag @ b_op)
     return CompositeSystem(
-        hamiltonian=h + hx + hx.conj().T,
-        a_op=_lift(i4, a, i_n),
-        b_op=_lift(i4, i_n, a),
-        kappa_a=cavity.kappa_a,
-        kappa_b=cavity.kappa_b,
-        levels=levels,
-        dims=(4, n_max + 1, n_max + 1),
+        h, a_op, b_op, cavity.kappa_a, cavity.kappa_b, levels,
+        dims=(4, n_max + 1, n_max + 1), rhs_operators=(k, k.conj().T, a_dag, b_dag),
     )
 
 
@@ -169,8 +158,7 @@ def evolve_composite(
     return TimeSeries(t, max_drift_correction=max_corr, keep=atom_keep, x=x)
 
 
-@dataclass(frozen=True)
-class EliminationCheck:
+class EliminationCheck(NamedTuple):
     """Reduced-versus-full deviations for a ladder of coupling strengths."""
 
     g_values: tuple[float, ...]

@@ -11,6 +11,7 @@ specify G directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ class CouplingSet:
         return cls(g, g, g, g)
 
 
-@dataclass(frozen=True)
-class RateSet:
+class RateSet(NamedTuple):
     """Decay rates, level shifts and the cross-coupling coefficients.
 
     Gamma_j / delta_j come from the upper transitions through mode a,
@@ -210,35 +210,38 @@ def derive_rates(
 
     Gamma_j = |G_je|^2 kappa_a / (kappa_a^2 + Delta_j^2) and its primed
     partner; delta_j carries Delta_j in place of kappa_a in the numerator.
+    Raises ValueError when a square overflows the float range.
     """
     d1, d2, d1p, d2p = detunings(levels, cavity)
     ka, kb = cavity.kappa_a, cavity.kappa_b
     om = levels.Omega
+    try:
+        den_1 = ka**2 + d1**2
+        den_2 = ka**2 + d2**2
+        den_1p = kb**2 + d1p**2
+        den_2p = kb**2 + d2p**2
 
-    den_1 = ka**2 + d1**2
-    den_2 = ka**2 + d2**2
-    den_1p = kb**2 + d1p**2
-    den_2p = kb**2 + d2p**2
+        g1e, g2e = couplings.G_1e, couplings.G_2e
+        gg1, gg2 = couplings.G_g1, couplings.G_g2
 
-    g1e, g2e = couplings.G_1e, couplings.G_2e
-    gg1, gg2 = couplings.G_g1, couplings.G_g2
-
-    return RateSet(
-        Gamma_1=abs(g1e) ** 2 * ka / den_1,
-        Gamma_2=abs(g2e) ** 2 * ka / den_2,
-        Gamma_1p=abs(gg1) ** 2 * kb / den_1p,
-        Gamma_2p=abs(gg2) ** 2 * kb / den_2p,
-        delta_1=abs(g1e) ** 2 * d1 / den_1,
-        delta_2=abs(g2e) ** 2 * d2 / den_2,
-        delta_1p=abs(gg1) ** 2 * d1p / den_1p,
-        delta_2p=abs(gg2) ** 2 * d2p / den_2p,
-        Omega=om,
-        cross_upper=2 * g1e * np.conj(g2e) * (ka + 1j * om) / ((ka + 1j * d2) * (ka - 1j * d1)),
-        cross_ground=2 * gg1 * np.conj(gg2) * (kb - 1j * om) / ((kb + 1j * d2p) * (kb - 1j * d1p)),
-        cross_left=np.conj(gg1) * gg2 / (kb - 1j * d2p),
-        cross_right=np.conj(gg1) * gg2 / (kb + 1j * d1p),
-        alpha=_symmetric_alpha(couplings, cavity, (d1, d2, d1p, d2p), om),
-    )
+        return RateSet(
+            Gamma_1=abs(g1e) ** 2 * ka / den_1,
+            Gamma_2=abs(g2e) ** 2 * ka / den_2,
+            Gamma_1p=abs(gg1) ** 2 * kb / den_1p,
+            Gamma_2p=abs(gg2) ** 2 * kb / den_2p,
+            delta_1=abs(g1e) ** 2 * d1 / den_1,
+            delta_2=abs(g2e) ** 2 * d2 / den_2,
+            delta_1p=abs(gg1) ** 2 * d1p / den_1p,
+            delta_2p=abs(gg2) ** 2 * d2p / den_2p,
+            Omega=om,
+            cross_upper=2 * g1e * np.conj(g2e) * (ka + 1j * om) / ((ka + 1j * d2) * (ka - 1j * d1)),
+            cross_ground=2 * gg1 * np.conj(gg2) * (kb - 1j * om) / ((kb + 1j * d2p) * (kb - 1j * d1p)),
+            cross_left=np.conj(gg1) * gg2 / (kb - 1j * d2p),
+            cross_right=np.conj(gg1) * gg2 / (kb + 1j * d1p),
+            alpha=_symmetric_alpha(couplings, cavity, (d1, d2, d1p, d2p), om),
+        )
+    except OverflowError:  # a Python float squared past the float range
+        raise ValueError("the rates overflow at these couplings, linewidths or detunings") from None
 
 
 def midpoint_levels(upper_gap: float, mid: float, Omega: float) -> tuple[LevelScheme, CavityParams]:

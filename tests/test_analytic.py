@@ -295,19 +295,15 @@ def test_grid_powers_match_exponentials(samples, pole):
 
 @pytest.mark.parametrize("growth", [0.6, 0.8, 1.5])
 @pytest.mark.parametrize("w", [0.0, 3.0])
-def test_overflowing_pole_fit_reads_as_with_plain_exponentials(monkeypatch, growth, w):
-    # a pole fitted on the first samples that grows far past the grid: the detail of the
-    # failed fit (finite, inf or nan times the floor) is the one that exp(pole * tau) gives
+def test_overflowing_pole_fit_fails(growth, w):
+    # a pole fitted on the first samples that grows far past the grid: its powers leave
+    # the data far behind or overflow, and the fit fails (finite, inf or nan times the floor)
     tau = np.linspace(0.0, 1000.0, 20001)
     y = np.zeros_like(tau)
     y[:PENCIL_SAMPLES] = np.exp(growth * tau[:PENCIL_SAMPLES]) * np.cos(w * tau[:PENCIL_SAMPLES])
     floor = 1e-5 * np.max(np.abs(y))
-    args = tau, y, slice(PENCIL_SAMPLES), 0.05, floor
-    got = _pole_fit(*args)
-    monkeypatch.setattr(analytic, "_grid_powers", lambda pole, dt, n: np.exp(pole * tau))
-    want = _pole_fit(*args)
+    got = _pole_fit(tau, y, slice(PENCIL_SAMPLES), 0.05, floor)
     assert isinstance(got, str) and got.startswith("pole fit off by")
-    assert got == want
 
 
 def _generator_eigenvalues(rates, eta=1.0):

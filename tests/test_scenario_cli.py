@@ -573,6 +573,31 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, a
     assert {p for p in tmp_path.rglob("*") if p.is_file()} == inputs
 
 
+MODEL_OVERFLOW = {
+    "closed-form-or-step": (dict(SHORTCUT, G=1e77, t_end=5.0, samples=41), ""),
+    "rates-G": (dict(SHORTCUT, G=1e200), "the rates overflow at these couplings"),
+    "rates-G_1e": (
+        dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_1e=1e200)),
+        "the rates overflow at these couplings",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["reduced", "analytic", "composite"])
+@pytest.mark.parametrize("scenario,reason", MODEL_OVERFLOW.values(), ids=MODEL_OVERFLOW.keys())
+def test_cli_overflow_in_the_model_prints_one_clean_error(tmp_path, capsys, scenario, reason, mode):
+    # input that passes the field table but overflows the model exits 2 with one stderr
+    # line naming the scenario: numpy's warnings stay quiet, and |G|^2 of a Python float
+    # that overflows in derive_rates says so
+    path = _write_scenario(tmp_path, dict(scenario, mode=mode))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: case: {reason}") and err.count("\n") == 1
+
+
 def test_cli_unwritable_outputs_exit_2(tmp_path, capsys):
     # an output location the system refuses exits 2 with the reason, as bad input does
     blocker = tmp_path / "file"
