@@ -45,21 +45,27 @@ def _expm1_over(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sin_cos(x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin(sqrt(x2))/sqrt(x2) and cos(sqrt(x2)), continued through x2 <= 0 (sinh, cosh)."""
+def _sin_cos(x2: np.ndarray, cosine: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """sin(sqrt(x2))/sqrt(x2) and cos(sqrt(x2)), continued through x2 <= 0 (sinh, cosh).
+
+    Without cosine the second is not computed, and None is returned in its place.
+    """
     x2 = np.asarray(x2, dtype=float)
-    su, cu = np.empty_like(x2), np.empty_like(x2)
+    su = np.empty_like(x2)
     small = np.abs(x2) < 1e-2
     xs = x2[small]
     su[small] = 1.0 + xs * (-1 / 6 + xs * (1 / 120 + xs * (-1 / 5040 + xs / 362880)))
-    cu[small] = 1.0 + xs * (-1 / 2 + xs * (1 / 24 + xs * (-1 / 720 + xs / 40320)))
     pos = ~small & (x2 > 0)
     sp = np.sqrt(x2[pos])
     su[pos] = np.sin(sp) / sp
-    cu[pos] = np.cos(sp)
     neg = ~small & (x2 < 0)
     sn = np.sqrt(-x2[neg])
     su[neg] = np.sinh(sn) / sn
+    if not cosine:
+        return su, None
+    cu = np.empty_like(x2)
+    cu[small] = 1.0 + xs * (-1 / 2 + xs * (1 / 24 + xs * (-1 / 720 + xs / 40320)))
+    cu[pos] = np.cos(sp)
     cu[neg] = np.cosh(sn)
     return su, cu
 
@@ -159,7 +165,7 @@ def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omeg
         deep = x2 < DEEP_HYPERBOLIC
         x2_safe = np.where(deep, 0.0, x2)
         su, cu = _sin_cos(x2_safe)
-        suh, _ = _sin_cos(np.where(deep, 0.0, f2 * t * t))
+        suh, _ = _sin_cos(np.where(deep, 0.0, f2 * t * t), cosine=False)
 
         bracket = 1.0 + cu + 2 * (gamma * t * suh) ** 2 - 4 * gamma * t * su
         rho_ii = -(1 + 2 * a_amp) * e2 + e1 * (1.0 + a_amp * bracket)

@@ -14,8 +14,8 @@ element form that spells out all sixteen matrix entries. They are developed
 independently and cross-checked against each other in the tests; do not
 "simplify" one into a call of the other. Both take one 4x4 matrix or a
 stack of them, shape (k, 4, 4), and give a matrix the same bytes alone as
-in a stack, so the generator is built from one call per frontier of
-reached coordinates (linalg.hermitian_generator).
+in a stack, so the generator is built from one call on all 16 basis
+matrices (linalg.hermitian_generator).
 """
 
 from __future__ import annotations

@@ -182,6 +182,13 @@ def parse_scenario(obj: dict) -> Scenario:
         g_values = tuple(
             read_field("g_values", x, f"{path}.g_values[{i}]") for i, x in enumerate(gv)
         )
+        rungs = set()
+        for i, g in enumerate(g_values):  # equal rungs give equal deviations, which cannot shrink
+            if g in rungs:
+                raise ScenarioError(
+                    f"{path}.g_values[{i}]: repeats the coupling {g:g} of an earlier rung"
+                )
+            rungs.add(g)
         return Scenario(name=name, mode=mode, Omega=omega, samples=samples, g_values=g_values)
 
     g = _read(obj, "G", path)

@@ -188,6 +188,44 @@ def test_coordinate_tables_are_shared_and_read_only():
                     assert x[element[k, j]] == m[j, k].imag
 
 
+def test_stack_coordinates_are_the_bits_of_the_upper_triangle():
+    # one gather from the float view reads each coordinate's bits as they are: signed zeros
+    # stay signed, a strided or real-dtype stack reads like its contiguous complex copy,
+    # and a lower triangle that is not the conjugate of the upper one is never read
+    d = 4
+    element = element_coordinates(d)
+
+    def reference(m):
+        out = np.empty(m.shape[:-2] + (d * d,))
+        for j in range(d):
+            for k in range(j, d):
+                out[..., element[j, k]] = m[..., j, k].real
+                if j < k:
+                    out[..., element[k, j]] = m[..., j, k].imag
+        return out
+
+    rng = np.random.default_rng(29)
+    big = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    big[0, :4, :4] = complex(-0.0, -0.0)
+    big[1, 0, 2] = complex(0.0, -0.0)
+    big[1, 2, 0] = complex(-0.0, 0.0)
+    real = rng.standard_normal((2, 4, 4))
+    real[0, 1, 3] = -0.0
+    cases = [
+        big[:, :4, :4],  # strided rows
+        big[:, ::2, 1::2],  # strided rows and columns
+        big[:, :4, :4].transpose(0, 2, 1),  # the lower triangle read as the upper
+        big[1, :4, :4],  # one matrix
+        real,
+        real[1].T,
+    ]
+    for m in cases:
+        got = stack_coordinates(m)
+        assert got.dtype == np.float64 and got.shape == m.shape[:-2] + (d * d,)
+        assert got.tobytes() == reference(m).tobytes()
+    assert np.signbit(stack_coordinates(big[0, :4, :4])).all()
+
+
 def _tuned_problem(model):
     levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
     if model == "reduced":
@@ -256,9 +294,10 @@ def _generator_cases():
 
 
 def test_hermitian_generator_matches_the_per_matrix_build():
-    # one rhs call per frontier of newly reached coordinates, on the whole frontier, gives
-    # the same coordinates and the same generator bytes, in the same (Fortran) layout, as
-    # one call per basis matrix: expm and the doubling walk follow the memory layout
+    # one rhs call on the whole 4 x 4 basis, or one per frontier of newly reached
+    # coordinates of a larger one, gives the same coordinates and the same generator bytes,
+    # in the same (Fortran) layout, as one call per basis matrix: expm and the doubling walk
+    # follow the memory layout
     for rhs, rho0 in _generator_cases():
         calls = []
         keep, gen = hermitian_generator(_counted(rhs, calls), rho0)
@@ -266,8 +305,11 @@ def test_hermitian_generator_matches_the_per_matrix_build():
         assert np.array_equal(keep, want_keep)
         assert gen.tobytes() == want.tobytes()
         assert gen.flags.f_contiguous and not gen.flags.c_contiguous
-        assert len(calls) == frontiers
-        assert sum(shape[0] for shape in calls) == keep.size
+        if rho0.shape[0] == 4:
+            assert calls == [(16, 4, 4)]
+        else:
+            assert len(calls) == frontiers
+            assert sum(shape[0] for shape in calls) == keep.size
 
 
 def test_hermitian_generator_calls_rhs_once_per_frontier():
@@ -282,7 +324,7 @@ def test_hermitian_generator_calls_rhs_once_per_frontier():
     keep, _ = hermitian_generator(_counted(lambda s: rotated_rhs(s, rates), calls), pure_state(0, 4))
     # e, then 1, 2 and the 1-2 coherence, then g
     assert keep.tolist() == [0, 1, 2, 3, 7, 13]
-    assert calls == [(1, 4, 4), (4, 4, 4), (1, 4, 4)]
+    assert calls == [(16, 4, 4)]  # the whole 4 x 4 basis in one call
 
 
 def test_hermitian_generator_needs_an_rhs_on_stacks():

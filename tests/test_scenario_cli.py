@@ -129,6 +129,9 @@ def test_parse_validate_mode():
     for rung in (1e10, 1e300):  # adiabatic elimination needs g below the cavity linewidth
         with pytest.raises(ScenarioError, match=r"g_values\[0\]: must lie in \[0.001, 1\]"):
             parse_scenario({"name": "v", "mode": "validate", "g_values": [rung, 0.2]})
+    for ladder, repeat in (([0.2, 0.2], 1), ([0.2, 0.1, 0.2], 2)):  # equal rungs cannot shrink
+        with pytest.raises(ScenarioError, match=rf"g_values\[{repeat}\]: repeats the coupling 0.2 "):
+            parse_scenario({"name": "v", "mode": "validate", "g_values": ladder})
     with pytest.raises(ScenarioError, match="unknown field"):
         parse_scenario({"name": "v", "mode": "validate", "t_end": 5.0})
 
@@ -541,6 +544,7 @@ BAD_INPUT = {
     "validate-one-sample": (None, ["validate", "--samples", "1"]),
     "validate-omega-nan": (None, ["validate", "--omega", "nan"]),
     "validate-g-text": (None, ["validate", "--g-values", "0.2,abc"]),
+    "validate-g-repeated": (None, ["validate", "--g-values", "0.2,0.2"]),
     "validate-name-parent": (None, ["validate", "--name", "../escaped"]),
     "t_end-huge": (dict(SHORTCUT, t_end=1e12, samples=3), None),
     "t_end-max-float": (dict(SHORTCUT, t_end=1e308), None),
