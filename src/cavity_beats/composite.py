@@ -14,7 +14,7 @@ against the cavity linewidths.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,11 @@ from .linalg import (
     hermitize_and_check,
     linear_readout,
     partial_trace_field,
-    propagate_coordinates,
+    propagate_generator,
     pure_state,
+    rank_one_images,
+    reachable_generator,
+    stack_coordinates,
 )
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, tuned_configuration
 from .reduced import evolve as evolve_reduced
@@ -55,7 +58,7 @@ class CompositeSystem(NamedTuple):
 
     levels is the scheme the Hamiltonian was built from; evolve_composite reads the
     interaction picture of the atom from it. rhs_operators holds K, K^dag, a^dag and
-    b^dag for every call of lindblad_rhs.
+    b^dag, the operators of lindblad_rhs and of the rank-one factors (_rhs_images).
     """
 
     hamiltonian: np.ndarray
@@ -123,7 +126,8 @@ def lindblad_rhs(rho: np.ndarray, system: CompositeSystem) -> np.ndarray:
     number decays at 2 kappa. With K from rhs_operators the whole right-hand
     side is K rho + rho K^dag + 2 kappa_a a rho a^dag + 2 kappa_b b rho b^dag:
     six matrix products. rho need not be Hermitian, so rho K^dag is not taken
-    as (K rho)^dag.
+    as (K rho)^dag. No run calls it: evolve_composite builds the generator from
+    rank-one factors (_rhs_images), and the tests compare those with this reference.
     """
     k, kd, ad, bd = system.rhs_operators
     out = k @ rho + rho @ kd
@@ -132,12 +136,30 @@ def lindblad_rhs(rho: np.ndarray, system: CompositeSystem) -> np.ndarray:
     return out
 
 
+def _rhs_images(system: CompositeSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """lindblad_rhs as an image map of Hermitian basis matrices, from rank-one factors.
+
+    Its right-hand side is sum_t L_t rho R_t, with (L_t, R_t) = (K, I), (I, K^dag),
+    (2 kappa_a a, a^dag) and (2 kappa_b b, b^dag); linalg.rank_one_images turns each
+    frontier into one batched product. While the entries of a and b are 0 or 1
+    (n_max = 1), folding 2 kappa into them is exact, so is every product of entries,
+    and no entry of an image sums more than two nonzero terms: the images hold
+    lindblad_rhs's bits. At a larger n_max they agree to rounding.
+    """
+    k, kd, ad, bd = system.rhs_operators
+    eye = np.eye(system.dim, dtype=complex)
+    left = np.stack([k, eye, 2 * system.kappa_a * system.a_op, 2 * system.kappa_b * system.b_op])
+    return rank_one_images(left, np.stack([eye, kd, ad, bd]))
+
+
 def evolve_composite(
     rho0: np.ndarray, t_grid: np.ndarray, system: CompositeSystem
 ) -> TimeSeries:
     """Solve the composite equation exactly and return the atom's TimeSeries.
 
-    The generator is constant, so linalg.propagate_coordinates solves it. Both modes
+    The generator is constant: it is built on the coordinates the state reaches from
+    the rank-one factors of the right-hand side (_rhs_images), with no call of
+    lindblad_rhs, and linalg.propagate_generator walks the grid with it. Both modes
     are traced out of the matrix of each reachable coordinate (linear_readout), never
     out of a state. The reduced equation is written in the interaction picture of the
     bare atom, so its element (j, k) carries the extra phase exp(i (omega_j - omega_k) t)
@@ -150,7 +172,8 @@ def evolve_composite(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim} for this truncation")
-    keep, x = propagate_coordinates(lambda rho: lindblad_rhs(rho, system), rho0, t)
+    keep, gen = reachable_generator(_rhs_images(system), rho0)
+    x = propagate_generator(gen, stack_coordinates(rho0)[keep], t)
     atom_keep, trace = linear_readout(lambda m: partial_trace_field(m, system.dims), keep, dim)
     lv = system.levels
     omega = np.array([lv.omega_eg, lv.omega_1g, lv.omega_2g, 0.0])

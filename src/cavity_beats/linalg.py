@@ -20,9 +20,9 @@ DRIFT_TOL = 1e-6  # trace deviation hermitize_and_check renormalizes; beyond it,
 ROTATION_BLOCK = 2048  # samples hermitize_and_check turns to its frame at a time
 # The largest basis hermitian_generator maps in one rhs call. A reduced rhs call costs
 # about as much on all 16 basis matrices of the 4-level atom as on one, and one call
-# built the reduced generator in 165 us against 230 us over its 3 frontiers; the
-# composite atom's 256 took 6.2 ms in one call against 0.58 ms over its 7 frontiers
-# of 27 matrices (best-of timings, 2-vCPU VM, Python 3.11, numpy 2.4).
+# built the reduced generator in 165 us against 230 us over its 3 frontiers (best-of
+# timings, 2-vCPU VM, Python 3.11, numpy 2.4). A larger basis is mapped once per
+# frontier; the composite atom's generator is built from rank_one_images instead.
 ONE_CALL_BASIS = 16
 
 
@@ -329,31 +329,88 @@ def hermitian_generator(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The real matrix of rhs on the Hermitian coordinates that rho0 can reach.
 
-    The coordinates are the diagonal, then the real and the imaginary parts of
-    the upper triangle. rhs maps a stack of Hermitian matrices, shape (k, d, d),
-    to the stack of their images, real-linearly, as every master equation here
-    does, and gives each matrix the same bytes whatever the stack. Up to
-    ONE_CALL_BASIS coordinates, rhs is called once, on all d * d basis matrices;
-    on a larger basis, once per frontier of newly reached coordinates, on the
-    basis matrices of that frontier. ValueError is raised when rhs fails on a
-    stack or returns another shape. Returns (keep, gen): the coordinates reached
-    from the support of rho0 through nonzero entries, ascending, and the
-    generator on them.
+    rhs maps a stack of Hermitian matrices, shape (k, d, d), to the stack of their
+    images, real-linearly, as every master equation here does, and gives each matrix
+    the same bytes whatever the stack. Up to ONE_CALL_BASIS coordinates, rhs is
+    called once, on all d * d basis matrices, and reachable_generator reads the
+    reached ones off their images; on a larger basis it is called once per frontier
+    of newly reached coordinates, on the basis matrices of that frontier. ValueError
+    is raised when rhs fails on a stack or returns another shape. Returns (keep, gen)
+    as reachable_generator does.
     """
     d = rho0.shape[0]
-    one_call = d * d <= ONE_CALL_BASIS
-    images = _basis_images(rhs, d, np.arange(d * d)) if one_call else np.zeros((d * d, d * d))
+    if d * d > ONE_CALL_BASIS:
+        return reachable_generator(lambda coords: _basis_images(rhs, d, coords), rho0)
+    images = _basis_images(rhs, d, np.arange(d * d))
+    return reachable_generator(images.__getitem__, rho0)
+
+
+def reachable_generator(
+    images: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real generator on the Hermitian coordinates that rho0 can reach, from its images.
+
+    The coordinates are the diagonal, then the real and the imaginary parts of the
+    upper triangle. images(coords) gives, one row each, the coordinates of the
+    generator's image of the basis matrix of each coordinate in coords (the matrix
+    with that coordinate 1 and every other 0). It is called once per frontier of
+    newly reached coordinates, starting from the support of rho0, which must be
+    Hermitian. Returns (keep, gen): the coordinates reached through nonzero entries,
+    ascending, and the generator on them.
+    """
+    rho0 = _as_square(rho0, "rho0")
+    if np.max(np.abs(rho0 - rho0.conj().T)) > HERM_TOL:
+        raise ValueError("rho0 must be Hermitian")
+    d = rho0.shape[0]
     seen = np.zeros(d * d, dtype=bool)
     new = np.flatnonzero(stack_coordinates(rho0))
+    reached, rows = [], []
     while new.size:
-        if not one_call:
-            images[new] = _basis_images(rhs, d, new)
+        image = images(new)
+        reached.append(new)
+        rows.append(image)
         seen[new] = True
-        new = np.flatnonzero(np.any(images[new], axis=0) & ~seen)
+        new = np.flatnonzero(np.any(image, axis=0) & ~seen)
     keep = np.flatnonzero(seen)
-    # Indexing the rows last leaves them C-ordered, so gen is F-ordered: expm and the
+    order = np.argsort(np.concatenate(reached))  # the rows of keep, ascending
+    # One np.ix_ gather leaves the rows C-ordered, so gen is F-ordered: expm and the
     # doubling walk follow the memory layout, and with it the bits of every output.
-    return keep, images[:, keep][keep].T
+    return keep, np.concatenate(rows)[np.ix_(order, keep)].T
+
+
+def rank_one_images(left: np.ndarray, right: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The images of the basis matrices of coordinates under rho -> sum_t left[t] rho right[t].
+
+    The map it returns takes coordinates to their images' coordinates, one row each, as
+    reachable_generator asks. left and right are stacks of T d x d matrices. The basis
+    matrix of a coordinate is E = u e_j e_k^T + conj(u) e_k e_j^T: u = 1 for the
+    diagonal and the real parts, u = i for the imaginary parts, and the second term
+    only off the diagonal. So left[t] E right[t] = [left[t] e_j] u [e_k^T right[t]]
+    + [left[t] e_k] conj(u) [e_j^T right[t]], and the images of m coordinates are one
+    (m, d, 2T) @ (m, 2T, d) product of columns of left, times their unit, and rows of
+    right, gathered from tables built here once. They agree with the dense products to
+    rounding, and bit for bit where every product of an entry of left and one of right
+    is exact and no entry of an image sums more than two nonzero terms.
+    """
+    n, d, _ = left.shape
+    rows, cols, is_imag = _hermitian_coordinates(d)
+    # Row (unit * d + j) of the left table holds column j of every left[t] times
+    # (1, i, -i, 0)[unit]: the unit of the first term, then that of the second, which is
+    # 0 on the diagonal, where E has one term only.
+    columns = left.transpose(2, 0, 1)
+    left_table = np.concatenate([columns, 1j * columns, -1j * columns, np.zeros_like(columns)])
+    right_table = right.transpose(1, 0, 2)  # row k holds row k of every right[t]
+    second_unit = np.where(rows == cols, 3, 2 * is_imag)
+    left_rows = np.stack([is_imag * d + rows, second_unit * d + cols], axis=1)
+    right_rows = np.stack([cols, rows], axis=1)
+
+    def images(coords: np.ndarray) -> np.ndarray:
+        m = len(coords)
+        lf = left_table[left_rows[coords]].reshape(m, 2 * n, d).transpose(0, 2, 1)
+        rf = right_table[right_rows[coords]].reshape(m, 2 * n, d)
+        return stack_coordinates(lf @ rf)
+
+    return images
 
 
 def _step_matrix(gen: np.ndarray, h: float, squarings_after: int = 0) -> np.ndarray:
@@ -391,26 +448,31 @@ def propagate_coordinates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve d(rho)/dt = rhs(rho) exactly on t_grid, on the coordinates rho0 can reach.
 
-    Returns (keep, x): the reachable coordinates (hermitian_generator) and x[n], their
-    values at t_grid[n]; every other coordinate stays exactly zero. t_grid ascends
-    from the time of rho0, and rhs is time-independent: it maps a stack of Hermitian
-    matrices, shape (k, d, d), to the stack of their images, real-linearly
-    (hermitian_generator). A uniform grid (uniform_step) takes one step matrix S and
-    fills the samples by doubling: with P = S^n, x[n:2n] = P x[:n], then P is
-    squared, so N samples cost about log2(N) matrix products and floor(log2(N - 1))
-    squarings of S, which count against S's squaring budget (_step_matrix). Any
-    other grid takes one step matrix per step.
+    rhs is time-independent: it maps a stack of Hermitian matrices, shape (k, d, d), to
+    the stack of their images, real-linearly. Its generator on the reachable
+    coordinates comes from hermitian_generator, and propagate_generator walks the grid
+    with it. Returns (keep, x): the reachable coordinates and x[n], their values at
+    t_grid[n]; every other coordinate stays exactly zero.
     """
-    rho0 = _as_square(rho0, "rho0")
-    if np.max(np.abs(rho0 - rho0.conj().T)) > HERM_TOL:
-        raise ValueError("rho0 must be Hermitian")
+    keep, gen = hermitian_generator(rhs, rho0)
+    return keep, propagate_generator(gen, stack_coordinates(rho0)[keep], t_grid)
+
+
+def propagate_generator(gen: np.ndarray, x0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Solve dx/dt = gen x exactly on t_grid, from x0 at t_grid[0]; x[n] at t_grid[n].
+
+    gen is a real generator, such as reachable_generator returns. A uniform grid
+    (uniform_step) takes one step matrix S and fills the samples by doubling: with
+    P = S^n, x[n:2n] = P x[:n], then P is squared, so N samples cost about log2(N)
+    matrix products and floor(log2(N - 1)) squarings of S, which count against S's
+    squaring budget (_step_matrix). Any other grid takes one step matrix per step.
+    """
     t = np.asarray(t_grid, dtype=float)
     steps = np.diff(t)
     if t.ndim != 1 or t.size == 0 or not np.all(steps > 0):
         raise ValueError("t_grid must be a nonempty, strictly ascending 1-D array")
-    keep, gen = hermitian_generator(rhs, rho0)
-    x = np.empty((t.size, keep.size))
-    x[0] = stack_coordinates(rho0)[keep]
+    x = np.empty((t.size, x0.size))
+    x[0] = x0
     uniform = uniform_step(t)
     if uniform is None:
         for i, h in enumerate(steps):
@@ -425,7 +487,7 @@ def propagate_coordinates(
             n += m
             if n < t.size:
                 power = power @ power
-    return keep, x
+    return x
 
 
 def linear_readout(

@@ -4,9 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cavity_beats.composite as composite
 from cavity_beats.composite import (
     EliminationCheck,
     _lift,
+    _rhs_images,
     annihilation,
     build_system,
     evolve_composite,
@@ -14,13 +16,16 @@ from cavity_beats.composite import (
     validate_elimination,
 )
 from cavity_beats.linalg import (
+    _hermitian_basis,
     hermitian_generator,
     hermitian_states,
     partial_trace_field,
     propagate_coordinates,
     pure_state,
+    reachable_generator,
+    stack_coordinates,
 )
-from cavity_beats.model import tuned_configuration
+from cavity_beats.model import CavityParams, CouplingSet, LevelScheme, tuned_configuration
 
 
 def _tuned_system(omega=1.0, g=0.3, n_max=1):
@@ -102,6 +107,95 @@ def test_lift_is_the_nested_kronecker_product():
     rng = np.random.default_rng(19)
     a, b, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (4, 2, 3))
     assert _lift(a, b, c).tobytes() == np.kron(np.kron(a, b), c).tobytes()
+
+
+def _explicit_system(n_max=1):
+    # complex couplings, unequal linewidths, detuned modes
+    return build_system(CouplingSet(0.9, 1.1 + 0.2j, 0.8, 1.3 - 0.4j), LevelScheme(4.3, 1.9, 0.4),
+                        CavityParams(3.1, 1.2, 1.0, 1.7), n_max=n_max)
+
+
+def _rank_one_and_reference(system):
+    # the rank-one images of all d^2 basis matrices, and lindblad_rhs's on the same stack
+    coords = np.arange(system.dim ** 2)
+    want = stack_coordinates(lindblad_rhs(_hermitian_basis(system.dim, coords), system))
+    return _rhs_images(system)(coords), want
+
+
+@pytest.mark.parametrize(
+    "system",
+    [_tuned_system(omega, g)[0] for g in (1.0, 0.05) for omega in (0.0, 0.5, 1.0, 3.0)]
+    + [_explicit_system()],
+)
+def test_rank_one_images_hold_the_bits_of_lindblad_rhs(system):
+    # at n_max = 1 every product with a basis matrix is exact, 2 kappa folded into a included
+    got, want = _rank_one_and_reference(system)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rank_one_images_agree_to_rounding_at_two_photons():
+    # sqrt(2) entries make the folded 2 kappa round differently
+    for system in (_tuned_system(1.0, 0.3, n_max=2)[0], _explicit_system(n_max=2)):
+        got, want = _rank_one_and_reference(system)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_rank_one_generator_is_the_generator_of_lindblad_rhs():
+    for system in (_tuned_system(1.0, 0.05)[0], _tuned_system(3.0, 1.0)[0], _explicit_system()):
+        rho0 = pure_state(0, system.dim)
+        keep, gen = reachable_generator(_rhs_images(system), rho0)
+        want_keep, want = hermitian_generator(lambda rho: lindblad_rhs(rho, system), rho0)
+        assert np.array_equal(keep, want_keep) and gen.tobytes() == want.tobytes()
+        assert gen.flags.f_contiguous and not gen.flags.c_contiguous
+
+
+def test_evolve_composite_calls_no_rhs(monkeypatch):
+    # the run through rank-one images against the run through lindblad_rhs, frontier by frontier
+    system = _explicit_system()
+    t = np.linspace(0.0, 6.0, 151)
+    with monkeypatch.context() as patch:
+        patch.setattr(composite, "_rhs_images", lambda system: lambda coords: stack_coordinates(
+            lindblad_rhs(_hermitian_basis(system.dim, coords), system)))
+        want = evolve_composite(pure_state(0, system.dim), t, system)
+
+    def refuse(rho, system):
+        raise AssertionError("lindblad_rhs called")
+
+    monkeypatch.setattr(composite, "lindblad_rhs", refuse)
+    got = evolve_composite(pure_state(0, system.dim), t, system)
+    assert np.array_equal(got.keep, want.keep) and got.x.tobytes() == want.x.tobytes()
+    assert got.max_drift_correction == want.max_drift_correction
+
+
+@st.composite
+def _explicit_configurations(draw):
+    phases = [draw(st.floats(0.0, 2 * np.pi)) for _ in range(4)]
+    couplings = CouplingSet(*(draw(st.floats(0.2, 2.0)) * np.exp(1j * p) for p in phases))
+    # intermediate levels split by at least 0.05: degenerate ones keep a dark state
+    # (test_generator_has_one_stationary_state, Omega = 0)
+    omega_1g = draw(st.floats(1.0, 3.0))
+    omega_2g = omega_1g + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 1.5))
+    levels = LevelScheme(draw(st.floats(5.0, 7.0)), omega_1g, omega_2g)
+    cavity = CavityParams(draw(st.floats(1.0, 5.0)), draw(st.floats(0.2, 3.0)),
+                          draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0)))
+    return build_system(couplings, levels, cavity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_explicit_configurations())
+def test_rank_one_generator_of_explicit_configurations(system):
+    # bitwise the generator of lindblad_rhs, mapped one basis matrix at a time, and it has
+    # one stationary state while every other mode decays
+    rho0 = pure_state(0, system.dim)
+    keep, gen = reachable_generator(_rhs_images(system), rho0)
+    images = np.array([stack_coordinates(lindblad_rhs(m, system))
+                       for m in _hermitian_basis(system.dim, keep)])
+    assert gen.tobytes() == images[:, keep].T.tobytes()
+    assert not np.any(np.delete(images, keep, axis=1))  # keep is closed under the generator
+    lam = np.linalg.eigvals(gen)
+    zero = np.abs(lam) < 1e-10
+    assert np.count_nonzero(zero) == 1
+    assert np.all(lam[~zero].real < 0.0)
 
 
 def _full_states(system, t):

@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package is reached from a root.
 
 The roots are the names tests/test_acceptance.py imports from the package, the
-names the package root imports, and the names module-level code uses. A
+names the package root imports, the names module-level code uses, and the
+reference implementations in REFERENCES while a test compares with them. A
 definition reached from a root reaches every name its body uses, as a bare name
 or as an attribute; a name used only from unreached definitions is unreached.
 The sources are read with ast; nothing is imported.
@@ -12,6 +13,9 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cavity_beats"
+# Kept though no run reaches them: the slow, plain form that the tests hold a faster
+# path to, and the test module that does.
+REFERENCES = {"lindblad_rhs": "test_composite.py"}
 
 
 def _used(nodes) -> set[str]:
@@ -34,6 +38,7 @@ def _imported(tree: ast.Module) -> set[str]:
 def public_definitions() -> tuple[list[str], list[str]]:
     """(every public top-level function and class, the unreached ones), as module.name."""
     definitions, roots = {}, _imported(ast.parse((TESTS / "test_acceptance.py").read_text()))
+    roots |= set(REFERENCES)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         if path.stem == "__init__":
@@ -58,3 +63,8 @@ def test_every_public_definition_is_reached():
     public, unreached = public_definitions()
     assert "reduced.evolve" in public and "cli.main" in public
     assert unreached == []
+
+
+def test_every_reference_is_compared_with():
+    for name, module in REFERENCES.items():
+        assert name in _used([ast.parse((TESTS / module).read_text())])
