@@ -147,13 +147,12 @@ def _cells(a, row, d, text):
     text[shift[:, None], np.arange(7, 23)] = text[shift[:, None], turn.take(row[shift], axis=0)]
 
 
-def format_rows(block: np.ndarray, buf: bytearray | None = None) -> bytearray:
+def format_rows(block: np.ndarray, buf: bytearray) -> bytearray:
     """CSV lines of a (rows, columns) float64 block, each value as "%.17g" writes it.
 
     The cells are built in buf, resized to the block's rows x columns x CELL
     bytes, so a caller that formats many blocks hands the same bytearray to
-    every call; without one a fresh buffer is made. The lines come back as a
-    new bytearray either way.
+    every call. The lines come back as a new bytearray.
     """
     cols = block.shape[1]
     a = block.ravel()
@@ -161,9 +160,7 @@ def format_rows(block: np.ndarray, buf: bytearray | None = None) -> bytearray:
     # a tie leaves frac 0 or 1, an exact value (0 too) 1/2
     bad = abs(abs(frac - 0.5) - 0.25) > 0.25 - MARGIN
     size = a.size * CELL
-    if buf is None:
-        buf = bytearray(size)
-    elif len(buf) != size:
+    if len(buf) != size:
         buf.extend(bytes(max(size - len(buf), 0)))
         del buf[size:]
     text = np.frombuffer(buf, np.uint8).reshape(a.size, CELL)

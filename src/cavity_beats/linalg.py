@@ -18,12 +18,6 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
 DRIFT_TOL = 1e-6  # trace deviation hermitize_and_check renormalizes; beyond it, DriftError
 ROTATION_BLOCK = 2048  # samples hermitize_and_check turns to its frame at a time
-# The largest basis hermitian_generator maps in one rhs call. A reduced rhs call costs
-# about as much on all 16 basis matrices of the 4-level atom as on one, and one call
-# built the reduced generator in 165 us against 230 us over its 3 frontiers (best-of
-# timings, 2-vCPU VM, Python 3.11, numpy 2.4). A larger basis is mapped once per
-# frontier; the composite atom's generator is built from rank_one_images instead.
-ONE_CALL_BASIS = 16
 
 
 class DriftError(RuntimeError):
@@ -309,21 +303,6 @@ def hermitize_and_check(
     return x, float(np.max(trace_dev, initial=0.0))
 
 
-def _basis_images(
-    rhs: Callable[[np.ndarray], np.ndarray], d: int, coords: np.ndarray
-) -> np.ndarray:
-    """The coordinates of rhs on the basis matrix of each coordinate in coords, one row each."""
-    basis = _hermitian_basis(d, coords)
-    try:
-        image = np.asarray(rhs(basis), dtype=complex)
-    except ValueError as exc:  # an rhs for one matrix can fail in numpy's broadcasting
-        raise ValueError(f"rhs failed on a stack of shape {basis.shape}: {exc}") from exc
-    if image.shape != basis.shape:
-        raise ValueError(f"rhs must map a stack of shape {basis.shape} to one of the "
-                         f"same shape, got {image.shape}")
-    return stack_coordinates(image)
-
-
 def hermitian_generator(
     rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -331,18 +310,21 @@ def hermitian_generator(
 
     rhs maps a stack of Hermitian matrices, shape (k, d, d), to the stack of their
     images, real-linearly, as every master equation here does, and gives each matrix
-    the same bytes whatever the stack. Up to ONE_CALL_BASIS coordinates, rhs is
-    called once, on all d * d basis matrices, and reachable_generator reads the
-    reached ones off their images; on a larger basis it is called once per frontier
-    of newly reached coordinates, on the basis matrices of that frontier. ValueError
-    is raised when rhs fails on a stack or returns another shape. Returns (keep, gen)
+    the same bytes whatever the stack. It is called once, on all d * d basis matrices,
+    and reachable_generator reads the reached ones off their images. ValueError is
+    raised when rhs fails on the stack or returns another shape. Returns (keep, gen)
     as reachable_generator does.
     """
     d = rho0.shape[0]
-    if d * d > ONE_CALL_BASIS:
-        return reachable_generator(lambda coords: _basis_images(rhs, d, coords), rho0)
-    images = _basis_images(rhs, d, np.arange(d * d))
-    return reachable_generator(images.__getitem__, rho0)
+    basis = _hermitian_basis(d, np.arange(d * d))
+    try:
+        image = np.asarray(rhs(basis), dtype=complex)
+    except ValueError as exc:  # an rhs for one matrix can fail in numpy's broadcasting
+        raise ValueError(f"rhs failed on a stack of shape {basis.shape}: {exc}") from exc
+    if image.shape != basis.shape:
+        raise ValueError(f"rhs must map a stack of shape {basis.shape} to one of the "
+                         f"same shape, got {image.shape}")
+    return reachable_generator(stack_coordinates(image).__getitem__, rho0)
 
 
 def reachable_generator(
@@ -441,21 +423,6 @@ def uniform_step(t: np.ndarray) -> float | None:
     step = float(np.diff(t).mean())
     off = np.max(np.abs(t - (t[0] + step * np.arange(t.size))))
     return step if off <= 1e-12 * (t[-1] - t[0]) else None
-
-
-def propagate_coordinates(
-    rhs: Callable[[np.ndarray], np.ndarray], rho0: np.ndarray, t_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve d(rho)/dt = rhs(rho) exactly on t_grid, on the coordinates rho0 can reach.
-
-    rhs is time-independent: it maps a stack of Hermitian matrices, shape (k, d, d), to
-    the stack of their images, real-linearly. Its generator on the reachable
-    coordinates comes from hermitian_generator, and propagate_generator walks the grid
-    with it. Returns (keep, x): the reachable coordinates and x[n], their values at
-    t_grid[n]; every other coordinate stays exactly zero.
-    """
-    keep, gen = hermitian_generator(rhs, rho0)
-    return keep, propagate_generator(gen, stack_coordinates(rho0)[keep], t_grid)
 
 
 def propagate_generator(gen: np.ndarray, x0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ element form that spells out all sixteen matrix entries. They are developed
 independently and cross-checked against each other in the tests; do not
 "simplify" one into a call of the other. Both take one 4x4 matrix or a
 stack of them, shape (k, 4, 4), and give a matrix the same bytes alone as
-in a stack, so the generator is built from one call on all 16 basis
-matrices (linalg.hermitian_generator).
+in a stack. So evolve builds the generator from one call on all 16 basis
+matrices (linalg.hermitian_generator) and walks the grid with it
+(linalg.propagate_generator), the two steps that composite.evolve_composite
+takes from its rank-one images.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ import warnings
 
 import numpy as np
 
-from .linalg import density_matrix, hermitize_and_check, lowest_eigenvalues, propagate_coordinates
+from .linalg import (
+    density_matrix,
+    hermitian_generator,
+    hermitize_and_check,
+    lowest_eigenvalues,
+    propagate_generator,
+    stack_coordinates,
+)
 from .model import RateSet
 from .series import TimeSeries
 
@@ -179,9 +188,10 @@ def evolve(
     rho0 = density_matrix(rho0)
     t = np.asarray(t_grid, dtype=float)
     dtheta = _frame_phases(rates)
-    t0 = t[0] if t.size else 0.0  # propagate_coordinates rejects an empty grid
+    t0 = t[0] if t.size else 0.0  # propagate_generator rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
-    keep, x = propagate_coordinates(lambda s: rotated_rhs(s, rates, eta, form), sigma0, t)
+    keep, gen = hermitian_generator(lambda s: rotated_rhs(s, rates, eta, form), sigma0)
+    x = propagate_generator(gen, stack_coordinates(sigma0)[keep], t)
     x, max_corr = hermitize_and_check(keep, x, dtheta, t)
 
     lowest = lowest_eigenvalues(keep, x, 4)

@@ -383,23 +383,35 @@ def sweep_variant(sc: Scenario, param: str, value: float) -> Scenario:
         raise ScenarioError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMS)}")
     if param in ("Omega", "G") and sc.Omega is None:
         raise ScenarioError(f"{param} sweep needs the Omega/G shortcut configuration")
-    name = f"{sc.name}_{param}_{value:g}"
+    name = _point_name(sc, param, value)
     value = read_field(param, value, f"{name}.{param}")
     return sc._replace(name=name, **{param: value})
 
 
+def _point_name(sc: Scenario, param: str, value: float) -> str:
+    return f"{sc.name}_{param}_{value:g}"
+
+
 def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
-    """Run one scenario per value; a failed point is recorded, not fatal."""
+    """Run one scenario per value; a failed point is recorded, not fatal.
+
+    Each point's outputs are named after its value as %g prints it, so two values
+    that print alike are rejected before any point runs.
+    """
     if sc.mode == "validate":
         raise ScenarioError("sweep applies to the physics modes, not validate")
     if not values:
         raise ScenarioError("sweep needs at least one value")
+    names = [_point_name(sc, param, v) for v in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ScenarioError(f"sweep value {values[i]!r}: names its run {name}, "
+                                f"as an earlier value does")
     results = []
-    for v in values:
+    for v, name in zip(values, names):
         try:
             results.append(run_scenario(sweep_variant(sc, param, v)))
         except ScenarioError as exc:
             # a bad point is recorded under its would-be name, the rest still run
-            summary = {"name": f"{sc.name}_{param}_{v:g}", "mode": sc.mode, "error": str(exc)}
-            results.append(RunResult(summary))
+            results.append(RunResult({"name": name, "mode": sc.mode, "error": str(exc)}))
     return results

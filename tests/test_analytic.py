@@ -375,7 +375,7 @@ def test_pole_fit_needs_a_uniform_grid(monkeypatch):
     t[1:-1] += 1e-9 * np.sin(np.arange(1, t.size - 1))  # off the line by 5e-11 of the span
     got = measure_beats(symmetric_solution(t, rates), allow_tone_fit=True)
     assert (got.two_f, got.method, got.detail) == (None, "none", "grid not uniform to 1e-12, no pole fit")
-    # propagate_coordinates shares the rule: one step matrix per step on this grid
+    # propagate_generator shares the rule: one step matrix per step on this grid
     steps = []
     step_matrix = linalg._step_matrix
     monkeypatch.setattr(linalg, "_step_matrix", lambda gen, h: steps.append(h) or step_matrix(gen, h))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,7 @@ from cavity_beats.linalg import (
     hermitian_generator,
     hermitian_states,
     partial_trace_field,
-    propagate_coordinates,
+    propagate_generator,
     pure_state,
     reachable_generator,
     stack_coordinates,
@@ -198,11 +200,21 @@ def test_rank_one_generator_of_explicit_configurations(system):
     assert np.all(lam[~zero].real < 0.0)
 
 
-def _full_states(system, t):
-    # the 16 x 16 composite states, which evolve_composite traces down to the atom
-    rhs = lambda rho: lindblad_rhs(rho, system)  # noqa: E731
-    keep, x = propagate_coordinates(rhs, pure_state(0, system.dim), t)
-    return hermitian_states(keep, x, system.dim)
+@functools.cache
+def _full_generator(n_max):
+    # lindblad_rhs's generator from the excited atom in _tuned_system(n_max=n_max), built
+    # once per truncation: its one call maps all 256 (1296 at n_max = 2) basis matrices
+    system, _, _ = _tuned_system(n_max=n_max)
+    rho0 = pure_state(0, system.dim)
+    keep, gen = hermitian_generator(lambda rho: lindblad_rhs(rho, system), rho0)
+    return system.dim, keep, gen, stack_coordinates(rho0)[keep]
+
+
+def _full_states(t, n_max=1):
+    # the composite states of _tuned_system(n_max=n_max), which evolve_composite traces
+    # down to the atom
+    dim, keep, gen, x0 = _full_generator(n_max)
+    return hermitian_states(keep, propagate_generator(gen, x0, t), dim)
 
 
 def _atom_states(series):
@@ -217,7 +229,7 @@ def test_evolution_matches_matrix_exponential():
     rho0 = pure_state(0, system.dim)
     lio = _liouvillian_matrix(system)
     for t in (np.array([0.0, 0.85, 1.7]), np.array([0.0, 0.3, 1.7, 5.0])):
-        states = _full_states(system, t)
+        states = _full_states(t)
         for i, ti in enumerate(t):
             want = (scipy.linalg.expm(lio * ti) @ rho0.ravel()).reshape(16, 16)
             assert np.max(np.abs(states[i] - want)) < 1e-12
@@ -226,7 +238,7 @@ def test_evolution_matches_matrix_exponential():
 def test_trace_kept_and_excitations_drain():
     system, _, _ = _tuned_system()
     t = np.linspace(0.0, 10.0, 101)
-    states = _full_states(system, t)
+    states = _full_states(t)
     traces = np.einsum("nii->n", states)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
     n_exc_atom = np.kron(
@@ -261,7 +273,7 @@ def test_evolve_composite_traces_the_propagated_states(n_max, t):
     # turned to the atom's interaction picture and divided by its trace
     system, levels, _ = _tuned_system(n_max=n_max)
     series = evolve_composite(pure_state(0, system.dim), t, system)
-    atom = partial_trace_field(_full_states(system, t), system.dims)
+    atom = partial_trace_field(_full_states(t, n_max), system.dims)
     omega = np.array([levels.omega_eg, levels.omega_1g, levels.omega_2g, 0.0])
     want = atom * np.exp(1j * (omega[:, None] - omega[None, :]) * t[:, None, None])
     want /= np.einsum("nii->n", want)[:, None, None]
@@ -274,7 +286,7 @@ def test_evolve_composite_applies_rotation():
     system, levels, _ = _tuned_system()
     t = np.array([0.0, 1.3])
     series = evolve_composite(pure_state(0, system.dim), t, system)
-    atom = partial_trace_field(_full_states(system, t)[1], system.dims)
+    atom = partial_trace_field(_full_states(t)[1], system.dims)
     phase = np.exp(1j * (levels.omega_1g - levels.omega_2g) * t[1])
     states = _atom_states(series)
     assert states[1][1, 2] == pytest.approx(atom[1, 2] * phase, abs=1e-12)
@@ -289,12 +301,13 @@ def test_evolve_composite_applies_rotation():
     n_max=st.sampled_from([1, 2]),
 )
 def test_generator_has_one_stationary_state(omega, g, n_max):
-    # on the coordinates reachable from the excited atom: one zero eigenvalue, every other
-    # mode decays. The slowest rate goes like Omega^2 (1e-8 at Omega = 1e-4, g = 1), so
-    # Omega is drawn from 1e-3 up, where it stays far above the zero threshold. Omega = 0
-    # is the dark case: the two intermediate levels coincide and a second state survives.
+    # the generator that runs use (rank-one images), on the coordinates reachable from the
+    # excited atom: one zero eigenvalue, every other mode decays. The slowest rate goes like Omega^2 (1e-8 at
+    # Omega = 1e-4, g = 1), so Omega is drawn from 1e-3 up, where it stays far above the
+    # zero threshold. Omega = 0 is the dark case: the two intermediate levels coincide and
+    # a second state survives.
     system, _, _ = _tuned_system(omega=omega, g=g, n_max=n_max)
-    _, gen = hermitian_generator(lambda rho: lindblad_rhs(rho, system), pure_state(0, system.dim))
+    _, gen = reachable_generator(_rhs_images(system), pure_state(0, system.dim))
     lam = np.linalg.eigvals(gen)
     zero = np.abs(lam) < 1e-10
     assert np.count_nonzero(zero) == (2 if omega == 0.0 else 1)

@@ -19,7 +19,7 @@ from cavity_beats.linalg import (
     hermitian_states,
     hermitize_and_check,
     partial_trace_field,
-    propagate_coordinates,
+    propagate_generator,
     pure_state,
     stack_coordinates,
 )
@@ -157,14 +157,15 @@ def test_propagate_decay_of_a_coherence():
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     t = np.array([0.0, 0.3, 1.1, 4.0])
     h = np.diag([0.0, w]).astype(complex)
-    keep, x = propagate_coordinates(lambda rho: -1j * (h @ rho - rho @ h), rho0, t)
-    out = hermitian_states(keep, x, 2)
+    keep, gen = hermitian_generator(lambda rho: -1j * (h @ rho - rho @ h), rho0)
+    x0 = stack_coordinates(rho0)[keep]
+    out = hermitian_states(keep, propagate_generator(gen, x0, t), 2)
     assert np.max(np.abs(out[:, 0, 1] - 0.5 * np.exp(1j * w * t))) < 1e-14
     assert np.max(np.abs(out[:, 0, 0] - 0.5)) < 1e-15
     with pytest.raises(ValueError, match="ascending"):
-        propagate_coordinates(lambda rho: rho, rho0, t[::-1])
+        propagate_generator(gen, x0, t[::-1])
     with pytest.raises(ValueError, match="Hermitian"):
-        propagate_coordinates(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]), t)
+        hermitian_generator(lambda rho: rho, np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 def test_coordinate_tables_are_shared_and_read_only():
@@ -244,9 +245,9 @@ def test_propagate_by_doubling_matches_scipy_expm(model, samples):
     rhs, rho0 = _tuned_problem(model)
     tol = 1e-14 + samples * np.finfo(float).eps
     t = np.linspace(0.0, 12.0, samples)
-    out = hermitian_states(*propagate_coordinates(rhs, rho0, t), rho0.shape[0])
     keep, gen = hermitian_generator(rhs, rho0)
     x0 = stack_coordinates(rho0)[keep]
+    out = hermitian_states(keep, propagate_generator(gen, x0, t), rho0.shape[0])
     want = np.array([scipy.linalg.expm(gen * tk) @ x0 for tk in t])
     got = stack_coordinates(out)
     assert np.max(np.abs(got[:, keep] - want)) <= tol
@@ -257,18 +258,17 @@ def test_propagate_by_doubling_matches_scipy_expm(model, samples):
 
 def _per_matrix_generator(rhs, rho0):
     # the reference for hermitian_generator: rhs on one basis matrix at a time, the reached
-    # coordinates in a dict; returns (keep, gen, number of frontiers)
+    # coordinates in a dict; returns (keep, gen)
     d = rho0.shape[0]
-    columns, frontiers = {}, 0
+    columns = {}
     new = np.flatnonzero(stack_coordinates(rho0))
     while new.size:
-        frontiers += 1
         for k, basis in zip(new, _hermitian_basis(d, new)):
             columns[k] = stack_coordinates(np.asarray(rhs(basis), dtype=complex))
         reached = np.flatnonzero(np.any([columns[k] for k in new], axis=0))
         new = np.setdiff1d(reached, list(columns))
     keep = np.array(sorted(columns), dtype=int)
-    return keep, np.array([columns[k][keep] for k in keep]).T, frontiers
+    return keep, np.array([columns[k][keep] for k in keep]).T
 
 
 def _counted(rhs, calls):
@@ -294,31 +294,27 @@ def _generator_cases():
 
 
 def test_hermitian_generator_matches_the_per_matrix_build():
-    # one rhs call on the whole 4 x 4 basis, or one per frontier of newly reached
-    # coordinates of a larger one, gives the same coordinates and the same generator bytes,
-    # in the same (Fortran) layout, as one call per basis matrix: expm and the doubling walk
-    # follow the memory layout
+    # one rhs call on the whole basis gives the same coordinates and the same generator
+    # bytes, in the same (Fortran) layout, as one call per basis matrix: expm and the
+    # doubling walk follow the memory layout
     for rhs, rho0 in _generator_cases():
+        d = rho0.shape[0]
         calls = []
         keep, gen = hermitian_generator(_counted(rhs, calls), rho0)
-        want_keep, want, frontiers = _per_matrix_generator(rhs, rho0)
+        want_keep, want = _per_matrix_generator(rhs, rho0)
         assert np.array_equal(keep, want_keep)
         assert gen.tobytes() == want.tobytes()
         assert gen.flags.f_contiguous and not gen.flags.c_contiguous
-        if rho0.shape[0] == 4:
-            assert calls == [(16, 4, 4)]
-        else:
-            assert len(calls) == frontiers
-            assert sum(shape[0] for shape in calls) == keep.size
+        assert calls == [(d * d, d, d)]
 
 
-def test_hermitian_generator_calls_rhs_once_per_frontier():
+def test_hermitian_generator_calls_rhs_once():
     levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
     system = build_system(CouplingSet.uniform(0.3), levels, cavity, n_max=1)
     calls = []
     keep, _ = hermitian_generator(_counted(lambda rho: lindblad_rhs(rho, system), calls),
                                   pure_state(0, system.dim))
-    assert keep.size == 27 and len(calls) == 7  # 27 basis matrices, 7 frontiers
+    assert keep.size == 27 and calls == [(256, 16, 16)]  # 27 of the 256 coordinates reached
     rates = derive_rates(CouplingSet.uniform(1.0), levels, cavity)
     calls = []
     keep, _ = hermitian_generator(_counted(lambda s: rotated_rhs(s, rates), calls), pure_state(0, 4))

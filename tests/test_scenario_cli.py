@@ -273,14 +273,14 @@ def _lines_17g(block):
 @example([0.0, -0.0, NAN, INF, -INF, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
 def test_format_rows_matches_17g_on_any_float(values):
     block = np.array(values).reshape(1, -1)
-    assert format_rows(block) == _lines_17g(block)
-    assert format_rows(block.T) == _lines_17g(block.T)
+    assert format_rows(block, bytearray()) == _lines_17g(block)
+    assert format_rows(block.T, bytearray()) == _lines_17g(block.T)
 
 
 def test_format_rows_matches_17g_on_random_bit_patterns():
     block = np.random.default_rng(8).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64).reshape(-1, 8)
     for a in range(0, len(block), 4096):
-        assert format_rows(block[a:a + 4096]) == _lines_17g(block[a:a + 4096])
+        assert format_rows(block[a:a + 4096], bytearray()) == _lines_17g(block[a:a + 4096])
 
 
 def test_format_rows_matches_17g_at_the_boundaries():
@@ -295,7 +295,7 @@ def test_format_rows_matches_17g_at_the_boundaries():
     base = np.concatenate([tens, named])
     values = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
     block = np.concatenate([values, -values]).reshape(-1, 2)
-    assert format_rows(block) == _lines_17g(block)
+    assert format_rows(block, bytearray()) == _lines_17g(block)
 
 
 def test_format_rows_matches_17g_in_every_fixed_decade():
@@ -311,7 +311,7 @@ def test_format_rows_matches_17g_in_every_fixed_decade():
             values.append(np.array([float(f"{k}e{x - digits + 1}") for k in ints]))
     v = np.concatenate(values)
     block = np.concatenate([v, -v]).reshape(-1, 8)
-    assert format_rows(block) == _lines_17g(block)
+    assert format_rows(block, bytearray()) == _lines_17g(block)
     printed = {len(f"{x:.17g}".split("e")[0].replace(".", "").lstrip("0")) for x in v}
     assert printed == set(range(1, 18))
 
@@ -329,9 +329,9 @@ def test_format_rows_matches_17g_on_fallback_values():
     for grid in (np.linspace(0.0, 8.0, 1601), np.linspace(0.0, 12.0, 1601)):
         block = np.column_stack([grid, grid[::-1], rng.permutation(short)[:grid.size],
                                  rng.random(grid.size), np.floor(8 * grid) / 8])
-        assert format_rows(block) == _lines_17g(block)
+        assert format_rows(block, bytearray()) == _lines_17g(block)
     block = rng.permutation(short)[:8000].reshape(-1, 8)
-    assert format_rows(block) == _lines_17g(block)
+    assert format_rows(block, bytearray()) == _lines_17g(block)
 
 
 def test_format_rows_leaves_no_stale_byte_in_a_reused_buffer():
@@ -350,7 +350,7 @@ def test_format_rows_leaves_no_stale_byte_in_a_reused_buffer():
     for rows in (4, 2, 6):
         short = rng.choice([0.0, -0.0, 1.0, 0.5, 3.0, 0.25], (rows, 8))
         short[:, ::3] = rng.integers(1, 10, (rows, 3)) / 10
-        assert format_rows(short, buf) == format_rows(short) == _lines_17g(short)
+        assert format_rows(short, buf) == format_rows(short, bytearray()) == _lines_17g(short)
         assert len(buf) == short.size * CELL
 
 
@@ -546,6 +546,8 @@ BAD_INPUT = {
     "validate-g-text": (None, ["validate", "--g-values", "0.2,abc"]),
     "validate-g-repeated": (None, ["validate", "--g-values", "0.2,0.2"]),
     "validate-name-parent": (None, ["validate", "--name", "../escaped"]),
+    "sweep-names-alike": (SHORTCUT, ["sweep", "--param", "Omega", "--values", "1.0000001,1.0000002"]),
+    "sweep-value-repeated": (SHORTCUT, ["sweep", "--param", "eta", "--values", "0.5,1,0.5"]),
     "t_end-huge": (dict(SHORTCUT, t_end=1e12, samples=3), None),
     "t_end-max-float": (dict(SHORTCUT, t_end=1e308), None),
     "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
@@ -570,7 +572,8 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, a
         path = work / "scenario.json"
         path.write_text(json.dumps(scenario))
         inputs.add(path)
-        argv = ["run", str(path)]
+        argv = argv or ["run"]
+        argv = argv[:1] + [str(path)] + argv[1:]
     code = main(argv + ["--out-dir", str(work / "out")])
     assert code == 2
     assert "scenario error" in capsys.readouterr().err
