@@ -112,7 +112,7 @@ def _preset_scenarios(which: str, eta_values, mode: str) -> list[scn.Scenario]:
 
 def _cmd_preset(args) -> int:
     if args.eta is not None:
-        eta_values = (args.eta,)
+        eta_values = (scn.read_field("eta", args.eta, "scenario.eta"),)
     elif args.mode == "composite":
         eta_values = (1.0,)  # the full model has no interference dial
     else:

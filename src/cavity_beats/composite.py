@@ -9,7 +9,9 @@ larger n_max exists to demonstrate that, not to fix accuracy.
 validate_elimination solves the same physical configuration both ways
 (full model here, reduced equation in the interaction picture of the bare
 atom) and reports how the difference shrinks as the couplings get small
-against the cavity linewidths.
+against the cavity linewidths. Both runs end in a checked series
+(series.hermitize_and_check), and TimeSeries.max_difference compares them,
+so nothing here reads the atom's coordinate layout.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import (
-    element_coordinates,
-    hermitize_and_check,
     linear_readout,
     partial_trace_field,
     propagate_generator,
@@ -30,10 +30,9 @@ from .linalg import (
     stack_coordinates,
 )
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, tuned_configuration
+from .reduced import _proj
 from .reduced import evolve as evolve_reduced
-from .series import D, TimeSeries
-
-_UPPER = np.triu_indices(D, 1)  # the (j, k) of every element above the diagonal
+from .series import TimeSeries, hermitize_and_check
 
 
 def annihilation(n_max: int) -> np.ndarray:
@@ -97,15 +96,10 @@ def build_system(
     h += cavity.omega_a * _lift(i4, ad @ a, i_n)
     h += cavity.omega_b * _lift(i4, i_n, ad @ a)
 
-    def drop(i: int, j: int) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    hx = -1j * couplings.G_1e * _lift(drop(1, 0), ad, i_n)
-    hx += -1j * couplings.G_2e * _lift(drop(2, 0), ad, i_n)
-    hx += -1j * couplings.G_g1 * _lift(drop(3, 1), i_n, ad)
-    hx += -1j * couplings.G_g2 * _lift(drop(3, 2), i_n, ad)
+    hx = -1j * couplings.G_1e * _lift(_proj(1, 0), ad, i_n)
+    hx += -1j * couplings.G_2e * _lift(_proj(2, 0), ad, i_n)
+    hx += -1j * couplings.G_g1 * _lift(_proj(3, 1), i_n, ad)
+    hx += -1j * couplings.G_g2 * _lift(_proj(3, 2), i_n, ad)
     h = h + hx + hx.conj().T
     a_op, b_op = _lift(i4, a, i_n), _lift(i4, i_n, a)
     # K = -i H - kappa_a a^dag a - kappa_b b^dag b is the effective Hamiltonian
@@ -163,9 +157,9 @@ def evolve_composite(
     are traced out of the matrix of each reachable coordinate (linear_readout), never
     out of a state. The reduced equation is written in the interaction picture of the
     bare atom, so its element (j, k) carries the extra phase exp(i (omega_j - omega_k) t)
-    relative to the traced-out state: hermitize_and_check applies it on the atom's
-    coordinates and checks and renormalizes the trace of every sample. No state of
-    either space is built.
+    relative to the traced-out state: series.hermitize_and_check applies it on the
+    atom's coordinates, checks and renormalizes the trace of every sample, and returns
+    the series. No state of either space is built.
     """
     t = np.asarray(t_grid, dtype=float)
     dim = system.dim
@@ -173,12 +167,13 @@ def evolve_composite(
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim} for this truncation")
     keep, gen = reachable_generator(_rhs_images(system), rho0)
-    x = propagate_generator(gen, stack_coordinates(rho0)[keep], t)
     atom_keep, trace = linear_readout(lambda m: partial_trace_field(m, system.dims), keep, dim)
     lv = system.levels
     omega = np.array([lv.omega_eg, lv.omega_1g, lv.omega_2g, 0.0])
-    x, max_corr = hermitize_and_check(atom_keep, x @ trace, omega[:, None] - omega, t)
-    return TimeSeries(t, max_drift_correction=max_corr, keep=atom_keep, x=x)
+    x0 = stack_coordinates(rho0)[keep]
+    return hermitize_and_check(
+        t, atom_keep, propagate_generator(gen, x0, t) @ trace, omega[:, None] - omega
+    )
 
 
 class EliminationCheck(NamedTuple):
@@ -218,22 +213,6 @@ def validate_elimination(
         full = evolve_composite(pure_state(0, system.dim), t, system)
         rates = derive_rates(*config)
         reduced = evolve_reduced(rho0, t, rates, eta=1.0)
-        devs.append(_max_difference(full, reduced))
+        devs.append(full.max_difference(reduced))
     return EliminationCheck(g_values=gs, deviations=tuple(devs))
 
-
-def _max_difference(a: TimeSeries, b: TimeSeries) -> float:
-    """The largest modulus of an element of a's matrix minus b's, over every sample.
-
-    Read from the coordinates, without building a matrix: the difference of each one,
-    the diagonal's modulus, and np.abs of each upper element's complex difference,
-    which its conjugate element shares.
-    """
-    element = element_coordinates(D)
-    j, k = _UPPER
-    diff = np.zeros((len(a), D * D))
-    diff[:, a.keep] = a.x
-    diff[:, b.keep] -= b.x
-    upper = np.empty((len(a), j.size), dtype=complex)
-    upper.real, upper.imag = diff[:, element[j, k]], diff[:, element[k, j]]
-    return float(max(np.max(np.abs(diff[:, np.diag(element)])), np.max(np.abs(upper))))

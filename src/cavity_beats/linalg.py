@@ -16,8 +16,6 @@ import numpy as np
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
-DRIFT_TOL = 1e-6  # trace deviation hermitize_and_check renormalizes; beyond it, DriftError
-ROTATION_BLOCK = 2048  # samples hermitize_and_check turns to its frame at a time
 
 
 class DriftError(RuntimeError):
@@ -213,94 +211,6 @@ def hermitian_states(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
     out.imag[:, rows[im], cols[im]] = x_im
     out.imag[:, cols[im], rows[im]] = -x_im
     return out
-
-
-def lowest_eigenvalues(keep: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
-    """The lowest eigenvalue of each d x d Hermitian matrix with coordinates x[n] on keep.
-
-    x has shape (n, keep.size), as hermitize_and_check returns it. Every coordinate
-    outside keep is zero, so the matrices are block diagonal: a block is a connected
-    component of the levels, linked by the off-diagonal coordinates in keep. A 1 x 1
-    block gives its diagonal, a 2 x 2 block [[a, b], [b*, c]] the closed form
-    (a + c)/2 - hypot((a - c)/2, |b|), with |b| the np.abs of the complex b, and a
-    larger one eigvalsh.
-    """
-    rows, cols, _ = _hermitian_coordinates(d)
-    element = element_coordinates(d)
-    column = {k: i for i, k in enumerate(keep.tolist())}
-
-    def value(k: int) -> np.ndarray:
-        return x[:, column[k]] if k in column else np.zeros(len(x))
-
-    label = np.arange(d)
-    for r, c in zip(rows[keep], cols[keep]):
-        label[label == label[c]] = label[r]
-    lowest = np.full(len(x), np.inf)
-    for block in (np.flatnonzero(label == b) for b in np.unique(label)):
-        if block.size == 1:
-            w = value(element[block[0], block[0]])
-        elif block.size == 2:
-            i, j = block
-            a, c = value(element[i, i]), value(element[j, j])
-            b = np.zeros(len(x), dtype=complex)
-            b.real, b.imag = value(element[i, j]), value(element[j, i])
-            w = (a + c) / 2 - np.hypot((a - c) / 2, np.abs(b))
-        else:
-            w = np.linalg.eigvalsh(hermitian_states(keep, x, d)[:, block[:, None], block])[:, 0]
-        np.minimum(lowest, w, out=lowest)
-    return lowest
-
-
-def hermitize_and_check(
-    keep: np.ndarray, x: np.ndarray, phases: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Validate the states with coordinates x[n] on keep, sampled at times[n], in a rotated frame.
-
-    phases[j, k] is the frame frequency of element (j, k): each reachable off-diagonal
-    element with a nonzero one is multiplied by exp(i phases[j, k] t), on its real and
-    imaginary coordinates. Then the trace of each sample, summed over the diagonal
-    coordinates in index order, is checked and divided out. Returns the checked and
-    renormalized coordinates, a new Fortran-ordered (n, keep.size) array, so the
-    values of each coordinate lie contiguous in memory; and the largest correction, the
-    largest deviation of a trace from 1. Coordinates describe Hermitian states by
-    construction, so nothing needs repair, and no 4x4 state is built here. Beyond
-    DRIFT_TOL the state is corrupted, not blipped: DriftError names the first such sample.
-    """
-    phases = np.asarray(phases, dtype=float)
-    t = np.asarray(times, dtype=float)
-    x = np.array(x, dtype=float, order="F")
-    d = phases.shape[0]
-    if phases.shape != (d, d) or x.shape != (t.size, keep.size):
-        raise ValueError(f"need {d} x {d} phases and one row of {keep.size} coordinates "
-                         f"per time, got {phases.shape} and {x.shape}")
-    rows, cols, _ = _hermitian_coordinates(d)
-    element = element_coordinates(d)
-    rotated = keep[(rows[keep] != cols[keep]) & (phases[rows[keep], cols[keep]] != 0.0)]
-    column = {k: i for i, k in enumerate(keep.tolist())}
-    for j, k in sorted(set(zip(rows[rotated].tolist(), cols[rotated].tolist()))):
-        re, im = int(element[j, k]), int(element[k, j])
-        if re not in column or im not in column:
-            raise ValueError("a rotated element needs both its real and imaginary coordinates")
-        a, b = column[re], column[im]
-        for s in range(0, t.size, ROTATION_BLOCK):  # pointwise, so blocks keep temporaries small
-            n = slice(s, s + ROTATION_BLOCK)
-            z = (x[n, a] + 1j * x[n, b]) * np.exp(1j * phases[j, k] * t[n])
-            x[n, a], x[n, b] = z.real, z.imag
-    if not np.all(np.isfinite(x)):
-        raise ValueError("states contain non-finite entries")
-    diagonal = np.flatnonzero(keep < d)
-    trace = np.zeros(t.size)
-    for j in diagonal:
-        trace += x[:, j]
-    trace_dev = trace - 1.0
-    np.abs(trace_dev, out=trace_dev)
-    if np.any(trace_dev > DRIFT_TOL):
-        i = int(np.argmax(trace_dev > DRIFT_TOL))
-        raise DriftError(f"sample {i} (t={t[i]:.6g}): trace drift {trace_dev[i]:.3e} "
-                         f"exceeds tolerance {DRIFT_TOL:.1e}")
-    np.divide(1.0, trace, out=trace)
-    x *= trace[:, None]
-    return x, float(np.max(trace_dev, initial=0.0))
 
 
 def hermitian_generator(

@@ -17,7 +17,9 @@ stack of them, shape (k, 4, 4), and give a matrix the same bytes alone as
 in a stack. So evolve builds the generator from one call on all 16 basis
 matrices (linalg.hermitian_generator) and walks the grid with it
 (linalg.propagate_generator), the two steps that composite.evolve_composite
-takes from its rank-one images.
+takes from its rank-one images. The coordinates it reaches go to
+series.hermitize_and_check, which turns them back from the rotating frame and
+returns the checked TimeSeries; evolve adds the positivity diagnostics.
 """
 
 from __future__ import annotations
@@ -26,16 +28,9 @@ import warnings
 
 import numpy as np
 
-from .linalg import (
-    density_matrix,
-    hermitian_generator,
-    hermitize_and_check,
-    lowest_eigenvalues,
-    propagate_generator,
-    stack_coordinates,
-)
+from .linalg import density_matrix, hermitian_generator, propagate_generator, stack_coordinates
 from .model import RateSet
-from .series import TimeSeries
+from .series import TimeSeries, hermitize_and_check
 
 POSITIVITY_FLOOR = -1e-6
 
@@ -173,15 +168,15 @@ def evolve(
 ) -> TimeSeries:
     """Solve the reduced master equation exactly on t_grid.
 
-    Every sample is validated on the propagated coordinates: the frame is
-    rotated back on the reachable coherences only, the trace is checked and
-    renormalized when its deviation stays below linalg.DRIFT_TOL, and the largest
-    correction is reported on the returned series; larger drift raises
-    DriftError. The series holds the checked coordinates, which describe
-    Hermitian states by construction; no 4x4 state is built. A negative
-    eigenvalue beyond POSITIVITY_FLOOR, found block by block
-    (lowest_eigenvalues), is recorded as a diagnostic and warned about, never
-    silently accepted.
+    Every sample is validated on the propagated coordinates by
+    series.hermitize_and_check: the frame is rotated back on the reachable
+    coherences only, the trace is checked and renormalized when its deviation
+    stays below series.DRIFT_TOL, and the largest correction is reported on the
+    returned series; larger drift raises DriftError. The series holds the
+    checked coordinates, which describe Hermitian states by construction; no
+    4x4 state is built. A negative eigenvalue beyond POSITIVITY_FLOOR, found
+    block by block (TimeSeries.lowest_eigenvalues), is recorded in the
+    series' diagnostics and warned about, never silently accepted.
     """
     if form not in RHS_FORMS:
         raise ValueError(f"unknown rhs form {form!r}")
@@ -191,10 +186,13 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate_generator rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     keep, gen = hermitian_generator(lambda s: rotated_rhs(s, rates, eta, form), sigma0)
-    x = propagate_generator(gen, stack_coordinates(sigma0)[keep], t)
-    x, max_corr = hermitize_and_check(keep, x, dtheta, t)
+    # the propagated coordinates go straight into the check, which copies them, so they
+    # are freed when it returns rather than held beside the series
+    series = hermitize_and_check(
+        t, keep, propagate_generator(gen, stack_coordinates(sigma0)[keep], t), dtheta
+    )
 
-    lowest = lowest_eigenvalues(keep, x, 4)
+    lowest = series.lowest_eigenvalues()
     negative = np.flatnonzero(lowest < POSITIVITY_FLOOR)
     diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
     if negative.size:
@@ -206,5 +204,5 @@ def evolve(
         )
         if negative.size > len(diagnostics):
             diagnostics.append(f"... {negative.size} samples below {POSITIVITY_FLOOR:g} in total")
-
-    return TimeSeries(t, diagnostics=diagnostics, max_drift_correction=max_corr, keep=keep, x=x)
+    series.diagnostics = diagnostics
+    return series

@@ -77,7 +77,7 @@ class Field(NamedTuple):
 # Every number a scenario can set, top-level or in a configuration block;
 # g_values bounds each rung of the validate ladder.
 FIELDS = {
-    "eta": Field(float),
+    "eta": Field(float, 0.0, 1.0),
     "Omega": Field(float, 0.0),
     "G": Field(complex),
     "t_end": Field(float, 0.0, T_END_MAX, lower_open=True),

@@ -7,7 +7,6 @@ from cavity_beats.composite import build_system, lindblad_rhs
 from cavity_beats.linalg import (
     MAX_SQUARINGS,
     THETA13,
-    DriftError,
     _hermitian_basis,
     _hermitian_coordinates,
     _squarings,
@@ -17,7 +16,6 @@ from cavity_beats.linalg import (
     expm,
     hermitian_generator,
     hermitian_states,
-    hermitize_and_check,
     partial_trace_field,
     propagate_generator,
     pure_state,
@@ -111,34 +109,6 @@ def test_partial_trace_of_product_state():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace_field(np.eye(10), (4, 2, 2))
-
-
-def test_trace_check_rotates_and_renormalizes_small_drift():
-    # coordinates (rho_00, rho_11, re rho_01, im rho_01) of a state with unit trace and of
-    # one whose trace drifted by -1e-9; the frame turns rho_01 by exp(2 i t)
-    keep = np.arange(4)
-    x = np.array([[0.6, 0.4, 0.1, 0.0], [0.6 + 1e-9, 0.4 - 2e-9, 0.1, 0.0]])
-    phases = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    checked, corr = hermitize_and_check(keep, x, phases, np.array([0.0, 1.0]))
-    fixed = hermitian_states(keep, checked, 2)
-    assert corr == pytest.approx(1e-9, rel=1e-6)
-    assert np.array_equal(fixed[0], [[0.6, 0.1], [0.1, 0.4]])
-    assert np.max(np.abs(fixed[1] - fixed[1].conj().T)) == 0.0
-    assert abs(fixed[1].trace() - 1.0) < 1e-15
-    assert abs(fixed[1][0, 1] - 0.1 * np.exp(2j) / (1.0 - 1e-9)) < 1e-15
-
-
-def test_trace_check_raises_beyond_tolerance():
-    keep = np.array([0, 1, 2])
-    x = np.array([[0.6, 0.4, 0.1]] * 2 + [[0.601, 0.4, 0.1]] * 2)
-    t = np.linspace(0, 0.75, 4)
-    with pytest.raises(DriftError, match=(
-        r"^sample 2 \(t=0\.5\): trace drift 1\.000e-03 exceeds tolerance 1\.0e-06$"
-    )):
-        hermitize_and_check(keep, x, np.zeros((2, 2)), t)
-    # a rotated coherence needs its imaginary coordinate as well
-    with pytest.raises(ValueError, match="both its real and imaginary"):
-        hermitize_and_check(keep, x, np.array([[0.0, 1.0], [-1.0, 0.0]]), t)
 
 
 @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, THETA13, 40.0, 200.0])

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_beats import linalg
 from cavity_beats.integrator import IntegratorConfig, integrate
 from cavity_beats.linalg import (
     DriftError,
     hermitian_generator,
     hermitian_states,
-    lowest_eigenvalues,
     pure_state,
 )
 from cavity_beats.model import (
@@ -163,7 +161,7 @@ def test_eta_interpolates_cross_terms():
 
 
 def test_drift_error_carries_sample_position(monkeypatch):
-    monkeypatch.setattr(linalg, "DRIFT_TOL", 0.0)
+    monkeypatch.setattr("cavity_beats.series.DRIFT_TOL", 0.0)
     rates = _tuned_rates(1.0)
     with pytest.raises(DriftError, match=r"sample \d+ \(t="):
         evolve(pure_state(0, 4), np.linspace(0.0, 6.0, 61), rates)
@@ -290,7 +288,8 @@ def test_evolution_keeps_hermiticity_trace_and_support(config):
         assert np.all(states[:, ~inside] == 0.0)
         assert series.max_drift_correction <= 1e-12
         keep, _ = hermitian_generator(lambda s: rotated_rhs(s, rates, eta), rho0)
-        lowest = lowest_eigenvalues(keep, series.x, 4)
+        assert np.array_equal(series.keep, keep)
+        lowest = series.lowest_eigenvalues()
         assert np.max(np.abs(lowest - np.linalg.eigvalsh(states)[:, 0])) <= 1e-14
     # where the rhs carries the e-1 coherence on to e-2, the 3 x 3 block is really there
     # (at eta = 5e-324, say, eta times a cross coefficient underflows to zero, and it is not)

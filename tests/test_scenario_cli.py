@@ -111,6 +111,8 @@ def test_parse_field_type_checks():
         parse_scenario(dict(SHORTCUT, t_end=0.0))
     with pytest.raises(ScenarioError, match="eta: must be finite"):
         parse_scenario(dict(SHORTCUT, eta=INF))
+    with pytest.raises(ScenarioError, match=r"eta: must lie in \[0, 1\]"):
+        parse_scenario(dict(SHORTCUT, eta=1.5))
     with pytest.raises(ScenarioError, match="Omega"):
         parse_scenario(dict(SHORTCUT, Omega=-2.0))
     with pytest.raises(ScenarioError, match="samples"):
@@ -534,6 +536,10 @@ BAD_INPUT = {
     "Omega-nan": (dict(SHORTCUT, Omega=NAN), None),
     "G-inf": (dict(SHORTCUT, G=[1.0, INF]), None),
     "analytic-eta-nan": (dict(SHORTCUT, mode="analytic", eta=NAN), None),
+    "analytic-eta-3": (dict(SHORTCUT, mode="analytic", eta=3), None),
+    "analytic-eta-huge": (dict(SHORTCUT, mode="analytic", eta=1e200), None),
+    "analytic-eta-negative": (dict(SHORTCUT, mode="analytic", eta=-0.5), None),
+    "preset-eta-2": (None, ["preset", "fig3", "--eta", "2"]),
     "t_end-overflow": (dict(SHORTCUT, t_end=10**400), None),
     "kappa_a-nan": (dict(EXPLICIT, cavity=dict(EXPLICIT["cavity"], kappa_a=NAN)), None),
     "G_g1-inf": (dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_g1=-INF)), None),
@@ -578,6 +584,18 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, a
     assert code == 2
     assert "scenario error" in capsys.readouterr().err
     assert {p for p in tmp_path.rglob("*") if p.is_file()} == inputs
+
+
+@pytest.mark.parametrize("argv", [["run", "scenario.json"], ["preset", "fig3", "--eta", "2"]])
+def test_eta_outside_the_dial_exits_with_its_path(tmp_path, capsys, monkeypatch, argv):
+    # eta weighs the cross terms from 0 (off) to 1 (full strength); beyond that the
+    # solvers disagree, so the field table stops it before any prediction or run
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(dict(SHORTCUT, mode="analytic", eta=2)))
+    monkeypatch.setattr(cli, "beat_frequency", lambda *a: pytest.fail("predicted first"))
+    assert main(argv + ["--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == "scenario error: scenario.eta: must lie in [0, 1]\n"
+    assert not Path("out").exists()
 
 
 MODEL_OVERFLOW = {

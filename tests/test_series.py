@@ -1,16 +1,16 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cavity_beats.composite import _max_difference
 from cavity_beats.linalg import (
+    DriftError,
     _hermitian_coordinates,
     hermitian_states,
-    lowest_eigenvalues,
     stack_coordinates,
 )
-from cavity_beats.series import CHANNELS, LEVELS, TimeSeries
+from cavity_beats.series import CHANNELS, LEVELS, TimeSeries, hermitize_and_check
 
 # the (e, 1, 2, g) supports a run holds: the excited atom's (the populations and the
 # 1-2 coherence), the populations alone (secular_solution), and the 3 x 3 {e, 1, 2}
@@ -105,7 +105,7 @@ def test_coordinates_read_as_the_stack_reads(case):
 @given(case=_coordinates())
 def test_lowest_eigenvalues_on_coordinates_match_the_stack(case):
     keep, x = case
-    got = lowest_eigenvalues(keep, x, 4)
+    got = TimeSeries(np.linspace(0.0, 1.0, len(x)), keep, x).lowest_eigenvalues()
     want, largest = _stack_lowest(hermitian_states(keep, x, 4), keep)
     if largest <= 2:
         assert _same_bytes(got, want)
@@ -120,4 +120,41 @@ def test_max_difference_is_that_of_the_stacks(a, b):
     times = np.linspace(0.0, 1.0, n)
     sa = TimeSeries(times, keep=a[0], x=a[1][:n])
     sb = TimeSeries(times, keep=b[0], x=b[1][:n])
-    assert _max_difference(sa, sb) == float(np.max(np.abs(_states(sa) - _states(sb))))
+    assert sa.max_difference(sb) == float(np.max(np.abs(_states(sa) - _states(sb))))
+
+
+# the 1-2 coherence turns at frequency 2 in the frame the checks undo
+PHASES = np.zeros((4, 4))
+PHASES[1, 2], PHASES[2, 1] = 2.0, -2.0
+
+
+def test_trace_check_rotates_and_renormalizes_small_drift():
+    # coordinates (rho_11, rho_22, re rho_12, im rho_12) of a state with unit trace and of
+    # one whose trace drifted by -1e-9; the frame turns rho_12 by exp(2 i t)
+    keep = np.array([1, 2, 7, 13])
+    x = np.array([[0.6, 0.4, 0.1, 0.0], [0.6 + 1e-9, 0.4 - 2e-9, 0.1, 0.0]])
+    given = x.copy()
+    series = hermitize_and_check(np.array([0.0, 1.0]), keep, x, PHASES)
+    assert np.array_equal(x, given) and series.x.flags.f_contiguous  # checked on a copy
+    assert np.array_equal(series.keep, keep) and series.diagnostics == []
+    fixed = _states(series)
+    assert series.max_drift_correction == pytest.approx(1e-9, rel=1e-6)
+    want = np.zeros((4, 4))
+    want[1:3, 1:3] = [[0.6, 0.1], [0.1, 0.4]]
+    assert np.array_equal(fixed[0], want)
+    assert np.max(np.abs(fixed[1] - fixed[1].conj().T)) == 0.0
+    assert abs(fixed[1].trace() - 1.0) < 1e-15
+    assert abs(fixed[1][1, 2] - 0.1 * np.exp(2j) / (1.0 - 1e-9)) < 1e-15
+
+
+def test_trace_check_raises_beyond_tolerance():
+    keep = np.array([1, 2, 7])
+    x = np.array([[0.6, 0.4, 0.1]] * 2 + [[0.601, 0.4, 0.1]] * 2)
+    t = np.linspace(0, 0.75, 4)
+    with pytest.raises(DriftError, match=(
+        r"^sample 2 \(t=0\.5\): trace drift 1\.000e-03 exceeds tolerance 1\.0e-06$"
+    )):
+        hermitize_and_check(t, keep, x, np.zeros((4, 4)))
+    # a rotated coherence needs its imaginary coordinate as well
+    with pytest.raises(ValueError, match="both its real and imaginary"):
+        hermitize_and_check(t, keep, x, PHASES)
