@@ -9,9 +9,11 @@ larger n_max exists to demonstrate that, not to fix accuracy.
 validate_elimination solves the same physical configuration both ways
 (full model here, reduced equation in the interaction picture of the bare
 atom) and reports how the difference shrinks as the couplings get small
-against the cavity linewidths. Both runs end in a checked series
-(series.hermitize_and_check), and TimeSeries.max_difference compares them,
-so nothing here reads the atom's coordinate layout.
+against the cavity linewidths. evolve_composite takes the four steps of
+reduced.evolve (validate the start, build the generator, propagate, check), so
+both runs end in a series judged by the same check (series.hermitize_and_check),
+and TimeSeries.max_difference compares them; nothing here reads the atom's
+coordinate layout.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import (
-    linear_readout,
+    density_matrix,
+    hermitian_basis,
     partial_trace_field,
     propagate_generator,
     pure_state,
@@ -151,28 +154,30 @@ def evolve_composite(
 ) -> TimeSeries:
     """Solve the composite equation exactly and return the atom's TimeSeries.
 
-    The generator is constant: it is built on the coordinates the state reaches from
-    the rank-one factors of the right-hand side (_rhs_images), with no call of
-    lindblad_rhs, and linalg.propagate_generator walks the grid with it. Both modes
-    are traced out of the matrix of each reachable coordinate (linear_readout), never
-    out of a state. The reduced equation is written in the interaction picture of the
-    bare atom, so its element (j, k) carries the extra phase exp(i (omega_j - omega_k) t)
-    relative to the traced-out state: series.hermitize_and_check applies it on the
-    atom's coordinates, checks and renormalizes the trace of every sample, and returns
-    the series. No state of either space is built.
+    The four steps of reduced.evolve: rho0 is validated (linalg.density_matrix), the
+    generator is built on the coordinates the state reaches from the rank-one factors
+    of the right-hand side (_rhs_images), with no call of lindblad_rhs,
+    linalg.propagate_generator walks the grid with it, and series.hermitize_and_check
+    judges the run. Both modes are traced out of the matrix of each reachable
+    coordinate, never out of a state. The reduced equation is written in the
+    interaction picture of the bare atom, so its element (j, k) carries the extra phase
+    exp(i (omega_j - omega_k) t) relative to the traced-out state, which the check
+    applies. No state of either space is built.
     """
     t = np.asarray(t_grid, dtype=float)
     dim = system.dim
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = density_matrix(rho0)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim} for this truncation")
     keep, gen = reachable_generator(_rhs_images(system), rho0)
-    atom_keep, trace = linear_readout(lambda m: partial_trace_field(m, system.dims), keep, dim)
+    trace = stack_coordinates(partial_trace_field(hermitian_basis(dim, keep), system.dims))
+    atom_keep = np.flatnonzero(np.any(trace, axis=0))
     lv = system.levels
     omega = np.array([lv.omega_eg, lv.omega_1g, lv.omega_2g, 0.0])
     x0 = stack_coordinates(rho0)[keep]
     return hermitize_and_check(
-        t, atom_keep, propagate_generator(gen, x0, t) @ trace, omega[:, None] - omega
+        t, atom_keep, propagate_generator(gen, x0, t) @ trace[:, atom_keep],
+        omega[:, None] - omega,
     )
 
 

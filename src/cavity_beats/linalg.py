@@ -185,7 +185,7 @@ def stack_coordinates(m: np.ndarray) -> np.ndarray:
     return m.view(float).reshape(m.shape[:-2] + (2 * d * d,)).take(_coordinate_slots(d), axis=-1)
 
 
-def _hermitian_basis(d: int, coords: np.ndarray) -> np.ndarray:
+def hermitian_basis(d: int, coords: np.ndarray) -> np.ndarray:
     """The d x d Hermitian matrix of each coordinate in coords, shape (len(coords), d, d)."""
     rows, cols, is_imag = _hermitian_coordinates(d)
     r, c, unit = rows[coords], cols[coords], np.where(is_imag[coords], 1j, 1.0)
@@ -226,7 +226,7 @@ def hermitian_generator(
     as reachable_generator does.
     """
     d = rho0.shape[0]
-    basis = _hermitian_basis(d, np.arange(d * d))
+    basis = hermitian_basis(d, np.arange(d * d))
     try:
         image = np.asarray(rhs(basis), dtype=complex)
     except ValueError as exc:  # an rhs for one matrix can fail in numpy's broadcasting
@@ -366,18 +366,3 @@ def propagate_generator(gen: np.ndarray, x0: np.ndarray, t_grid: np.ndarray) -> 
                 power = power @ power
     return x
 
-
-def linear_readout(
-    observe: Callable[[np.ndarray], np.ndarray], keep: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A linear map of d x d Hermitian matrices, on the coordinates keep.
-
-    observe works on a stack of matrices and maps Hermitian ones to Hermitian ones,
-    such as a partial trace. It is applied to the matrix of each coordinate in keep,
-    never to a state. Returns (keep_out, c): the output coordinates the map reaches
-    and their real matrix, so observe takes the states with coordinates x on keep to
-    those with coordinates x @ c on keep_out.
-    """
-    c = stack_coordinates(np.asarray(observe(_hermitian_basis(d, keep)), dtype=complex))
-    keep_out = np.flatnonzero(np.any(c, axis=0))
-    return keep_out, c[:, keep_out]

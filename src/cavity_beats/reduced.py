@@ -18,21 +18,17 @@ in a stack. So evolve builds the generator from one call on all 16 basis
 matrices (linalg.hermitian_generator) and walks the grid with it
 (linalg.propagate_generator), the two steps that composite.evolve_composite
 takes from its rank-one images. The coordinates it reaches go to
-series.hermitize_and_check, which turns them back from the rotating frame and
-returns the checked TimeSeries; evolve adds the positivity diagnostics.
+series.hermitize_and_check, which turns them back from the rotating frame, judges
+their trace and positivity, and returns the checked TimeSeries.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from .linalg import density_matrix, hermitian_generator, propagate_generator, stack_coordinates
 from .model import RateSet
 from .series import TimeSeries, hermitize_and_check
-
-POSITIVITY_FLOOR = -1e-6
 
 
 def _proj(i: int, j: int) -> np.ndarray:
@@ -168,15 +164,15 @@ def evolve(
 ) -> TimeSeries:
     """Solve the reduced master equation exactly on t_grid.
 
-    Every sample is validated on the propagated coordinates by
-    series.hermitize_and_check: the frame is rotated back on the reachable
-    coherences only, the trace is checked and renormalized when its deviation
-    stays below series.DRIFT_TOL, and the largest correction is reported on the
-    returned series; larger drift raises DriftError. The series holds the
-    checked coordinates, which describe Hermitian states by construction; no
-    4x4 state is built. A negative eigenvalue beyond POSITIVITY_FLOOR, found
-    block by block (TimeSeries.lowest_eigenvalues), is recorded in the
-    series' diagnostics and warned about, never silently accepted.
+    The four steps of composite.evolve_composite: rho0 is validated
+    (linalg.density_matrix), the generator is built in the rotating frame from
+    one call of the right-hand side (linalg.hermitian_generator),
+    linalg.propagate_generator walks the grid with it, and
+    series.hermitize_and_check judges every sample of the run. It rotates the
+    frame back on the reachable coherences only, renormalizes a trace drift below
+    series.DRIFT_TOL (larger drift raises DriftError), and records a lowest
+    eigenvalue below series.POSITIVITY_FLOOR in the series' diagnostics with a
+    warning, never silently accepted. No 4x4 state is built.
     """
     if form not in RHS_FORMS:
         raise ValueError(f"unknown rhs form {form!r}")
@@ -186,23 +182,8 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate_generator rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     keep, gen = hermitian_generator(lambda s: rotated_rhs(s, rates, eta, form), sigma0)
-    # the propagated coordinates go straight into the check, which copies them, so they
-    # are freed when it returns rather than held beside the series
-    series = hermitize_and_check(
+    # the propagated coordinates go straight into the check, which copies them and drops
+    # them before its positivity pass, so they are never held beside the series
+    return hermitize_and_check(
         t, keep, propagate_generator(gen, stack_coordinates(sigma0)[keep], t), dtheta
     )
-
-    lowest = series.lowest_eigenvalues()
-    negative = np.flatnonzero(lowest < POSITIVITY_FLOOR)
-    diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
-    if negative.size:
-        worst_eig = min(0.0, float(np.min(lowest[negative])))
-        warnings.warn(
-            f"positivity violated at {negative.size} of {t.size} samples "
-            f"(worst eigenvalue {worst_eig:.3e})",
-            stacklevel=2,
-        )
-        if negative.size > len(diagnostics):
-            diagnostics.append(f"... {negative.size} samples below {POSITIVITY_FLOOR:g} in total")
-    series.diagnostics = diagnostics
-    return series

@@ -61,6 +61,11 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
 # bound, so large rates are not kept runnable: a reduced run at G = 1e5 over
 # t_end = 5, or at G = 1e3 over t_end = 1e6, drifts and exits 3. Conditioning
 # decides that, not the span |L| t_end alone, so no bound stands in for it.
+# Below T_END_MIN a step can be so small that the product of two steps, which
+# np.gradient takes for the slope of rho_gg, leaves the normal float range (a step
+# below about 1e-154, so t_end below about 1e-149 at SAMPLES_MAX samples) and the
+# summary would read NaN; the bound stays far above that.
+T_END_MIN = 1e-100
 T_END_MAX = 1e6
 SAMPLES_MAX = 100001
 G_RUNG_MIN = 1e-3
@@ -71,7 +76,6 @@ class Field(NamedTuple):
     kind: type
     lower: float = -math.inf
     upper: float = math.inf
-    lower_open: bool = False
 
 
 # Every number a scenario can set, top-level or in a configuration block;
@@ -80,7 +84,7 @@ FIELDS = {
     "eta": Field(float, 0.0, 1.0),
     "Omega": Field(float, 0.0),
     "G": Field(complex),
-    "t_end": Field(float, 0.0, T_END_MAX, lower_open=True),
+    "t_end": Field(float, T_END_MIN, T_END_MAX),
     "samples": Field(int, 2, SAMPLES_MAX),
     "g_values": Field(float, G_RUNG_MIN, G_RUNG_MAX),
     **dict.fromkeys(
@@ -98,7 +102,7 @@ def read_field(key: str, value, where: str):
     A complex field takes a number or a [re, im] pair. Raises ScenarioError
     naming where.
     """
-    kind, lower, upper, lower_open = FIELDS[key]
+    kind, lower, upper = FIELDS[key]
     parts = value if kind is complex and isinstance(value, list) and len(value) == 2 else [value]
     numeric = int if kind is int else (int, float)
     if any(isinstance(v, bool) or not isinstance(v, numeric) for v in parts):
@@ -109,10 +113,8 @@ def read_field(key: str, value, where: str):
         x = math.inf
     if kind is not int and not cmath.isfinite(x):
         raise ScenarioError(f"{where}: must be finite")
-    if kind is not complex and not (lower < x <= upper if lower_open else lower <= x <= upper):
-        raise ScenarioError(
-            f"{where}: must lie in {'(' if lower_open else '['}{lower:g}, {upper:g}]"
-        )
+    if kind is not complex and not lower <= x <= upper:
+        raise ScenarioError(f"{where}: must lie in [{lower:g}, {upper:g}]")
     return x
 
 

@@ -2,13 +2,16 @@
 
 A run ends the same way in both engines: the real coordinates of the atom's 4x4
 matrix at each sample are turned back from the engine's frame, their trace is
-checked and divided out (hermitize_and_check), and the checked TimeSeries is read.
-Which column of a series holds which coordinate is known here only, through
-TimeSeries.coordinate; the channels, the positivity check and the comparison of two
-runs all read through it.
+checked and divided out, and their positivity is judged. hermitize_and_check does
+all three, the one place that judges a propagated run, and the checked TimeSeries
+is read. Which column of a series holds which coordinate is known here only,
+through TimeSeries.coordinate; the channels, the positivity check and the
+comparison of two runs all read through it.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -19,6 +22,7 @@ D = len(LEVELS)
 _ELEMENT = element_coordinates(D).tolist()  # [j][k]: the coordinate that holds element (j, k)
 _UPPER = [(j, k) for j in range(D) for k in range(j + 1, D)]  # every element above the diagonal
 DRIFT_TOL = 1e-6  # trace deviation hermitize_and_check renormalizes; beyond it, DriftError
+POSITIVITY_FLOOR = -1e-6  # a lowest eigenvalue below it is a positivity excursion
 ROTATION_BLOCK = 2048  # samples hermitize_and_check turns to its frame at a time
 
 # the standard output channels by column name
@@ -43,9 +47,9 @@ class TimeSeries:
     so the values of each coordinate, x[:, i], lie contiguous in memory, and
     the channels read them without a copy.
     diagnostics collects non-fatal anomalies seen while producing the run,
-    e.g. positivity excursions (reduced.evolve sets them);
-    max_drift_correction is the largest trace renormalization that
-    hermitize_and_check applied. Both are empty on a series built directly.
+    the positivity excursions, and max_drift_correction is the largest trace
+    renormalization applied; hermitize_and_check sets both. Both are empty on
+    a series built directly.
     """
 
     def __init__(self, times: np.ndarray, keep: np.ndarray, x: np.ndarray) -> None:
@@ -149,16 +153,21 @@ def hermitize_and_check(
     imaginary coordinates, ROTATION_BLOCK samples at a time. Then the trace of each
     sample, summed over the diagonal coordinates in index order, is checked and divided
     out. The series holds one Fortran-ordered copy of x, and its max_drift_correction is
-    the largest deviation of a trace from 1. Coordinates describe Hermitian states by
-    construction, so nothing needs repair, and no 4x4 state is built here. Beyond
-    DRIFT_TOL the state is corrupted, not blipped: DriftError names the first such
-    sample. The name no longer says what it does; it stays because the benchmark looks
-    it up in reduced and composite, which call it through their module globals.
+    the largest deviation of a trace from 1. Beyond DRIFT_TOL the state is corrupted,
+    not blipped: DriftError names the first such sample. Last, each renormalized
+    sample's lowest eigenvalue (TimeSeries.lowest_eigenvalues) is compared with
+    POSITIVITY_FLOOR: the series' diagnostics name the first 20 samples below it and
+    their total, and one warning, at the engine's caller, gives their number and the
+    worst, so an excursion is never silently accepted. Coordinates describe Hermitian
+    states by construction, so nothing needs repair, and no 4x4 state is built here.
+    The name no longer says what it does; it stays because the benchmark looks it up
+    in reduced and composite, which call it through their module globals.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (D, D):
         raise ValueError(f"need {D} x {D} phases, got {phases.shape}")
     series = TimeSeries(times, keep, np.array(x, dtype=float, order="F"))
+    del x  # the engines pass the propagated array straight in: free it before the checks
     t, column = series.times, series._column
     for j, k in _UPPER:
         a, b = column.get(_ELEMENT[j][k]), column.get(_ELEMENT[k][j])
@@ -185,4 +194,18 @@ def hermitize_and_check(
     np.divide(1.0, trace, out=trace)
     series.x *= trace[:, None]
     series.max_drift_correction = float(np.max(trace_dev, initial=0.0))
+
+    lowest = series.lowest_eigenvalues()
+    negative = np.flatnonzero(lowest < POSITIVITY_FLOOR)
+    diagnostics = [f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in negative[:20]]
+    if negative.size:
+        worst_eig = min(0.0, float(np.min(lowest[negative])))
+        warnings.warn(
+            f"positivity violated at {negative.size} of {t.size} samples "
+            f"(worst eigenvalue {worst_eig:.3e})",
+            stacklevel=3,  # the engine's caller
+        )
+        if negative.size > len(diagnostics):
+            diagnostics.append(f"... {negative.size} samples below {POSITIVITY_FLOOR:g} in total")
+    series.diagnostics = diagnostics
     return series

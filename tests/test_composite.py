@@ -18,7 +18,7 @@ from cavity_beats.composite import (
     validate_elimination,
 )
 from cavity_beats.linalg import (
-    _hermitian_basis,
+    hermitian_basis,
     hermitian_generator,
     hermitian_states,
     partial_trace_field,
@@ -120,7 +120,7 @@ def _explicit_system(n_max=1):
 def _rank_one_and_reference(system):
     # the rank-one images of all d^2 basis matrices, and lindblad_rhs's on the same stack
     coords = np.arange(system.dim ** 2)
-    want = stack_coordinates(lindblad_rhs(_hermitian_basis(system.dim, coords), system))
+    want = stack_coordinates(lindblad_rhs(hermitian_basis(system.dim, coords), system))
     return _rhs_images(system)(coords), want
 
 
@@ -157,7 +157,7 @@ def test_evolve_composite_calls_no_rhs(monkeypatch):
     t = np.linspace(0.0, 6.0, 151)
     with monkeypatch.context() as patch:
         patch.setattr(composite, "_rhs_images", lambda system: lambda coords: stack_coordinates(
-            lindblad_rhs(_hermitian_basis(system.dim, coords), system)))
+            lindblad_rhs(hermitian_basis(system.dim, coords), system)))
         want = evolve_composite(pure_state(0, system.dim), t, system)
 
     def refuse(rho, system):
@@ -167,6 +167,23 @@ def test_evolve_composite_calls_no_rhs(monkeypatch):
     got = evolve_composite(pure_state(0, system.dim), t, system)
     assert np.array_equal(got.keep, want.keep) and got.x.tobytes() == want.x.tobytes()
     assert got.max_drift_correction == want.max_drift_correction
+
+
+@pytest.mark.parametrize("start,message", [
+    ("half-trace", r"^trace deviates from 1 by 5\.000e-01"),
+    ("negative", r"^negative eigenvalue -5\.000e-01"),
+], ids=["half-trace", "negative"])
+def test_evolve_composite_validates_its_start(monkeypatch, start, message):
+    # the start is checked by linalg.density_matrix, as reduced.evolve checks its own,
+    # before any generator is built: not left to end in DriftError, nor run unjudged
+    system, _, _ = _tuned_system()
+    if start == "half-trace":
+        rho0 = pure_state(0, system.dim) / 2
+    else:
+        rho0 = np.diag(np.r_[1.5, -0.5, np.zeros(system.dim - 2)]).astype(complex)
+    monkeypatch.setattr(composite, "_rhs_images", lambda system: pytest.fail("generator built"))
+    with pytest.raises(ValueError, match=message):
+        evolve_composite(rho0, np.linspace(0.0, 1.0, 5), system)
 
 
 @st.composite
@@ -191,7 +208,7 @@ def test_rank_one_generator_of_explicit_configurations(system):
     rho0 = pure_state(0, system.dim)
     keep, gen = reachable_generator(_rhs_images(system), rho0)
     images = np.array([stack_coordinates(lindblad_rhs(m, system))
-                       for m in _hermitian_basis(system.dim, keep)])
+                       for m in hermitian_basis(system.dim, keep)])
     assert gen.tobytes() == images[:, keep].T.tobytes()
     assert not np.any(np.delete(images, keep, axis=1))  # keep is closed under the generator
     lam = np.linalg.eigvals(gen)

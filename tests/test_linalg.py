@@ -7,13 +7,13 @@ from cavity_beats.composite import build_system, lindblad_rhs
 from cavity_beats.linalg import (
     MAX_SQUARINGS,
     THETA13,
-    _hermitian_basis,
     _hermitian_coordinates,
     _squarings,
     _step_matrix,
     density_matrix,
     element_coordinates,
     expm,
+    hermitian_basis,
     hermitian_generator,
     hermitian_states,
     partial_trace_field,
@@ -233,7 +233,7 @@ def _per_matrix_generator(rhs, rho0):
     columns = {}
     new = np.flatnonzero(stack_coordinates(rho0))
     while new.size:
-        for k, basis in zip(new, _hermitian_basis(d, new)):
+        for k, basis in zip(new, hermitian_basis(d, new)):
             columns[k] = stack_coordinates(np.asarray(rhs(basis), dtype=complex))
         reached = np.flatnonzero(np.any([columns[k] for k in new], axis=0))
         new = np.setdiff1d(reached, list(columns))

@@ -107,7 +107,7 @@ def test_parse_field_type_checks():
         parse_scenario({"name": "x", "mode": "reduced", "Omega": 1.0})
     with pytest.raises(ScenarioError, match="t_end"):
         parse_scenario(dict(SHORTCUT, t_end=-1.0))
-    with pytest.raises(ScenarioError, match=r"t_end: must lie in \(0, 1e\+06\]"):
+    with pytest.raises(ScenarioError, match=r"t_end: must lie in \[1e-100, 1e\+06\]"):
         parse_scenario(dict(SHORTCUT, t_end=0.0))
     with pytest.raises(ScenarioError, match="eta: must be finite"):
         parse_scenario(dict(SHORTCUT, eta=INF))
@@ -556,6 +556,7 @@ BAD_INPUT = {
     "sweep-value-repeated": (SHORTCUT, ["sweep", "--param", "eta", "--values", "0.5,1,0.5"]),
     "t_end-huge": (dict(SHORTCUT, t_end=1e12, samples=3), None),
     "t_end-max-float": (dict(SHORTCUT, t_end=1e308), None),
+    "t_end-tiny": (dict(SHORTCUT, t_end=1e-160), None),
     "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
     "G-overflow": (dict(SHORTCUT, G=1e200), None),
     "analytic-G-overflow": (dict(SHORTCUT, mode="analytic", G=1e77, t_end=5.0, samples=41), None),
@@ -844,6 +845,7 @@ def hostile_invocations(draw):
 @given(hostile_invocations())
 @example((dict(SHORTCUT, Omega=1e300), ["run"]))  # model errors, past the field table
 @example((dict(SHORTCUT, mode="composite", G=1e200), ["run"]))
+@example((dict(SHORTCUT, t_end=1e-160), ["run"]))  # steps whose products underflow
 def test_cli_exit_codes_and_writes_on_hostile_input(invocation):
     obj, argv = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -855,6 +857,13 @@ def test_cli_exit_codes_and_writes_on_hostile_input(invocation):
         assert code in (0, 2, 3, 4)
         written = {p for p in root.rglob("*") if p.is_file()} - {path}
         assert all(out in p.parents for p in written)
+        for p in written:  # strict JSON: no NaN or Infinity
+            if p.suffix == ".json":
+                json.loads(p.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in a written JSON file")
 
 
 def test_cli_needs_no_scipy():

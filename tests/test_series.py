@@ -4,12 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cavity_beats.composite import build_system, evolve_composite
 from cavity_beats.linalg import (
     DriftError,
     _hermitian_coordinates,
     hermitian_states,
+    pure_state,
     stack_coordinates,
 )
+from cavity_beats.model import derive_rates, tuned_configuration
+from cavity_beats.reduced import evolve
 from cavity_beats.series import CHANNELS, LEVELS, TimeSeries, hermitize_and_check
 
 # the (e, 1, 2, g) supports a run holds: the excited atom's (the populations and the
@@ -158,3 +162,47 @@ def test_trace_check_raises_beyond_tolerance():
     # a rotated coherence needs its imaginary coordinate as well
     with pytest.raises(ValueError, match="both its real and imaginary"):
         hermitize_and_check(t, keep, x, PHASES)
+
+
+def test_trace_check_flags_positivity_excursions():
+    # rho_11 = rho_22 = 1/2 with re rho_12 = r has lowest eigenvalue min(0, 1/2 - r), rho_ee
+    # and rho_gg being 0: the check records each sample below POSITIVITY_FLOOR (-1e-6)
+    # and warns once
+    keep = np.array([1, 2, 7])
+    r = np.array([0.1, 0.8, 0.5, 0.5 + 2e-6, 0.7])
+    x = np.column_stack([np.full(5, 0.5), np.full(5, 0.5), r])
+    t = np.linspace(0.0, 2.0, 5)
+    with pytest.warns(UserWarning) as record:
+        series = hermitize_and_check(t, keep, x, np.zeros((4, 4)))
+    lowest = series.lowest_eigenvalues()
+    assert np.allclose(lowest, np.minimum(0.5 - r, 0.0), rtol=0.0, atol=1e-15)
+    assert series.diagnostics == [
+        f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in (1, 3, 4)
+    ]
+    assert [str(w.message) for w in record] == [
+        "positivity violated at 3 of 5 samples (worst eigenvalue -3.000e-01)"
+    ]
+
+
+def _reduced_run(t):
+    return evolve(pure_state(0, 4), t, derive_rates(*tuned_configuration(1.0, 0.3)))
+
+
+def _composite_run(t):
+    system = build_system(*tuned_configuration(1.0, 0.3))
+    return evolve_composite(pure_state(0, system.dim), t, system)
+
+
+@pytest.mark.parametrize("run", [_reduced_run, _composite_run], ids=["reduced", "composite"])
+def test_both_engines_are_judged_by_the_check(monkeypatch, run):
+    # every lowest eigenvalue lies below 2, so with the floor there every sample is an
+    # excursion: 20 diagnostics and the total, and a warning at the engine's caller
+    monkeypatch.setattr("cavity_beats.series.POSITIVITY_FLOOR", 2.0)
+    t = np.linspace(0.0, 6.0, 31)
+    with pytest.warns(UserWarning, match=r"^positivity violated at 31 of 31 samples") as record:
+        series = run(t)
+    assert len(record) == 1 and record[0].filename == __file__
+    lowest = series.lowest_eigenvalues()
+    assert series.diagnostics == [
+        f"negative eigenvalue {lowest[i]:.3e} at t={t[i]:.6g}" for i in range(20)
+    ] + ["... 31 samples below 2 in total"]
