@@ -98,7 +98,8 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
 
 def _require_symmetric(rates: RateSet) -> tuple[float, float, complex]:
     if rates.alpha is None:
-        raise ValueError("closed-form beats require the evenly tuned configuration (alpha is unset)")
+        raise ValueError("closed-form beats require the evenly tuned configuration "
+                         "(use the Omega shortcut)")
     g = rates.Gamma_1
     tol = 1e-9 * max(1.0, g)
     if (

@@ -162,7 +162,7 @@ def evolve_composite(
     coordinate, never out of a state. The reduced equation is written in the
     interaction picture of the bare atom, so its element (j, k) carries the extra phase
     exp(i (omega_j - omega_k) t) relative to the traced-out state, which the check
-    applies. No state of either space is built.
+    applies. No state of either space is built, nor is the walk's larger array kept.
     """
     t = np.asarray(t_grid, dtype=float)
     dim = system.dim
@@ -176,7 +176,7 @@ def evolve_composite(
     omega = np.array([lv.omega_eg, lv.omega_1g, lv.omega_2g, 0.0])
     x0 = stack_coordinates(rho0)[keep]
     return hermitize_and_check(
-        t, atom_keep, propagate_generator(gen, x0, t) @ trace[:, atom_keep],
+        t, atom_keep, (trace[:, atom_keep].T @ propagate_generator(gen, x0, t).T).T,
         omega[:, None] - omega,
     )
 

@@ -343,26 +343,28 @@ def propagate_generator(gen: np.ndarray, x0: np.ndarray, t_grid: np.ndarray) -> 
     P = S^n, x[n:2n] = P x[:n], then P is squared, so N samples cost about log2(N)
     matrix products and floor(log2(N - 1)) squarings of S, which count against S's
     squaring budget (_step_matrix). Any other grid takes one step matrix per step.
+    The result is a transposed (coordinates, samples) array, the layout a TimeSeries keeps.
     """
     t = np.asarray(t_grid, dtype=float)
     steps = np.diff(t)
     if t.ndim != 1 or t.size == 0 or not np.all(steps > 0):
         raise ValueError("t_grid must be a nonempty, strictly ascending 1-D array")
-    x = np.empty((t.size, x0.size))
-    x[0] = x0
+    x = np.empty((x0.size, t.size))
+    x[:, 0] = x0
     uniform = uniform_step(t)
     if uniform is None:
         for i, h in enumerate(steps):
-            x[i + 1] = _step_matrix(gen, h) @ x[i]
+            x[:, i + 1] = _step_matrix(gen, h) @ x[:, i]
     else:
         walk = (t.size - 1).bit_length() - 1  # squarings up to the largest power of S used
         power = _step_matrix(gen, uniform, walk)
         n = 1
         while n < t.size:
             m = min(n, t.size - n)
-            np.matmul(x[:m], power.T, out=x[n:n + m])
+            # P goes in Fortran-ordered: each sample gets the bits of the sample-major x[:m] @ P.T
+            np.matmul(np.asfortranarray(power), x[:, :m], out=x[:, n:n + m])
             n += m
             if n < t.size:
                 power = power @ power
-    return x
+    return x.T
 

@@ -182,8 +182,5 @@ def evolve(
     t0 = t[0] if t.size else 0.0  # propagate_generator rejects an empty grid
     sigma0 = rho0 * np.exp(-1j * dtheta * t0)
     keep, gen = hermitian_generator(lambda s: rotated_rhs(s, rates, eta, form), sigma0)
-    # the propagated coordinates go straight into the check, which copies them and drops
-    # them before its positivity pass, so they are never held beside the series
-    return hermitize_and_check(
-        t, keep, propagate_generator(gen, stack_coordinates(sigma0)[keep], t), dtheta
-    )
+    x = propagate_generator(gen, stack_coordinates(sigma0)[keep], t)
+    return hermitize_and_check(t, keep, x, dtheta)

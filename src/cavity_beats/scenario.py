@@ -65,8 +65,14 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
 # np.gradient takes for the slope of rho_gg, leaves the normal float range (a step
 # below about 1e-154, so t_end below about 1e-149 at SAMPLES_MAX samples) and the
 # summary would read NaN; the bound stays far above that.
+# Below KAPPA_MIN a linewidth's square can underflow to 0, and at zero detuning
+# derive_rates would divide by kappa^2 + Delta^2 = 0; kappa^2 stays normal far below
+# it. Above OMEGA_MAX the shortcut's levels come close to 2^52, where the float
+# spacing reaches 1 and omega_eg = 2 Omega + 1 no longer lies above omega_1g = 2 Omega.
 T_END_MIN = 1e-100
 T_END_MAX = 1e6
+KAPPA_MIN = 1e-100
+OMEGA_MAX = 1e15
 SAMPLES_MAX = 100001
 G_RUNG_MIN = 1e-3
 G_RUNG_MAX = 1.0
@@ -82,15 +88,13 @@ class Field(NamedTuple):
 # g_values bounds each rung of the validate ladder.
 FIELDS = {
     "eta": Field(float, 0.0, 1.0),
-    "Omega": Field(float, 0.0),
+    "Omega": Field(float, 0.0, OMEGA_MAX),
     "G": Field(complex),
     "t_end": Field(float, T_END_MIN, T_END_MAX),
     "samples": Field(int, 2, SAMPLES_MAX),
     "g_values": Field(float, G_RUNG_MIN, G_RUNG_MAX),
-    **dict.fromkeys(
-        ("omega_eg", "omega_1g", "omega_2g", "omega_a", "omega_b", "kappa_a", "kappa_b"),
-        Field(float),
-    ),
+    **dict.fromkeys(("omega_eg", "omega_1g", "omega_2g", "omega_a", "omega_b"), Field(float)),
+    **dict.fromkeys(("kappa_a", "kappa_b"), Field(float, KAPPA_MIN)),
     **dict.fromkeys(("G_1e", "G_2e", "G_g1", "G_g2"), Field(complex)),
 }
 _EXPECTED = {float: "a number", int: "an integer", complex: "a number or a [re, im] pair"}
@@ -321,10 +325,6 @@ def run_scenario(sc: Scenario) -> RunResult:
         if sc.mode == "reduced":
             series = evolve(pure_state(0, 4), t, rates, eta=sc.eta)
         elif sc.mode == "analytic":
-            if rates.alpha is None:
-                raise ScenarioError(
-                    "analytic mode needs the evenly tuned configuration (use the Omega shortcut)"
-                )
             series = symmetric_solution(t, rates, eta=sc.eta)
         else:
             if sc.eta != 1.0:

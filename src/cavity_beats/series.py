@@ -3,10 +3,10 @@
 A run ends the same way in both engines: the real coordinates of the atom's 4x4
 matrix at each sample are turned back from the engine's frame, their trace is
 checked and divided out, and their positivity is judged. hermitize_and_check does
-all three, the one place that judges a propagated run, and the checked TimeSeries
-is read. Which column of a series holds which coordinate is known here only,
-through TimeSeries.coordinate; the channels, the positivity check and the
-comparison of two runs all read through it.
+all three, the one place that judges a propagated run, and the series it returns
+keeps the engine's array as its storage. Which column of a series holds which
+coordinate is known here only, through TimeSeries.coordinate; the channels, the
+positivity check and the comparison of two runs all read through it.
 """
 
 from __future__ import annotations
@@ -152,8 +152,9 @@ def hermitize_and_check(
     element with a nonzero one is multiplied by exp(i phases[j, k] t), on its real and
     imaginary coordinates, ROTATION_BLOCK samples at a time. Then the trace of each
     sample, summed over the diagonal coordinates in index order, is checked and divided
-    out. The series holds one Fortran-ordered copy of x, and its max_drift_correction is
-    the largest deviation of a trace from 1. Beyond DRIFT_TOL the state is corrupted,
+    out. A Fortran-ordered float64 x is kept as the series' storage and changed in place;
+    TimeSeries copies any other x first. The series' max_drift_correction is the largest
+    deviation of a trace from 1. Beyond DRIFT_TOL the state is corrupted,
     not blipped: DriftError names the first such sample. Last, each renormalized
     sample's lowest eigenvalue (TimeSeries.lowest_eigenvalues) is compared with
     POSITIVITY_FLOOR: the series' diagnostics name the first 20 samples below it and
@@ -166,8 +167,7 @@ def hermitize_and_check(
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (D, D):
         raise ValueError(f"need {D} x {D} phases, got {phases.shape}")
-    series = TimeSeries(times, keep, np.array(x, dtype=float, order="F"))
-    del x  # the engines pass the propagated array straight in: free it before the checks
+    series = TimeSeries(times, keep, x)
     t, column = series.times, series._column
     for j, k in _UPPER:
         a, b = column.get(_ELEMENT[j][k]), column.get(_ELEMENT[k][j])

@@ -263,6 +263,18 @@ def _generator_cases():
         yield (lambda rho, system=system: lindblad_rhs(rho, system)), pure_state(0, system.dim)
 
 
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+def test_propagate_returns_the_series_layout(grid):
+    # one row per sample and each coordinate contiguous, as a TimeSeries keeps its x, so
+    # the check keeps the walk's array instead of copying it
+    rhs, rho0 = _tuned_problem("composite")
+    t = np.linspace(0.0, 12.0, 101) if grid == "uniform" else np.geomspace(0.1, 12.0, 101)
+    keep, gen = hermitian_generator(rhs, rho0)
+    x = propagate_generator(gen, stack_coordinates(rho0)[keep], t)
+    assert x.shape == (t.size, keep.size) and x.dtype == np.float64
+    assert x.flags.f_contiguous and not x.flags.c_contiguous
+
+
 def test_hermitian_generator_matches_the_per_matrix_build():
     # one rhs call on the whole basis gives the same coordinates and the same generator
     # bytes, in the same (Fortran) layout, as one call per basis matrix: expm and the

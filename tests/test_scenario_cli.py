@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -454,6 +455,34 @@ def test_run_peaks_below_half_a_state_stack(mode):
     assert peak < samples * 4 * 4 * 16 / 2
 
 
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_reduced_run_peak_holds_under_a_wrapper_that_holds_the_check_arguments(monkeypatch):
+    # the check keeps the walk's array as the series' storage, so a wrapper that holds its
+    # arguments through the call, as a tracing span does, holds nothing beside the series
+    check = cavity_beats.reduced.hermitize_and_check
+    held = []
+
+    @functools.wraps(check)
+    def holding(*args, **kwargs):
+        held.append(args)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            held.pop()
+
+    monkeypatch.setattr(cavity_beats.reduced, "hermitize_and_check", holding)
+    samples = 20001
+    sc = parse_scenario(dict(SHORTCUT, t_end=12.0, samples=samples))
+    tracemalloc.start()
+    try:
+        result = run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.series) == samples
+    assert peak < samples * 4 * 4 * 16 / 2
+
+
 # --- command line -----------------------------------------------------------
 
 def _write_scenario(tmp_path, obj):
@@ -596,6 +625,50 @@ def test_eta_outside_the_dial_exits_with_its_path(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "beat_frequency", lambda *a: pytest.fail("predicted first"))
     assert main(argv + ["--out-dir", "out"]) == 2
     assert capsys.readouterr().err == "scenario error: scenario.eta: must lie in [0, 1]\n"
+    assert not Path("out").exists()
+
+
+FIELD_BOUND_ERRORS = {
+    # at zero upper detuning the rates divide by kappa_a^2, which underflows to 0 far
+    # below the bound
+    "kappa_a-underflow": (
+        dict(EXPLICIT, levels={"omega_eg": 3.0, "omega_1g": 1.0, "omega_2g": 0.4},
+             cavity={"omega_a": 2.0, "omega_b": 1.2, "kappa_a": 1e-200}),
+        "scenario.cavity.kappa_a: must lie in [1e-100, inf]",
+    ),
+    # the shortcut's omega_eg = 2 Omega + 1 and omega_1g = 2 Omega round alike beyond 2^52
+    "Omega-past-the-float-spacing": (
+        dict(SHORTCUT, Omega=1e16), "scenario.Omega: must lie in [0, 1e+15]"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["reduced", "analytic", "composite"])
+@pytest.mark.parametrize("scenario,message", FIELD_BOUND_ERRORS.values(),
+                         ids=FIELD_BOUND_ERRORS.keys())
+def test_inputs_the_model_cannot_hold_exit_with_their_field(
+    tmp_path, capsys, monkeypatch, scenario, message, mode
+):
+    # the field table stops them, naming the field, before the model blames a value the
+    # scenario never wrote
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(dict(scenario, mode=mode)))
+    assert main(["run", "scenario.json", "--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not Path("out").exists()
+
+
+def test_analytic_run_of_untuned_blocks_exits_with_the_closed_form_rule(
+    tmp_path, capsys, monkeypatch
+):
+    # the closed form states its one condition itself, and the scenario names the run
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(dict(EXPLICIT, mode="analytic")))
+    assert main(["run", "scenario.json", "--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == (
+        "scenario error: case: closed-form beats require the evenly tuned configuration "
+        "(use the Omega shortcut)\n"
+    )
     assert not Path("out").exists()
 
 

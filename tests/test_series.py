@@ -151,6 +151,18 @@ def test_trace_check_rotates_and_renormalizes_small_drift():
     assert abs(fixed[1][1, 2] - 0.1 * np.exp(2j) / (1.0 - 1e-9)) < 1e-15
 
 
+def test_trace_check_keeps_a_fortran_ordered_input():
+    # the engines' walks return the series' layout, so the check keeps their array as the
+    # series' storage and rotates and renormalizes it in place, as it does a copy
+    keep = np.array([1, 2, 7, 13])
+    x = np.asfortranarray([[0.6, 0.4, 0.1, 0.0], [0.6 + 1e-9, 0.4 - 2e-9, 0.1, 0.0]])
+    copied = hermitize_and_check(np.array([0.0, 1.0]), keep, np.ascontiguousarray(x), PHASES)
+    series = hermitize_and_check(np.array([0.0, 1.0]), keep, x, PHASES)
+    assert np.shares_memory(series.x, x) and not np.shares_memory(copied.x, x)
+    assert np.array_equal(series.x, copied.x)
+    assert series.max_drift_correction == copied.max_drift_correction
+
+
 def test_trace_check_raises_beyond_tolerance():
     keep = np.array([1, 2, 7])
     x = np.array([[0.6, 0.4, 0.1]] * 2 + [[0.601, 0.4, 0.1]] * 2)
@@ -191,6 +203,22 @@ def _reduced_run(t):
 def _composite_run(t):
     system = build_system(*tuned_configuration(1.0, 0.3))
     return evolve_composite(pure_state(0, system.dim), t, system)
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@pytest.mark.parametrize("engine,run", [("reduced", _reduced_run), ("composite", _composite_run)])
+def test_both_engines_hand_the_check_the_series_layout(monkeypatch, engine, run):
+    # each walk's coordinates arrive Fortran-ordered, and the series keeps them uncopied
+    handed = []
+
+    def keeping(times, keep, x, phases):
+        series = hermitize_and_check(times, keep, x, phases)
+        handed.append(x.flags.f_contiguous and np.shares_memory(series.x, x))
+        return series
+
+    monkeypatch.setattr(f"cavity_beats.{engine}.hermitize_and_check", keeping)
+    run(np.linspace(0.0, 6.0, 31))
+    assert handed == [True]
 
 
 @pytest.mark.parametrize("run", [_reduced_run, _composite_run], ids=["reduced", "composite"])
