@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import element_coordinates, uniform_step
 from .model import RateSet
-from .series import TimeSeries
+from .series import POINTWISE_BLOCK, TimeSeries
 
 RESONANCE_TOL = 1e-10
 DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
@@ -30,7 +30,6 @@ PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most th
 PENCIL_FIRST = 64  # samples of the smaller pencil tried first
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
-CLOSED_FORM_BLOCK = 2048  # samples a closed form evaluates at a time
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -79,7 +78,8 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
         rho_jj = Gamma_j (exp(-2 Gamma_j' t) - exp(-2 s t)) / (s - Gamma_j')
 
     with s = Gamma_1 + Gamma_2, the drain of the top level. Coherences are
-    zero throughout, so the series holds the four populations only.
+    zero throughout, so the series holds the four populations only. It is
+    analytic mode's eta = 0 path, and raises ValueError when a coordinate is not finite.
     """
     t = np.asarray(t_grid, dtype=float)
     r = rates
@@ -93,6 +93,8 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
     x[:, 2] = (2 * r.Gamma_2 * t * np.exp(-2 * r.Gamma_2p * t)
                * _expm1_over(-2 * (s - r.Gamma_2p) * t))
     x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
+    if not np.isfinite(x.sum()):
+        raise ValueError("the closed form overflows at these rates")
     return TimeSeries(t, keep=np.diag(element_coordinates(4)), x=x)
 
 
@@ -120,19 +122,22 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
     the same interaction picture as the integrated equation), and the
     ground population by trace. eta scales the interference terms exactly
     as in the master equation; it enters only through alpha -> eta alpha.
+    At eta alpha = 0 there are no cross terms: the result is secular_solution.
 
-    Every channel is pointwise in t, so the solution is evaluated
-    CLOSED_FORM_BLOCK samples at a time, straight into the series'
-    coordinate rows: the temporaries stay small however long the grid, and
-    no 4x4 state is built. Raises ValueError when a coordinate is not finite.
+    Otherwise every channel is pointwise in t, so the beats are evaluated
+    POINTWISE_BLOCK samples at a time, straight into the series' coordinate rows:
+    the temporaries stay small however long the grid, and no 4x4 state is built.
+    Either path raises ValueError when a coordinate is not finite.
     """
     t = np.asarray(t_grid, dtype=float)
     gamma, w, alpha = _require_symmetric(rates)
+    if eta * alpha == 0:
+        return secular_solution(t, rates)
     # the coordinates of rho_ee, rho_11, rho_22, rho_gg, and of re and im rho_12
     keep = element_coordinates(4)[[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]]
     x = np.empty((t.size, keep.size), order="F")
-    for a in range(0, t.size, CLOSED_FORM_BLOCK):
-        b = slice(a, a + CLOSED_FORM_BLOCK)
+    for a in range(0, t.size, POINTWISE_BLOCK):
+        b = slice(a, a + POINTWISE_BLOCK)
         x[b, 0], x[b, 1], x[b, 4], x[b, 5] = _symmetric_block(t[b], gamma, w, eta * alpha, rates.Omega)
     x[:, 2] = x[:, 1]
     x[:, 3] = 1.0 - x[:, 0] - x[:, 1] - x[:, 2]
@@ -144,7 +149,7 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
 def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omega: float):
     """rho_ee, rho_ii and the real and imaginary parts of rho_12 of symmetric_solution on t.
 
-    alpha is eta alpha, and rho_12 = (u + i v) / (2 alpha*) exp(2 i Omega t).
+    alpha is eta alpha, never 0, and rho_12 = (u + i v) / (2 alpha*) exp(2 i Omega t).
     """
     aa = abs(alpha) ** 2
     f2 = w * w - aa
@@ -196,8 +201,6 @@ def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omeg
 
         v = wv2 / (2 * w) if w != 0.0 else np.zeros_like(t)
 
-    if alpha == 0:
-        return e2, rho_ii, 0.0, 0.0
     sigma = (u + 1j * v) / (2 * np.conj(alpha))
     # np.multiply keeps the operand order: sigma * np.exp(...) lets numpy compute the
     # product in the exponential's buffer, operands swapped, once the arrays reach

@@ -5,7 +5,7 @@ A scenario names one computation. Physics modes ("reduced", "composite",
 shortcut (Omega plus a uniform coupling G) or as explicit levels, cavity
 and couplings blocks; "validate" runs the reduced-versus-full comparison
 ladder. Parsing is strict: unknown or malformed fields are rejected with
-their path rather than ignored.
+their path, and a repeated key with its name, rather than ignored.
 """
 
 from __future__ import annotations
@@ -227,13 +227,25 @@ def parse_scenario(obj: dict) -> Scenario:
     )
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """One JSON object of the file; a repeated key, which dict() would overwrite, is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_distinct_keys)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, deep nesting, an overlong int
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     return parse_scenario(obj)
 

@@ -104,7 +104,38 @@ def test_secular_degenerate_filling_limit():
     assert np.max(np.abs(series.population("1") - want)) < 1e-13
 
 
+def test_secular_solution_refuses_an_overflow():
+    # it is analytic mode's eta = 0 path, so it guards its coordinates as the beats do
+    rates = _tuned_rates(1.0, 1e152)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="^the closed form overflows at these rates$"
+    ):
+        secular_solution(np.linspace(0.0, 1e6, 11), rates)
+
+
 # --- evenly tuned closed form ---------------------------------------------
+
+@pytest.mark.parametrize("omega,g", [(0.0, 1.0), (0.5, 0.3), (1.0, 2.0), (3.0, 1.0), (10.0, 1e3)])
+def test_closed_form_without_interference_is_the_secular_cascade(monkeypatch, omega, g):
+    # at eta alpha = 0 there are no cross terms: the same coordinates and bits as the
+    # secular cascade, and no beat term is evaluated
+    rates = _tuned_rates(omega, g)
+    t = np.linspace(0.0, 8.0, 1601)
+    want = secular_solution(t, rates)
+    monkeypatch.setattr(analytic, "_symmetric_block", lambda *a: pytest.fail("beats evaluated"))
+    got = symmetric_solution(t, rates, eta=0.0)
+    assert np.array_equal(got.keep, want.keep) and got.x.tobytes() == want.x.tobytes()
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_closed_form_refuses_rates_off_the_tuned_configuration(eta):
+    # a 1% change of one linewidth leaves the evenly tuned configuration, with or without
+    # the cross terms
+    rates = _tuned_rates(1.0)
+    moved = rates._replace(Gamma_2=1.01 * rates.Gamma_2)
+    with pytest.raises(ValueError, match="^rates are not those of the evenly tuned configuration$"):
+        symmetric_solution(np.linspace(0.0, 1.0, 5), moved, eta=eta)
+
 
 @pytest.mark.parametrize(
     "omega,eta,t_end",

@@ -172,13 +172,17 @@ def test_evolve_composite_calls_no_rhs(monkeypatch):
 @pytest.mark.parametrize("start,message", [
     ("half-trace", r"^trace deviates from 1 by 5\.000e-01"),
     ("negative", r"^negative eigenvalue -5\.000e-01"),
-], ids=["half-trace", "negative"])
+    ("atom-only", r"^rho0 must be 16x16 for this truncation$"),
+], ids=["half-trace", "negative", "atom-only"])
 def test_evolve_composite_validates_its_start(monkeypatch, start, message):
     # the start is checked by linalg.density_matrix, as reduced.evolve checks its own,
-    # before any generator is built: not left to end in DriftError, nor run unjudged
+    # before any generator is built: not left to end in DriftError, nor run unjudged; an
+    # atom-only 4x4 start is a density matrix, but not of the 16-state model
     system, _, _ = _tuned_system()
     if start == "half-trace":
         rho0 = pure_state(0, system.dim) / 2
+    elif start == "atom-only":
+        rho0 = pure_state(0, 4)
     else:
         rho0 = np.diag(np.r_[1.5, -0.5, np.zeros(system.dim - 2)]).astype(complex)
     monkeypatch.setattr(composite, "_rhs_images", lambda system: pytest.fail("generator built"))

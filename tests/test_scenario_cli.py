@@ -438,13 +438,15 @@ def test_runs_and_csv_build_no_state_stack(monkeypatch, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
-@pytest.mark.parametrize("mode", ["analytic", "reduced"])
-def test_run_peaks_below_half_a_state_stack(mode):
+@pytest.mark.parametrize("mode,eta", [("analytic", 1.0), ("reduced", 1.0), ("analytic", 0.0)],
+                         ids=["analytic", "reduced", "analytic-eta0"])
+def test_run_peaks_below_half_a_state_stack(mode, eta):
     # the series holds six real coordinates per sample, and the closed form, the frame
     # rotation and the checks work in blocks or one coordinate at a time, so a long run
-    # peaks below half of one (N, 4, 4) complex stack (2.56 MB here)
+    # peaks below half of one (N, 4, 4) complex stack (2.56 MB here); at eta = 0 the
+    # secular cascade holds four coordinates and takes the whole grid at once
     samples = 20001
-    sc = parse_scenario(dict(SHORTCUT, mode=mode, t_end=12.0, samples=samples))
+    sc = parse_scenario(dict(SHORTCUT, mode=mode, eta=eta, t_end=12.0, samples=samples))
     tracemalloc.start()
     try:
         result = run_scenario(sc)
@@ -595,12 +597,28 @@ BAD_INPUT = {
     "g_values-tiny-rung": ({"name": "v", "mode": "validate", "g_values": [0.2, 1e-4]}, None),
     "g_values-strong-rung": ({"name": "v", "mode": "validate", "g_values": [1e10, 0.2]}, None),
     "g_values-huge-rung": ({"name": "v", "mode": "validate", "g_values": [1e300, 0.2]}, None),
+    "top-level-list": ([1], None),
+    "levels-not-an-object": (dict(EXPLICIT, levels=3), None),
+    "levels-without-omega_2g": (dict(EXPLICIT, levels={"omega_eg": 4.3, "omega_1g": 1.9}), None),
+    "levels-out-of-order": (
+        dict(EXPLICIT, levels={"omega_eg": 1.0, "omega_1g": 1.9, "omega_2g": 0.4}), None
+    ),
+    "sweep-no-values": (SHORTCUT, ["sweep", "--param", "eta", "--values", ","]),
+}
+# the whole stderr line of the reader's own errors, by BAD_INPUT case
+READER_ERRORS = {
+    "top-level-list": "scenario: expected an object",
+    "levels-not-an-object": "scenario.levels: expected an object",
+    "levels-without-omega_2g": "scenario.levels.omega_2g: required",
+    "levels-out-of-order": (
+        "scenario.levels: cascade ordering requires omega_eg above both intermediate levels"
+    ),
+    "sweep-no-values": "sweep needs at least one value",
 }
 
 
-@pytest.mark.parametrize("scenario,argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, argv):
-    # bad input exits 2 before anything is written, inside --out-dir or not
+def _run_bad_input(tmp_path, scenario, argv):
+    """Exit code of main on a BAD_INPUT case, and the files it wrote besides its input."""
     work = tmp_path / "work"
     work.mkdir()
     inputs = set()
@@ -611,9 +629,69 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, a
         argv = argv or ["run"]
         argv = argv[:1] + [str(path)] + argv[1:]
     code = main(argv + ["--out-dir", str(work / "out")])
+    written = {p for p in tmp_path.rglob("*") if p.is_file()} - inputs
+    return code, written
+
+
+@pytest.mark.parametrize("scenario,argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, scenario, argv):
+    # bad input exits 2 before anything is written, inside --out-dir or not
+    code, written = _run_bad_input(tmp_path, scenario, argv)
     assert code == 2
     assert "scenario error" in capsys.readouterr().err
-    assert {p for p in tmp_path.rglob("*") if p.is_file()} == inputs
+    assert written == set()
+
+
+@pytest.mark.parametrize("case", READER_ERRORS)
+def test_reader_errors_print_their_exact_line(tmp_path, capsys, case):
+    code, written = _run_bad_input(tmp_path, *BAD_INPUT[case])
+    assert code == 2 and written == set()
+    assert capsys.readouterr().err == f"scenario error: {READER_ERRORS[case]}\n"
+
+
+@pytest.mark.parametrize("target,reason", [
+    ("missing.json", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+], ids=["missing", "directory"])
+def test_cli_unreadable_scenario_exits_2(tmp_path, capsys, monkeypatch, target, reason):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", target, "--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"scenario error: cannot read {target}: {reason}: '{target}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_QUICK = b'"mode": "reduced", "Omega": 1, "t_end": 1, "samples": 11'
+# files json.load refuses or would read wrongly, written as bytes; each exits 2 with its
+# stderr line, which starts with the scenario's path and then this
+RAW_FILES = {
+    "deep-nesting": (b"[" * 200000 + b"]" * 200000,
+                     " is not valid JSON: maximum recursion depth exceeded"),
+    "latin-1": (b'{"name": "caf\xe9", ' + _QUICK + b"}",
+                " is not valid JSON: 'utf-8' codec can't decode byte 0xe9"),
+    "long-integer": (b'{"name": "d", "mode": "reduced", "Omega": 1, "t_end": 1, "samples": '
+                     + b"1" * 5000 + b"}", " is not valid JSON: Exceeds the limit"),
+    "utf-8-bom": (b'\xef\xbb\xbf{"name": "b", ' + _QUICK + b"}",
+                  " is not valid JSON: Unexpected UTF-8 BOM"),
+    "repeated-key": (b'{"name": "d", "name": "e", ' + _QUICK + b"}", ": repeated key 'name'"),
+    "repeated-key-in-a-block": (
+        json.dumps(EXPLICIT).replace('"omega_eg": 4.3', '"omega_eg": 4.3, "omega_eg": 5').encode(),
+        ": repeated key 'omega_eg'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("content,message", RAW_FILES.values(), ids=RAW_FILES.keys())
+def test_cli_refuses_files_json_cannot_read_whole(tmp_path, capsys, monkeypatch, content, message,
+                                                  command):
+    # none ends in a traceback (exit 1), and a repeated key is not silently dropped
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_bytes(content)
+    extra = ["--param", "eta", "--values", "1"] if command == "sweep" else []
+    assert main([command, "scenario.json", *extra, "--out-dir", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: scenario.json{message}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 @pytest.mark.parametrize("argv", [["run", "scenario.json"], ["preset", "fig3", "--eta", "2"]])
@@ -695,6 +773,34 @@ def test_cli_overflow_in_the_model_prints_one_clean_error(tmp_path, capsys, scen
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: case: {reason}") and err.count("\n") == 1
+
+
+def test_cli_overflow_of_the_secular_cascade_prints_one_clean_error(tmp_path, capsys):
+    # at eta = 0 the closed form is the secular cascade, which guards its coordinates too:
+    # without the guard this run wrote NaN in 10 of its 11 rows and exited 0
+    big = {"name": "big", "mode": "analytic", "eta": 0, "Omega": 1, "G": 1e152,
+           "t_end": 1e6, "samples": 11}
+    path = _write_scenario(tmp_path, big)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "scenario error: big: the closed form overflows at these rates\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["reduced", "composite"])
+def test_cli_drift_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, mode):
+    # a negative tolerance, which every trace exceeds, stands in for a drifting input:
+    # the check names the first sample, and the run writes nothing partial
+    monkeypatch.setattr(cavity_beats.series, "DRIFT_TOL", -1.0)
+    path = _write_scenario(tmp_path, dict(SHORTCUT, mode=mode, samples=41))
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "evolution drifted out of tolerance: sample 0 (t=0): trace drift 0.000e+00 "
+        "exceeds tolerance -1.0e+00\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unwritable_outputs_exit_2(tmp_path, capsys):
