@@ -77,9 +77,8 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
 
         rho_jj = Gamma_j (exp(-2 Gamma_j' t) - exp(-2 s t)) / (s - Gamma_j')
 
-    with s = Gamma_1 + Gamma_2, the drain of the top level. Coherences are
-    zero throughout, so the series holds the four populations only. It is
-    analytic mode's eta = 0 path, and raises ValueError when a coordinate is not finite.
+    with s = Gamma_1 + Gamma_2, the drain of the top level. No coherences: the series holds
+    the four populations. Analytic mode at eta = 0; raises ValueError if one is not finite.
     """
     t = np.asarray(t_grid, dtype=float)
     r = rates
@@ -122,12 +121,10 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
     the same interaction picture as the integrated equation), and the
     ground population by trace. eta scales the interference terms exactly
     as in the master equation; it enters only through alpha -> eta alpha.
-    At eta alpha = 0 there are no cross terms: the result is secular_solution.
 
-    Otherwise every channel is pointwise in t, so the beats are evaluated
-    POINTWISE_BLOCK samples at a time, straight into the series' coordinate rows:
-    the temporaries stay small however long the grid, and no 4x4 state is built.
-    Either path raises ValueError when a coordinate is not finite.
+    At eta alpha = 0 this is secular_solution. Otherwise every channel is pointwise in t and is
+    evaluated POINTWISE_BLOCK samples at a time into the series' coordinate rows: temporaries
+    stay small, and no 4x4 state is built. Either path raises ValueError on a non-finite value.
     """
     t = np.asarray(t_grid, dtype=float)
     gamma, w, alpha = _require_symmetric(rates)

@@ -23,9 +23,7 @@ _ELEMENT = element_coordinates(D).tolist()  # [j][k]: the coordinate that holds 
 _UPPER = [(j, k) for j in range(D) for k in range(j + 1, D)]  # every element above the diagonal
 DRIFT_TOL = 1e-6  # trace deviation hermitize_and_check renormalizes; beyond it, DriftError
 POSITIVITY_FLOOR = -1e-6  # a lowest eigenvalue below it is a positivity excursion
-# samples a pointwise pass (the beat closed form, the frame rotation) takes at a time: its
-# temporaries stay tens of KB, so a long run peaks below half of one (N, 4, 4) complex stack
-POINTWISE_BLOCK = 2048
+POINTWISE_BLOCK = 2048  # samples per pointwise pass: small temporaries, so long runs peak low
 
 # the standard output channels by column name
 CHANNELS = {
@@ -152,19 +150,19 @@ def hermitize_and_check(
 
     phases[j, k] is the frame frequency of element (j, k): each reachable off-diagonal
     element with a nonzero one is multiplied by exp(i phases[j, k] t), on its real and
-    imaginary coordinates, POINTWISE_BLOCK samples at a time, the closed form's block.
-    Then the trace of each sample, summed over the diagonal coordinates in index order,
-    is checked and divided out. A Fortran-ordered float64 x is kept as the series'
-    storage and changed in place; TimeSeries copies any other x first. The series'
-    max_drift_correction is the largest deviation of a trace from 1. Beyond DRIFT_TOL
-    the state is corrupted, not blipped: DriftError names the first such sample. Last,
-    each renormalized sample's lowest eigenvalue (TimeSeries.lowest_eigenvalues) is
-    compared with POSITIVITY_FLOOR: the series' diagnostics name the first 20 samples
-    below it and their total, and one warning, at the engine's caller, gives their
-    number and the worst, so an excursion is never silently accepted. Coordinates
-    describe Hermitian states by construction, so nothing needs repair, and no 4x4 state
-    is built here. The name no longer says what it does; it stays because the benchmark
-    looks it up in reduced and composite, which call it through their module globals.
+    imaginary coordinates, POINTWISE_BLOCK samples at a time. Then the trace of each
+    sample, summed over the diagonal coordinates in index order, is checked and divided
+    out. A Fortran-ordered float64 x is kept as the series' storage and changed in place;
+    TimeSeries copies any other x first. The series' max_drift_correction is the largest
+    deviation of a trace from 1. Beyond DRIFT_TOL the state is corrupted,
+    not blipped: DriftError names the first such sample. Last, each renormalized
+    sample's lowest eigenvalue (TimeSeries.lowest_eigenvalues) is compared with
+    POSITIVITY_FLOOR: the series' diagnostics name the first 20 samples below it and
+    their total, and one warning, at the engine's caller, gives their number and the
+    worst, so an excursion is never silently accepted. Coordinates describe Hermitian
+    states by construction, so nothing needs repair, and no 4x4 state is built here.
+    The name no longer says what it does; it stays because the benchmark looks it up
+    in reduced and composite, which call it through their module globals.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (D, D):
