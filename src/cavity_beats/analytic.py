@@ -8,10 +8,12 @@ linewidths, modes at the midpoints), where the cross terms close on the
 intermediate populations and produce damped beats at 2f,
 f^2 = (delta' + Omega)^2 - |alpha|^2.
 
-All formulas are evaluated in numerically stable branches: power series
-where arguments are small, trigonometric or hyperbolic forms in the
-ordinary range, and explicit exponential splits where hyperbolic growth
-would otherwise cancel against the decaying envelope.
+Both are sums of exponentials over the generator's eigenvalues, written as
+divided differences of the exponential: a pair exp[a, b] comes from expm1
+of the gap b - a, and symmetric_solution builds the longer ones by Newton's
+recursion in units of one rate. So nothing cancels near coincident
+eigenvalues or overflows at large couplings, and the one choice left is
+real arithmetic where the eigenvalues are real.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .linalg import element_coordinates, uniform_step
 from .model import RateSet
 from .series import POINTWISE_BLOCK, TimeSeries
 
-RESONANCE_TOL = 1e-10
-DEEP_HYPERBOLIC = -225.0  # x2 below this switches to the exponential split
 PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most this many
 PENCIL_FIRST = 64  # samples of the smaller pencil tried first
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
@@ -42,31 +42,6 @@ def _expm1_over(w: np.ndarray) -> np.ndarray:
     wb = w[~small]
     out[~small] = np.expm1(wb) / wb
     return out
-
-
-def _sin_cos(x2: np.ndarray, cosine: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """sin(sqrt(x2))/sqrt(x2) and cos(sqrt(x2)), continued through x2 <= 0 (sinh, cosh).
-
-    Without cosine the second is not computed, and None is returned in its place.
-    """
-    x2 = np.asarray(x2, dtype=float)
-    su = np.empty_like(x2)
-    small = np.abs(x2) < 1e-2
-    xs = x2[small]
-    su[small] = 1.0 + xs * (-1 / 6 + xs * (1 / 120 + xs * (-1 / 5040 + xs / 362880)))
-    pos = ~small & (x2 > 0)
-    sp = np.sqrt(x2[pos])
-    su[pos] = np.sin(sp) / sp
-    neg = ~small & (x2 < 0)
-    sn = np.sqrt(-x2[neg])
-    su[neg] = np.sinh(sn) / sn
-    if not cosine:
-        return su, None
-    cu = np.empty_like(x2)
-    cu[small] = 1.0 + xs * (-1 / 2 + xs * (1 / 24 + xs * (-1 / 720 + xs / 40320)))
-    cu[pos] = np.cos(sp)
-    cu[neg] = np.cosh(sn)
-    return su, cu
 
 
 def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
@@ -146,64 +121,64 @@ def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> 
 def _symmetric_block(t: np.ndarray, gamma: float, w: float, alpha: complex, omega: float):
     """rho_ee, rho_ii and the real and imaginary parts of rho_12 of symmetric_solution on t.
 
-    alpha is eta alpha, never 0, and rho_12 = (u + i v) / (2 alpha*) exp(2 i Omega t).
+    alpha is eta alpha, never 0. y = (rho_ee, rho_ii, u, v), with u + i v = 2 alpha* sigma_12
+    and rho_12 = sigma_12 exp(2 i Omega t), obeys y' = M y from y(0) = e_0, where (g = gamma)
+
+        M = [[-4g, 0, 0, 0], [2g, -2g, -1, 0], [4|alpha|^2, -4|alpha|^2, -2g, 2w], [0, 0, -2w, -2g]]
+
+    is rhs_element_form in the tuned configuration. Its eigenvalues, in the node order
+    lambda = (-4g, near, -2g, far) with near, far = -2g -+ h and h = 2 sqrt(-f^2), give
+    y(t) = sum_k d_k c_k in Newton's form: c_k = prod_{j<k} (M - lambda_j) e_0 and
+    d_k = t^k exp[t lambda_0, ..., t lambda_k], divided differences of the exponential
+    (McCurdy, Ng and Parlett, Math. Comp. 43:501, 1984). A pair of nodes is
+    t exp(t hi) expm1(t (lo - hi)) / (t (lo - hi)), hi the node of larger real part, which
+    neither cancels nor overflows; the triple (near, -2g, far) is a product of two pairs; and
+    the longer differences divide only by the gaps 2g and 2g + h, each at least 2g. Rates and
+    t are taken in units of r = 2g + 2|w| + 4|alpha|, so that every c_k is of order one at any
+    coupling.
     """
-    aa = abs(alpha) ** 2
+    r = 2 * gamma + 2 * abs(w) + 4 * abs(alpha)
+    g, w, a, tr = gamma / r, w / r, alpha / r, t * r
+    aa = abs(a) ** 2
     f2 = w * w - aa
-    s = gamma * gamma + f2
-    scale = gamma * gamma + abs(f2) + aa
-
-    e1 = np.exp(-2 * gamma * t)
-    e2 = np.exp(-4 * gamma * t)
-
-    if abs(s) <= RESONANCE_TOL * scale:
-        # Degenerate levels at full interference: the beat frequency and
-        # the amplitude denominator vanish together (removable limit).
-        rho_ii = 2 * gamma * t * e2
-        u = 4 * gamma * gamma * t * e2
-        v = np.zeros_like(t)
+    e_mid = np.exp(-2 * g * tr)
+    if f2 > 0:
+        # near and far are conjugate: one phase z = exp(-i f t) gives both exponentials, and
+        # the pairs' expm1 follow from real functions, expm1(-h t) = -2i sin(ft) z and
+        # expm1(t (h - 2g)) = conj(z) (expm1(-2gt) conj(z) + 2i sin(ft)); |h - 2g| >= 2g
+        f = np.sqrt(f2)
+        h = 2j * f
+        z = np.exp(-1j * f * tr)
+        sin = -z.imag
+        e_near = e_mid * (z * z)
+        e_far = np.conj(e_near)
+        q = z * (sin / f)
+        d1 = e_mid * z * (np.expm1(-2 * g * tr) * z.real + 1j * sin * (1 + e_mid)) / (h - 2 * g)
     else:
-        a_amp = aa / s
-        x2 = 4 * f2 * t * t
-        deep = x2 < DEEP_HYPERBOLIC
-        x2_safe = np.where(deep, 0.0, x2)
-        su, cu = _sin_cos(x2_safe)
-        suh, _ = _sin_cos(np.where(deep, 0.0, f2 * t * t), cosine=False)
+        # real arithmetic; h <= 2g, which rounding can break where f^2 is close to -g^2
+        h = 2 * min(np.sqrt(-f2), g)
+        e_near = np.exp((-2 * g - h) * tr)
+        e_far = np.exp((h - 2 * g) * tr)
+        q = tr * _expm1_over(-h * tr)
+        d1 = tr * e_near * _expm1_over((h - 2 * g) * tr)
+    # q = t expm1(-h t) / (-h t): the pairs (near, -2g) and (-2g, far) are e_mid q and
+    # e_far q, the triple is q e_far q / 2, and d1 is the pair (-4g, near)
+    d2 = (e_mid * q - d1) / (2 * g)
+    d3 = (0.5 * q * (e_far * q) - d2) / (2 * g + h)
+    # every c_k past c_0 lies on the last three coordinates, where M + 2g is k, so
+    # c_2 = (M - near) c_1 = (k + h) c_1 and c_3 = (M + 2g) c_2 = k c_2
+    k = np.array([[0.0, -1.0, 0.0], [-4 * aa, 0.0, 2 * w], [0.0, -2 * w, 0.0]])
+    c1 = np.array([2 * g, 4 * aa, 0.0])
+    c2 = k @ c1 + h * c1
+    y = np.multiply.outer(c1, d1) + np.multiply.outer(c2, d2) + np.multiply.outer(k @ c2, d3)
+    rho_ii, u, v = y.real
 
-        bracket = 1.0 + cu + 2 * (gamma * t * suh) ** 2 - 4 * gamma * t * su
-        rho_ii = -(1 + 2 * a_amp) * e2 + e1 * (1.0 + a_amp * bracket)
-        q = gamma * cu - (gamma * gamma - f2) * t * su
-        u = 4 * a_amp * (-gamma * e2 + e1 * q)
-        qp = -4 * gamma * f2 * t * su - (gamma * gamma - f2) * cu
-        wv2 = 4 * a_amp * (2 * gamma * gamma * e2 + e1 * qp - s * e2 + s * rho_ii)
-
-        if np.any(deep):
-            # Far in the overdamped tail the hyperbolic functions overflow;
-            # regroup envelope times growth into plain decaying exponentials.
-            phi = np.sqrt(-f2)
-            td = t[deep]
-            em = np.exp(-2 * (gamma - phi) * td)
-            ep = np.exp(-2 * (gamma + phi) * td)
-            e2d = np.exp(-4 * gamma * td)
-            rho_ii[deep] = (
-                -(1 + 2 * a_amp) * e2d
-                + (1 - aa / (phi * phi)) * np.exp(-2 * gamma * td)
-                + (a_amp / 2) * (gamma / phi - 1) ** 2 * em
-                + (a_amp / 2) * (gamma / phi + 1) ** 2 * ep
-            )
-            e1q = (gamma / 2) * (em + ep) - (gamma * gamma + phi * phi) / (4 * phi) * (em - ep)
-            u[deep] = 4 * a_amp * (-gamma * e2d + e1q)
-            e1qp = gamma * phi * (em - ep) - (gamma * gamma + phi * phi) * (em + ep) / 2
-            wv2[deep] = 4 * a_amp * (2 * gamma * gamma * e2d + e1qp - s * e2d + s * rho_ii[deep])
-
-        v = wv2 / (2 * w) if w != 0.0 else np.zeros_like(t)
-
-    sigma = (u + 1j * v) / (2 * np.conj(alpha))
+    sigma = (u + 1j * v) / (2 * np.conj(a))
     # np.multiply keeps the operand order: sigma * np.exp(...) lets numpy compute the
     # product in the exponential's buffer, operands swapped, once the arrays reach
     # 256 KB, and a complex product can round differently in the last bit when they are
     rho_12 = np.multiply(sigma, np.exp(2j * omega * t))
-    return e2, rho_ii, rho_12.real, rho_12.imag
+    return np.exp(-4 * gamma * t), rho_ii, rho_12.real, rho_12.imag
 
 
 class BeatPrediction(NamedTuple):

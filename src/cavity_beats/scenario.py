@@ -417,10 +417,11 @@ def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
     if not values:
         raise ScenarioError("sweep needs at least one value")
     names = [_point_name(sc, param, v) for v in values]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ScenarioError(f"sweep value {values[i]!r}: names its run {name}, "
-                                f"as an earlier value does")
+    seen = set()
+    for v, name in zip(values, names):
+        if name in seen:
+            raise ScenarioError(f"sweep value {v!r}: names its run {name}, as an earlier value does")
+        seen.add(name)
     results = []
     for v, name in zip(values, names):
         try:

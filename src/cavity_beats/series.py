@@ -117,7 +117,7 @@ class TimeSeries:
             if _ELEMENT[j][k] in self._column or _ELEMENT[k][j] in self._column:
                 label[label == label[k]] = label[j]
         lowest = np.full(len(self), np.inf)
-        for block in (np.flatnonzero(label == b) for b in np.unique(label)):
+        for block in (np.flatnonzero(label == b) for b in dict.fromkeys(label.tolist())):
             if block.size == 1:
                 w = self.coordinate(_ELEMENT[block[0]][block[0]])
             elif block.size == 2:

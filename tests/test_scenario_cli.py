@@ -26,7 +26,7 @@ from cavity_beats.analytic import symmetric_solution
 from cavity_beats.cli import build_parser, main
 from cavity_beats.composite import EliminationCheck
 from cavity_beats.linalg import stack_coordinates
-from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels
+from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels, tuned_configuration
 from cavity_beats.scenario import (
     CSV_BLOCK,
     CSV_COLUMNS,
@@ -590,7 +590,6 @@ BAD_INPUT = {
     "t_end-tiny": (dict(SHORTCUT, t_end=1e-160), None),
     "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
     "G-overflow": (dict(SHORTCUT, G=1e200), None),
-    "analytic-G-overflow": (dict(SHORTCUT, mode="analytic", G=1e77, t_end=5.0, samples=41), None),
     "samples-too-many": (dict(SHORTCUT, samples=100002), None),
     "n_max_a-negative": (dict(SHORTCUT, n_max_a=-5), None),
     "n_max_b-set": (dict(SHORTCUT, mode="composite", n_max_b=2), None),
@@ -605,8 +604,12 @@ BAD_INPUT = {
     ),
     "sweep-no-values": (SHORTCUT, ["sweep", "--param", "eta", "--values", ","]),
 }
-# the whole stderr line of the reader's own errors, by BAD_INPUT case
+# the whole stderr line of the reader's and the sweep's own errors, by BAD_INPUT case
 READER_ERRORS = {
+    "sweep-names-alike": (
+        "sweep value 1.0000002: names its run case_Omega_1, as an earlier value does"
+    ),
+    "sweep-value-repeated": "sweep value 0.5: names its run case_eta_0.5, as an earlier value does",
     "top-level-list": "scenario: expected an object",
     "levels-not-an-object": "scenario.levels: expected an object",
     "levels-without-omega_2g": "scenario.levels.omega_2g: required",
@@ -743,16 +746,25 @@ def test_analytic_run_of_untuned_blocks_exits_with_the_closed_form_rule(
 
 MODEL_OVERFLOW = {
     "closed-form-or-step": (dict(SHORTCUT, G=1e77, t_end=5.0, samples=41), ""),
+    # the rates hold, but 4 |alpha|, and so the closed form's unit rate, overflows
+    "unit-rate": (dict(SHORTCUT, G=1e154, t_end=5.0, samples=41), ""),
     "rates-G": (dict(SHORTCUT, G=1e200), "the rates overflow at these couplings"),
     "rates-G_1e": (
         dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_1e=1e200)),
         "the rates overflow at these couplings",
     ),
 }
+# every mode overflows at each case, save the closed form at G = 1e77, which runs
+# (test_cli_analytic_run_holds_where_the_closed_form_overflowed)
+OVERFLOW_RUNS = [
+    pytest.param(scenario, reason, mode, id=f"{case}-{mode}")
+    for case, (scenario, reason) in MODEL_OVERFLOW.items()
+    for mode in ("analytic", "composite", "reduced")
+    if (case, mode) != ("closed-form-or-step", "analytic")
+]
 
 
-@pytest.mark.parametrize("mode", ["reduced", "analytic", "composite"])
-@pytest.mark.parametrize("scenario,reason", MODEL_OVERFLOW.values(), ids=MODEL_OVERFLOW.keys())
+@pytest.mark.parametrize("scenario,reason,mode", OVERFLOW_RUNS)
 def test_cli_overflow_in_the_model_prints_one_clean_error(tmp_path, capsys, scenario, reason, mode):
     # input that passes the field table but overflows the model exits 2 with one stderr
     # line naming the scenario: numpy's warnings stay quiet, and |G|^2 of a Python float
@@ -764,6 +776,43 @@ def test_cli_overflow_in_the_model_prints_one_clean_error(tmp_path, capsys, scen
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: case: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_cli_analytic_run_holds_where_the_closed_form_overflowed(tmp_path):
+    # at G = 1e77 the closed form once exited 2 ("the closed form overflows at these
+    # rates"); in units of one rate it runs. No t_end the table accepts is short enough for
+    # the exact engine at this coupling (8 / Gamma is 1.6e-153), so the rates are checked
+    # against it in process on that window, and the run itself reads the decayed atom
+    path = _write_scenario(tmp_path, dict(SHORTCUT, mode="analytic", G=1e77, t_end=5.0, samples=41))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == []
+    table = np.loadtxt(tmp_path / "out" / "case.csv", delimiter=",", skiprows=1)
+    ground = np.zeros(len(CSV_COLUMNS))
+    ground[CSV_COLUMNS.index("rho_gg")] = 1.0
+    assert np.max(np.abs(table[1:, 1:] - ground[1:])) < 1e-15
+    rates = derive_rates(*tuned_configuration(1.0, 1e77))
+    t = np.linspace(0.0, 8.0 / rates.Gamma_1, 41)
+    closed = symmetric_solution(t, rates).channels()
+    exact = cavity_beats.reduced.evolve(cavity_beats.linalg.pure_state(0, 4), t, rates).channels()
+    assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_cli_analytic_run_near_resonance_matches_the_reduced_run(tmp_path):
+    # at Omega = 1e-5 the closed form divided by 2 (delta' + Omega) = 2e-5 and wrote a
+    # rho_12 0.11 away from the exact engine, with exit 0
+    columns = []
+    for mode in ("analytic", "reduced"):
+        path = _write_scenario(tmp_path, dict(SHORTCUT, name=mode, mode=mode, Omega=1e-5, eta=1.0,
+                                              t_end=8.0, samples=1601))
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        columns.append(np.loadtxt(tmp_path / "out" / f"{mode}.csv", delimiter=",", skiprows=1))
+    for name in ("re_rho_12", "im_rho_12"):
+        k = CSV_COLUMNS.index(name)
+        assert np.max(np.abs(columns[0][:, k] - columns[1][:, k])) < 1e-12, name
 
 
 def test_cli_overflow_of_the_secular_cascade_prints_one_clean_error(tmp_path, capsys):
@@ -1043,6 +1092,20 @@ def test_cli_needs_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_import_no_numpy_ma():
+    # numpy imports numpy.ma lazily (np.unique does), which costs a one-shot run about 12 ms
+    # and its memory bound about 1.1 MB; a fresh process shows what a user's run loads
+    code = (
+        "import sys; from cavity_beats.scenario import parse_scenario, run_scenario; "
+        f"[run_scenario(parse_scenario(dict({SHORTCUT!r}, mode=m, samples=101))) "
+        "for m in ('reduced', 'composite')]; print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(cavity_beats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_import_builds_no_format_tables():
