@@ -590,6 +590,7 @@ BAD_INPUT = {
     "t_end-tiny": (dict(SHORTCUT, t_end=1e-160), None),
     "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
     "G-overflow": (dict(SHORTCUT, G=1e200), None),
+    "analytic-G-overflow": (dict(SHORTCUT, mode="analytic", G=1e154, t_end=5.0, samples=41), None),
     "samples-too-many": (dict(SHORTCUT, samples=100002), None),
     "n_max_a-negative": (dict(SHORTCUT, n_max_a=-5), None),
     "n_max_b-set": (dict(SHORTCUT, mode="composite", n_max_b=2), None),
@@ -746,21 +747,22 @@ def test_analytic_run_of_untuned_blocks_exits_with_the_closed_form_rule(
 
 MODEL_OVERFLOW = {
     "closed-form-or-step": (dict(SHORTCUT, G=1e77, t_end=5.0, samples=41), ""),
-    # the rates hold, but 4 |alpha|, and so the closed form's unit rate, overflows
-    "unit-rate": (dict(SHORTCUT, G=1e154, t_end=5.0, samples=41), ""),
     "rates-G": (dict(SHORTCUT, G=1e200), "the rates overflow at these couplings"),
     "rates-G_1e": (
         dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_1e=1e200)),
         "the rates overflow at these couplings",
     ),
 }
-# every mode overflows at each case, save the closed form at G = 1e77, which runs
-# (test_cli_analytic_run_holds_where_the_closed_form_overflowed)
+# the integrators' step overflows from G = 1e77, but the closed form runs there
+# (test_cli_analytic_run_holds_where_the_closed_form_overflowed) and overflows from
+# G = 1e154, where 4 |alpha|, its unit rate, does
 OVERFLOW_RUNS = [
-    pytest.param(scenario, reason, mode, id=f"{case}-{mode}")
+    pytest.param(
+        dict(scenario, G=1e154) if (case, mode) == ("closed-form-or-step", "analytic") else scenario,
+        reason, mode, id=f"{case}-{mode}",
+    )
     for case, (scenario, reason) in MODEL_OVERFLOW.items()
     for mode in ("analytic", "composite", "reduced")
-    if (case, mode) != ("closed-form-or-step", "analytic")
 ]
 
 
