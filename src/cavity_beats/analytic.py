@@ -3,10 +3,11 @@
 Two analytic routes are provided. secular_solution drops the oscillating
 cross terms entirely and holds for any rate configuration; it shows the
 plain cascade without interference. symmetric_solution is the full
-solution of the evenly tuned configuration (equal couplings and
-linewidths, modes at the midpoints), where the cross terms close on the
-intermediate populations and produce damped beats at 2f,
-f^2 = (delta' + Omega)^2 - |alpha|^2.
+solution of the evenly tuned configuration, where the cross terms close on
+the intermediate populations and produce damped beats at 2f,
+f^2 = (delta' + Omega)^2 - |alpha|^2. Whether rates have that form is
+decided here alone, by tuned_alpha: the shortcut's rates have it, and so do
+those of any explicit block that reduces to it.
 
 Both are sums of exponentials over the generator's eigenvalues, written as
 divided differences of the exponential: a pair exp[a, b] comes from expm1
@@ -30,6 +31,11 @@ PENCIL_SAMPLES = 256  # the pole fit takes every k-th sample, leaving at most th
 PENCIL_FIRST = 64  # samples of the smaller pencil tried first
 PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative to the largest
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
+# Relative tolerance of the tuned form. Rounding in derive_rates leaves a few ulps (at most 2.5e-16
+# over the shortcut's splittings and couplings), an explicit block's level arithmetic more where
+# its levels lie far above its detunings; rates this close keep the closed form within 1e-12 of
+# the exact engine.
+TUNED_TOL = 1e-12
 
 
 def _expm1_over(w: np.ndarray) -> np.ndarray:
@@ -72,26 +78,37 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
     return TimeSeries(t, keep=np.diag(element_coordinates(4)), x=x)
 
 
+def tuned_alpha(rates: RateSet) -> complex | None:
+    """The cross parameter alpha = cross_left when the rates have the evenly tuned form, else None.
+
+    The form: Gamma_1 = Gamma_2 = Gamma_1p = Gamma_2p, delta_1p = -delta_2p, cross_right = alpha,
+    cross_upper = 2 alpha and cross_ground = 2 alpha*, each to TUNED_TOL of the larger side. The
+    shortcut has it, and so does any explicit block whose rates reduce to it.
+    """
+    r = rates
+    alpha = r.cross_left
+    pairs = ((r.Gamma_2, r.Gamma_1), (r.Gamma_1p, r.Gamma_1), (r.Gamma_2p, r.Gamma_1),
+             (-r.delta_2p, r.delta_1p), (r.cross_right, alpha), (r.cross_upper, 2 * alpha),
+             (r.cross_ground, 2 * np.conj(alpha)))
+    if all(abs(a - b) <= TUNED_TOL * max(abs(a), abs(b)) for a, b in pairs):
+        return alpha
+    return None
+
+
 def _require_symmetric(rates: RateSet) -> tuple[float, float, complex]:
-    if rates.alpha is None:
+    alpha = tuned_alpha(rates)
+    if alpha is None:
         raise ValueError("closed-form beats require the evenly tuned configuration "
                          "(use the Omega shortcut)")
-    g = rates.Gamma_1
-    tol = 1e-9 * max(1.0, g)
-    if (
-        abs(rates.Gamma_2 - g) > tol
-        or abs(rates.Gamma_1p - g) > tol
-        or abs(rates.Gamma_2p - g) > tol
-        or abs(rates.delta_1p + rates.delta_2p) > tol
-    ):
-        raise ValueError("rates are not those of the evenly tuned configuration")
-    return g, rates.delta_1p + rates.Omega, rates.alpha
+    return rates.Gamma_1, rates.delta_1p + rates.Omega, alpha
 
 
 def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> TimeSeries:
     """Full dynamics of the evenly tuned configuration from the excited state.
 
-    Returns the complete atomic density matrix on the grid: top population
+    rates must have the tuned form (tuned_alpha), whether they come from the
+    shortcut or from explicit blocks; otherwise ValueError. Returns the
+    complete atomic density matrix on the grid: top population
     exp(-4 Gamma t), equal intermediate populations, their coherence (in
     the same interaction picture as the integrated equation), and the
     ground population by trace. eta scales the interference terms exactly
@@ -194,7 +211,9 @@ def beat_frequency(rates: RateSet, eta: float = 1.0) -> BeatPrediction:
 
     Beats exist when the coherent displacement outruns the cross damping,
     f^2 = (delta' + Omega)^2 - eta^2 |alpha|^2 > 0, and the interference
-    amplitude is nonzero.
+    amplitude is nonzero. Like symmetric_solution it takes any rates of the
+    tuned form (tuned_alpha), explicit blocks' included, and raises
+    ValueError on others.
     """
     _, w, alpha = _require_symmetric(rates)
     aa = abs(eta * alpha) ** 2

@@ -10,6 +10,7 @@ specify G directly.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,9 +100,10 @@ class RateSet(NamedTuple):
     coefficients are the complex prefactors of the interference terms:
     cross_upper multiplies the rho_ee source of the 1-2 coherence,
     cross_ground the rho_12 source of the ground population, cross_left
-    and cross_right the two one-sided coherence couplings. alpha is the
-    single cross parameter of the fully symmetric configuration and is
-    None whenever those symmetry conditions do not hold.
+    and cross_right the two one-sided coherence couplings. Whether they
+    have the evenly tuned form, which the closed form solves, is read off
+    them alone (analytic.tuned_alpha): the shortcut's rates have it, and so
+    do those of any explicit block that reduces to it.
     """
 
     Gamma_1: float
@@ -117,7 +119,6 @@ class RateSet(NamedTuple):
     cross_ground: complex
     cross_left: complex
     cross_right: complex
-    alpha: complex | None = None
 
 
 def sigma_dipoles(reduced_d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -145,32 +146,20 @@ def preselected_product(d1, d2, pol) -> complex:
     return complex(np.sum(d1 * e)) * np.conj(complex(np.sum(d2 * e)))
 
 
-def transverse_basis(k_hat) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair transverse to k_hat.
+def summed_product(d1, d2, k_hat) -> complex:
+    """Coupling product summed over both polarizations transverse to k_hat.
 
-    Gram-Schmidt seeded from the coordinate axis least aligned with k_hat
-    (lowest index on ties), second vector by right-handed cross product.
+    The sum over any transverse basis is the contraction with the
+    transverse projector, d1 . (1 - k k^T) . d2*. For dipoles transverse to
+    k_hat this equals d1 . d2*: the free-space interference criterion,
+    which vanishes for orthogonal dipoles.
     """
     k = np.asarray(k_hat, dtype=float)
     if k.shape != (3,) or abs(np.linalg.norm(k) - 1.0) > DOT_TOL:
         raise ValueError("k_hat must be a real unit 3-vector")
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(k)))] = 1.0
-    e1 = seed - np.dot(seed, k) * k
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(k, e1)
-    return e1, e2
-
-
-def summed_product(d1, d2, k_hat) -> complex:
-    """Coupling product summed over both polarizations transverse to k_hat.
-
-    For dipoles transverse to k_hat this equals d1 . d2*: the
-    free-space interference criterion, which vanishes for orthogonal
-    dipoles no matter the basis.
-    """
-    e1, e2 = transverse_basis(k_hat)
-    return preselected_product(d1, d2, e1) + preselected_product(d1, d2, e2)
+    d1 = np.asarray(d1, dtype=complex)
+    d2c = np.conj(np.asarray(d2, dtype=complex))
+    return complex(d1 @ d2c - (d1 @ k) * (k @ d2c))
 
 
 def interference_condition(d1, d2) -> bool:
@@ -180,29 +169,7 @@ def interference_condition(d1, d2) -> bool:
     return bool(abs(np.sum(d1 * np.conj(d2))) > DOT_TOL)
 
 
-def _symmetric_alpha(
-    couplings: CouplingSet, cavity: CavityParams, deltas, Omega: float
-) -> complex | None:
-    # alpha = G G* / (kappa + i Omega) is defined only when all couplings
-    # coincide, both linewidths match and the modes sit at the midpoints.
-    d1, d2, d1p, d2p = deltas
-    g = couplings.G_1e
-    same = all(
-        abs(getattr(couplings, name) - g) <= 1e-12 * max(1.0, abs(g))
-        for name in ("G_2e", "G_g1", "G_g2")
-    )
-    tol = 1e-12 * max(1.0, abs(Omega))
-    tuned = (
-        abs(d1 + Omega) <= tol
-        and abs(d2 - Omega) <= tol
-        and abs(d1p - Omega) <= tol
-        and abs(d2p + Omega) <= tol
-    )
-    if not (same and tuned and cavity.kappa_a == cavity.kappa_b):
-        return None
-    return g * np.conj(g) / (cavity.kappa_a + 1j * Omega)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # numpy's complex products overflow quietly
 def derive_rates(
     couplings: CouplingSet, levels: LevelScheme, cavity: CavityParams
 ) -> RateSet:
@@ -210,7 +177,10 @@ def derive_rates(
 
     Gamma_j = |G_je|^2 kappa_a / (kappa_a^2 + Delta_j^2) and its primed
     partner; delta_j carries Delta_j in place of kappa_a in the numerator.
-    Raises ValueError when a square overflows the float range.
+    Raises ValueError when a rate or coefficient is not finite. The closed
+    form takes these rates when they have the evenly tuned form
+    (analytic.tuned_alpha): the shortcut's do, and so do those of an
+    explicit block that reduces to it.
     """
     d1, d2, d1p, d2p = detunings(levels, cavity)
     ka, kb = cavity.kappa_a, cavity.kappa_b
@@ -224,7 +194,7 @@ def derive_rates(
         g1e, g2e = couplings.G_1e, couplings.G_2e
         gg1, gg2 = couplings.G_g1, couplings.G_g2
 
-        return RateSet(
+        rates = RateSet(
             Gamma_1=abs(g1e) ** 2 * ka / den_1,
             Gamma_2=abs(g2e) ** 2 * ka / den_2,
             Gamma_1p=abs(gg1) ** 2 * kb / den_1p,
@@ -238,10 +208,12 @@ def derive_rates(
             cross_ground=2 * gg1 * np.conj(gg2) * (kb - 1j * om) / ((kb + 1j * d2p) * (kb - 1j * d1p)),
             cross_left=np.conj(gg1) * gg2 / (kb - 1j * d2p),
             cross_right=np.conj(gg1) * gg2 / (kb + 1j * d1p),
-            alpha=_symmetric_alpha(couplings, cavity, (d1, d2, d1p, d2p), om),
         )
+        if all(map(cmath.isfinite, rates)):
+            return rates
     except OverflowError:  # a Python float squared past the float range
-        raise ValueError("the rates overflow at these couplings, linewidths or detunings") from None
+        pass
+    raise ValueError("the rates overflow at these couplings, linewidths or detunings")
 
 
 def midpoint_levels(upper_gap: float, mid: float, Omega: float) -> tuple[LevelScheme, CavityParams]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import composite as composite_mod
 from ._csvformat import CELL, format_rows
-from .analytic import BeatMeasurement, beat_frequency, measure_beats, symmetric_solution
+from .analytic import BeatMeasurement, beat_frequency, measure_beats, symmetric_solution, tuned_alpha
 from .linalg import pure_state
 from .model import CavityParams, CouplingSet, LevelScheme, derive_rates, tuned_configuration
 from .reduced import evolve
@@ -264,9 +264,8 @@ def _json_complex(z: complex | None):
 
 
 def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
-    pred = None
-    if rates.alpha is not None:
-        pred = beat_frequency(rates, sc.eta)
+    alpha = tuned_alpha(rates)
+    pred = None if alpha is None else beat_frequency(rates, sc.eta)
     meas = BeatMeasurement(None, "none", "not measured")
     if len(series) >= 8:
         try:
@@ -290,7 +289,7 @@ def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
             "delta_2p": rates.delta_2p,
             "Omega": rates.Omega,
         },
-        "alpha": _json_complex(rates.alpha),
+        "alpha": _json_complex(alpha),
         "beats_predicted": None if pred is None else pred.beats,
         "two_f_predicted": None if pred is None else pred.two_f,
         "two_f_measured": meas.two_f,

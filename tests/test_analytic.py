@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -15,6 +17,7 @@ from cavity_beats.analytic import (
     measure_beats,
     secular_solution,
     symmetric_solution,
+    tuned_alpha,
 )
 from cavity_beats.cli import main
 from cavity_beats.linalg import hermitian_generator, pure_state, stack_coordinates
@@ -133,7 +136,8 @@ def test_closed_form_refuses_rates_off_the_tuned_configuration(eta):
     # the cross terms
     rates = _tuned_rates(1.0)
     moved = rates._replace(Gamma_2=1.01 * rates.Gamma_2)
-    with pytest.raises(ValueError, match="^rates are not those of the evenly tuned configuration$"):
+    with pytest.raises(ValueError, match=r"^closed-form beats require the evenly tuned "
+                                         r"configuration \(use the Omega shortcut\)$"):
         symmetric_solution(np.linspace(0.0, 1.0, 5), moved, eta=eta)
 
 
@@ -194,7 +198,8 @@ def test_symmetric_solution_matches_the_exact_engine_at_any_coupling(g):
 def test_symmetric_solution_rejects_overflowing_rates():
     # in units of one rate the closed form holds at G = 1e77, where gamma^2 and |alpha|^2
     # once overflowed: it matches the exact engine on a window of 8 / Gamma, and far past
-    # it the atom has decayed; at G = 1e154 that rate itself overflows, and it refuses
+    # it the atom has decayed; at G = 1e153 the rates are finite, but over t in [0, 1e6]
+    # the closed form overflows, and it refuses
     rates = _tuned_rates(1.0, g=1e77)
     t = np.linspace(0.0, 8.0 / rates.Gamma_1, 41)
     closed = symmetric_solution(t, rates).channels()
@@ -205,7 +210,7 @@ def test_symmetric_solution_rejects_overflowing_rates():
     assert max(np.max(np.abs(late[k][1:])) for k in late if k not in ("t", "rho_gg")) < 1e-15
     with pytest.raises(ValueError, match="^the closed form overflows at these rates$"), \
             np.errstate(over="ignore", invalid="ignore"):
-        symmetric_solution(np.linspace(0.0, 5.0, 41), _tuned_rates(1.0, g=1e154))
+        symmetric_solution(np.linspace(0.0, 1e6, 41), _tuned_rates(1.0, g=1e153))
 
 
 @pytest.mark.parametrize("g", [1e12, 1e16, 1e30])
@@ -217,6 +222,71 @@ def test_symmetric_solution_holds_over_long_windows_at_large_couplings(g):
         late = symmetric_solution(np.linspace(0.0, 1e6, 11), _tuned_rates(omega, g)).channels()
         assert np.max(np.abs(late["rho_gg"][1:] - 1.0)) < 1e-14, omega
         assert max(np.max(np.abs(late[k][1:])) for k in late if k not in ("t", "rho_gg")) < 1e-14
+
+
+def _block(couplings, omega=1.0, **cavity_changes):
+    """(couplings, levels, cavity) of the midpoint layout at splitting omega, cavity changed."""
+    levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
+    return CouplingSet(*couplings), levels, dataclasses.replace(cavity, **cavity_changes)
+
+
+def _benchmark_style_blocks(seed, n):
+    # as the benchmark draws its explicit blocks: the midpoint layout, modes moved by up to
+    # 0.3, kappa_b in [0.8, 1.25], couplings in [0.8, 1.1] and G_2e turned by 0.1 to 0.6 rad
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        omega = float(rng.uniform(0.0, 3.0))
+        levels, cavity = midpoint_levels(omega + 1.0, omega, omega)
+        moved = CavityParams(cavity.omega_a + rng.uniform(-0.3, 0.3),
+                             cavity.omega_b + rng.uniform(-0.3, 0.3),
+                             kappa_b=float(rng.uniform(0.8, 1.25)))
+        g = rng.uniform(0.8, 1.1, 4)
+        turned = g[1] * cmath.exp(1j * rng.uniform(0.1, 0.6))
+        yield CouplingSet(g[0], turned, g[2], g[3]), levels, moved
+
+
+_TURN = cmath.exp(0.7j)
+_GRID_G = (0.0, 1e-5, 0.3, 1.0, 0.3 - 2j, 1e5, 1e140)
+# "shortcut": alpha has the bits of g g* / (kappa + i Omega), which the couplings once
+# decided; "closed form": explicit blocks whose couplings differ but whose rates have the
+# tuned form, so the closed form must hold on them; None: refused
+TUNED_RULE = {
+    **{
+        f"shortcut-Omega-{omega:g}": ("shortcut", [tuned_configuration(omega, g) for g in _GRID_G])
+        for omega in (0.0, 1e-7, 0.5, 1.0, 3.0, 1e3, 1e15)
+    },
+    "phase-compensated": ("closed form", [_block((1.0, _TURN, 1.0, _TURN.conjugate()))]),
+    "kappa-rescaled": ("closed form", [_block((1.0, 1.0, 2**0.5, 2**0.5), omega=0.0, kappa_b=2.0)]),
+    "no-coupling": ("closed form", [_block((0.0, 0.0, 0.0, 0.0))]),
+    "explicit": (None, [(CouplingSet(0.9, 1.1 + 0.2j, 0.8, 1.3 - 0.4j), LevelScheme(4.3, 1.9, 0.4),
+                         CavityParams(3.1, 1.2, kappa_b=1.7))]),
+    "unequal-couplings": (None, [_block((1.0, 1.0, 1.0, 0.5))]),
+    "unequal-widths": (None, [_block((1.0,) * 4, kappa_b=2.0)]),
+    "detuned-mode": (None, [_block((1.0,) * 4, omega_a=2.3)]),
+    "benchmark-draws": (None, list(_benchmark_style_blocks(91, 20))),
+}
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@pytest.mark.parametrize("want,configurations", TUNED_RULE.values(), ids=TUNED_RULE.keys())
+def test_tuned_alpha_reads_the_tuned_form_off_the_rates(want, configurations):
+    for couplings, levels, cavity in configurations:
+        rates = derive_rates(couplings, levels, cavity)
+        alpha = tuned_alpha(rates)
+        if want is None:
+            assert alpha is None
+            with pytest.raises(ValueError, match="^closed-form beats require the evenly tuned"):
+                beat_frequency(rates)
+        elif want == "shortcut":
+            g = couplings.G_1e
+            old = g * np.conj(g) / (cavity.kappa_a + 1j * levels.Omega)
+            assert np.complex128(alpha).tobytes() == np.complex128(old).tobytes(), couplings
+        else:
+            t = np.linspace(0.0, 8.0, 401)
+            for eta in (0.5, 1.0):
+                closed = symmetric_solution(t, rates, eta=eta).channels()
+                exact = evolve(pure_state(0, 4), t, rates, eta=eta).channels()
+                assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < 1e-12, eta
 
 
 def test_symmetric_solution_requires_tuned_rates():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cavity_beats.analytic import tuned_alpha
 from cavity_beats.model import (
     CavityParams,
     CouplingSet,
@@ -12,7 +15,6 @@ from cavity_beats.model import (
     preselected_product,
     sigma_dipoles,
     summed_product,
-    transverse_basis,
     tuned_configuration,
 )
 
@@ -84,32 +86,8 @@ def test_summed_product_is_projector_contraction():
         want = complex(d1 @ proj @ np.conj(d2))
         got = summed_product(d1, d2, k)
         assert abs(got - want) < 1e-12
-
-
-def test_transverse_basis_orthonormal_right_handed():
-    e1, e2 = transverse_basis(ZHAT)
-    assert np.allclose(e1, XHAT) and np.allclose(e2, YHAT)
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        k = rng.standard_normal(3)
-        k /= np.linalg.norm(k)
-        e1, e2 = transverse_basis(k)
-        assert abs(np.dot(e1, e1) - 1.0) < 1e-12
-        assert abs(np.dot(e2, e2) - 1.0) < 1e-12
-        assert abs(np.dot(e1, e2)) < 1e-12
-        assert abs(np.dot(e1, k)) < 1e-12
-        assert abs(np.dot(e2, k)) < 1e-12
-        assert np.allclose(np.cross(e1, e2), k)
-    with pytest.raises(ValueError):
-        transverse_basis(np.array([1.0, 1.0, 0.0]))  # not unit
-
-
-def test_transverse_basis_deterministic_on_ties():
-    k = np.ones(3) / np.sqrt(3.0)
-    e1, e2 = transverse_basis(k)
-    assert np.allclose(e1, np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0))
-    a1, a2 = transverse_basis(k)
-    assert np.array_equal(e1, a1) and np.array_equal(e2, a2)
+    with pytest.raises(ValueError, match="^k_hat must be a real unit 3-vector$"):
+        summed_product(XHAT, XHAT, np.array([1.0, 1.0, 0.0]))  # not unit
 
 
 def _tuned_rates(omega, g=1.0):
@@ -121,7 +99,7 @@ def test_tuned_configuration_is_the_uniform_midpoint_layout(omega):
     # couplings first, in the order derive_rates and build_system take them
     got = tuned_configuration(omega, 0.7)
     assert got == (CouplingSet.uniform(0.7), *midpoint_levels(omega + 1.0, omega, omega))
-    assert derive_rates(*got).alpha is not None
+    assert tuned_alpha(derive_rates(*got)) is not None
 
 
 def test_derive_rates_symmetric_point():
@@ -135,7 +113,7 @@ def test_derive_rates_symmetric_point():
     assert r.delta_1p == pytest.approx(0.5, abs=1e-15)
     assert r.delta_2p == pytest.approx(-0.5, abs=1e-15)
     assert r.Omega == 1.0
-    assert r.alpha == pytest.approx(0.5 - 0.5j, abs=1e-15)
+    assert tuned_alpha(r) == pytest.approx(0.5 - 0.5j, abs=1e-15)
     assert r.cross_upper == pytest.approx(1.0 - 1.0j, abs=1e-14)
     assert r.cross_ground == pytest.approx(1.0 + 1.0j, abs=1e-14)
     assert r.cross_left == pytest.approx(0.5 - 0.5j, abs=1e-14)
@@ -160,28 +138,38 @@ def test_cross_terms_conserve_trace_generally():
         )
         r = derive_rates(c, levels, cavity)
         assert abs(r.cross_left + r.cross_right - np.conj(r.cross_ground)) < 1e-12
-        assert r.alpha is None  # generic parameters are not the tuned case
+        assert tuned_alpha(r) is None  # generic parameters are not the tuned case
 
 
 def test_alpha_requires_full_symmetry():
-    assert _tuned_rates(1.0).alpha is not None
+    assert tuned_alpha(_tuned_rates(1.0)) is not None
     levels, cavity = midpoint_levels(2.0, 1.0, 1.0)
     # unequal couplings
     r = derive_rates(CouplingSet(1.0, 1.0, 1.0, 0.5), levels, cavity)
-    assert r.alpha is None
+    assert tuned_alpha(r) is None
     # unequal cavity widths
     cavity2 = CavityParams(cavity.omega_a, cavity.omega_b, kappa_a=1.0, kappa_b=2.0)
     r = derive_rates(CouplingSet.uniform(1.0), levels, cavity2)
-    assert r.alpha is None
+    assert tuned_alpha(r) is None
     # detuned mode
     cavity3 = CavityParams(cavity.omega_a + 0.3, cavity.omega_b)
     r = derive_rates(CouplingSet.uniform(1.0), levels, cavity3)
-    assert r.alpha is None
+    assert tuned_alpha(r) is None
+
+
+@pytest.mark.parametrize("g", [1e154, 1e200])
+def test_derive_rates_refuses_rates_that_overflow(g):
+    # at G = 1e200 |G|^2 overflows a Python float; at G = 1e154 it does not, but the cross
+    # coefficients' 2 |G|^2 does, in numpy's complex arithmetic, which raises nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the rates overflow at these couplings"):
+            derive_rates(*tuned_configuration(1.0, g))
 
 
 def test_rates_scale_with_coupling_squared():
     r1 = _tuned_rates(1.0, g=1.0)
     r2 = _tuned_rates(1.0, g=0.5)
     assert r2.Gamma_1 == pytest.approx(r1.Gamma_1 / 4)
-    assert r2.alpha == pytest.approx(r1.alpha / 4)
+    assert tuned_alpha(r2) == pytest.approx(tuned_alpha(r1) / 4)
     assert r2.cross_upper == pytest.approx(r1.cross_upper / 4)

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import cavity_beats.scenario
 import cavity_beats.series
 from cavity_beats import cli
 from cavity_beats._csvformat import CELL, format_rows
-from cavity_beats.analytic import symmetric_solution
+from cavity_beats.analytic import beat_frequency, symmetric_solution
 from cavity_beats.cli import build_parser, main
 from cavity_beats.composite import EliminationCheck
 from cavity_beats.linalg import stack_coordinates
@@ -590,7 +591,7 @@ BAD_INPUT = {
     "t_end-tiny": (dict(SHORTCUT, t_end=1e-160), None),
     "Omega-overflow": (dict(SHORTCUT, Omega=1e300), None),
     "G-overflow": (dict(SHORTCUT, G=1e200), None),
-    "analytic-G-overflow": (dict(SHORTCUT, mode="analytic", G=1e154, t_end=5.0, samples=41), None),
+    "analytic-G-overflow": (dict(SHORTCUT, mode="analytic", G=1e153, t_end=1e6, samples=41), None),
     "samples-too-many": (dict(SHORTCUT, samples=100002), None),
     "n_max_a-negative": (dict(SHORTCUT, n_max_a=-5), None),
     "n_max_b-set": (dict(SHORTCUT, mode="composite", n_max_b=2), None),
@@ -745,20 +746,51 @@ def test_analytic_run_of_untuned_blocks_exits_with_the_closed_form_rule(
     assert not Path("out").exists()
 
 
+# couplings turned by a phase that the lower transition gives back: not the shortcut's, but
+# with its rates, which is all the closed form reads
+PHASE_COMPENSATED = dict(
+    EXPLICIT, t_end=8.0, samples=401,
+    levels={"omega_eg": 3.0, "omega_1g": 2.0, "omega_2g": 0.0},
+    cavity={"omega_a": 2.0, "omega_b": 1.0},
+    couplings={"G_1e": 1.0, "G_2e": [math.cos(0.7), math.sin(0.7)],
+               "G_g1": 1.0, "G_g2": [math.cos(0.7), -math.sin(0.7)]},
+)
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_cli_analytic_run_of_rate_tuned_blocks_matches_the_reduced_run(tmp_path):
+    # the analytic run predicts the shortcut's beat, as both runs' summaries say, and its
+    # rows are the reduced run's
+    want = beat_frequency(derive_rates(*tuned_configuration(1.0, 1.0))).two_f
+    tables = {}
+    for mode in ("analytic", "reduced"):
+        path = _write_scenario(tmp_path, dict(PHASE_COMPENSATED, mode=mode))
+        assert main(["run", path, "--out-dir", str(tmp_path / mode)]) == 0
+        summary = json.loads((tmp_path / mode / "case.summary.json").read_text())
+        assert summary["beats_predicted"] is True
+        assert summary["two_f_predicted"] == pytest.approx(want, rel=1e-15)
+        tables[mode] = np.loadtxt(tmp_path / mode / "case.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(tables["analytic"] - tables["reduced"])) < 1e-12
+
+
 MODEL_OVERFLOW = {
     "closed-form-or-step": (dict(SHORTCUT, G=1e77, t_end=5.0, samples=41), ""),
     "rates-G": (dict(SHORTCUT, G=1e200), "the rates overflow at these couplings"),
+    # |G|^2 is finite, but the cross coefficients' 2 |G|^2 is not
+    "rates-cross": (dict(SHORTCUT, G=1e154, t_end=5.0, samples=41),
+                    "the rates overflow at these couplings"),
     "rates-G_1e": (
         dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_1e=1e200)),
         "the rates overflow at these couplings",
     ),
 }
 # the integrators' step overflows from G = 1e77, but the closed form runs there
-# (test_cli_analytic_run_holds_where_the_closed_form_overflowed) and overflows from
-# G = 1e154, where 4 |alpha|, its unit rate, does
+# (test_cli_analytic_run_holds_where_the_closed_form_overflowed); at G = 1e153 the rates
+# are finite, and the closed form overflows over t_end = 1e6
 OVERFLOW_RUNS = [
     pytest.param(
-        dict(scenario, G=1e154) if (case, mode) == ("closed-form-or-step", "analytic") else scenario,
+        dict(scenario, G=1e153, t_end=1e6) if (case, mode) == ("closed-form-or-step", "analytic")
+        else scenario,
         reason, mode, id=f"{case}-{mode}",
     )
     for case, (scenario, reason) in MODEL_OVERFLOW.items()

@@ -6,8 +6,9 @@ Usage, from the root of a checkout:
 
 For each seed it builds the plan of every benchmark workload (bench/workloads.py,
 imported read-only) and runs each timed op and the accuracy probe; then it runs
-`validate` with the default ladder and with a repeated rung, and `preset fig3` and
-`preset fig4` in every mode. Everything runs in this one process, as in-process
+`validate` with the default ladder and with a repeated rung, `preset fig3` and
+`preset fig4` in every mode, and an analytic run of an explicit block whose rates have
+the evenly tuned form (PHASE_COMPENSATED). Everything runs in this one process, as in-process
 cavity_beats.cli.main calls on the package under ./src.
 
 Each line names the op and gives its exit code, then a sha256 (first 16 hex digits)
@@ -33,6 +34,8 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -46,7 +49,16 @@ EXTRA_OPS = [
 ] + [
     (f"{which}-{mode}", ["preset", which, "--mode", mode])
     for which in ("fig3", "fig4") for mode in MODES
-]
+] + [("run-phase-compensated-analytic", ["run", "phase_compensated.json"])]
+# Couplings turned by a phase that the lower transition gives back: not the shortcut's, but
+# with its rates, so analytic mode runs them in the closed form.
+PHASE_COMPENSATED = {
+    "name": "phase_compensated", "mode": "analytic", "t_end": 8.0, "samples": 1601,
+    "levels": {"omega_eg": 3.0, "omega_1g": 2.0, "omega_2g": 0.0},
+    "cavity": {"omega_a": 2.0, "omega_b": 1.0},
+    "couplings": {"G_1e": 1.0, "G_2e": [math.cos(0.7), math.sin(0.7)],
+                  "G_g1": 1.0, "G_g2": [math.cos(0.7), -math.sin(0.7)]},
+}
 
 
 def _digest(data: bytes) -> str:
@@ -116,6 +128,8 @@ def main(argv=None) -> int:
                           flush=True)
                 shutil.rmtree("scenarios")
                 os.remove("plan.json")
+        with open("phase_compensated.json", "w", encoding="utf-8") as fh:
+            json.dump(PHASE_COMPENSATED, fh)
         for label, op_argv in EXTRA_OPS:
             print(f"{label}: {_run(cli, op_argv + ['--out-dir', 'out'])}", flush=True)
     finally:
