@@ -158,9 +158,7 @@ class Scenario(NamedTuple):
     g_values: tuple[float, ...] = (0.2, 0.1, 0.05)
 
 
-_PHYSICS_KEYS = (
-    "name", "mode", "eta", "Omega", "G", "levels", "cavity", "couplings", "t_end", "samples",
-)
+_PHYSICS_KEYS = tuple(k for k in Scenario._fields if k != "g_values")
 _VALIDATE_KEYS = ("name", "mode", "g_values", "Omega", "samples")
 
 
@@ -179,10 +177,11 @@ def parse_scenario(obj: dict) -> Scenario:
     _check_keys(obj, _VALIDATE_KEYS if mode == "validate" else _PHYSICS_KEYS, path)
 
     omega = _read(obj, "Omega", path, default=1.0 if mode == "validate" else None)
-    samples = _read(obj, "samples", path, default=151 if mode == "validate" else 1601)
+    defaults = Scenario._field_defaults
+    samples = _read(obj, "samples", path, default=151 if mode == "validate" else defaults["samples"])
 
     if mode == "validate":
-        gv = obj.get("g_values", list(Scenario._field_defaults["g_values"]))
+        gv = obj.get("g_values", list(defaults["g_values"]))
         if not isinstance(gv, list) or len(gv) < 2:
             raise ScenarioError(f"{path}.g_values: expected a list of at least two numbers")
         g_values = tuple(
@@ -216,7 +215,7 @@ def parse_scenario(obj: dict) -> Scenario:
     return Scenario(
         name=name,
         mode=mode,
-        eta=_read(obj, "eta", path, default=1.0),
+        eta=_read(obj, "eta", path, default=defaults["eta"]),
         Omega=omega,
         G=complex(1.0) if (omega is not None and g is None) else g,
         levels=levels,
@@ -257,12 +256,6 @@ class RunResult(NamedTuple):
     series: TimeSeries | None = None
 
 
-def _json_complex(z: complex | None):
-    if z is None:
-        return None
-    return [float(z.real), float(z.imag)]
-
-
 def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
     alpha = tuned_alpha(rates)
     pred = None if alpha is None else beat_frequency(rates, sc.eta)
@@ -278,18 +271,9 @@ def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
         "name": sc.name,
         "mode": sc.mode,
         "eta": sc.eta,
-        "rates": {
-            "Gamma_1": rates.Gamma_1,
-            "Gamma_2": rates.Gamma_2,
-            "Gamma_1p": rates.Gamma_1p,
-            "Gamma_2p": rates.Gamma_2p,
-            "delta_1": rates.delta_1,
-            "delta_2": rates.delta_2,
-            "delta_1p": rates.delta_1p,
-            "delta_2p": rates.delta_2p,
-            "Omega": rates.Omega,
-        },
-        "alpha": _json_complex(alpha),
+        # the nine real rates; the cross coefficients are reported through alpha
+        "rates": {k: v for k, v in rates._asdict().items() if not k.startswith("cross_")},
+        "alpha": None if alpha is None else [float(alpha.real), float(alpha.imag)],
         "beats_predicted": None if pred is None else pred.beats,
         "two_f_predicted": None if pred is None else pred.two_f,
         "two_f_measured": meas.two_f,
@@ -318,14 +302,8 @@ def run_scenario(sc: Scenario) -> RunResult:
             check = composite_mod.validate_elimination(
                 g_values=sc.g_values, Omega=sc.Omega, samples=sc.samples
             )
-            summary = {
-                "name": sc.name,
-                "mode": sc.mode,
-                "g_values": list(check.g_values),
-                "deviations": list(check.deviations),
-                "monotone": check.monotone,
-            }
-            return RunResult(summary)
+            return RunResult({"name": sc.name, "mode": sc.mode, **check._asdict(),
+                              "monotone": check.monotone})
 
         couplings, levels, cavity = sc.couplings, sc.levels, sc.cavity
         if sc.Omega is not None:

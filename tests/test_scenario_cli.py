@@ -181,6 +181,19 @@ def test_summary_fields_and_json_round_trip(tmp_path):
     assert path.read_text().endswith("\n")
 
 
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_summary_keys_are_the_records_fields_in_order():
+    # the summaries take their keys from RateSet and EliminationCheck; the files pin them
+    summary = run_scenario(parse_scenario(dict(SHORTCUT, mode="analytic", samples=41))).summary
+    assert list(summary["rates"]) == [
+        "Gamma_1", "Gamma_2", "Gamma_1p", "Gamma_2p",
+        "delta_1", "delta_2", "delta_1p", "delta_2p", "Omega",
+    ]
+    ladder = {"name": "v", "mode": "validate", "g_values": [0.4, 0.2], "samples": 41}
+    summary = run_scenario(parse_scenario(ladder)).summary
+    assert list(summary) == ["name", "mode", "g_values", "deviations", "monotone"]
+
+
 def test_sweep_variant_naming_and_guards():
     sc = parse_scenario(dict(SHORTCUT))
     var = sweep_variant(sc, "eta", 0.5)
