@@ -33,8 +33,11 @@ PENCIL_RANK_TOL = 1e-10  # singular values of the Hankel matrix kept, relative t
 NOISE_FLOOR = 1e-5  # pole fit tolerance and smallest beat amplitude, as fractions of the peak
 # Relative tolerance of the tuned form. Rounding in derive_rates leaves a few ulps (at most 2.5e-16
 # over the shortcut's splittings and couplings), an explicit block's level arithmetic more where
-# its levels lie far above its detunings; rates this close keep the closed form within 1e-12 of
-# the exact engine.
+# its levels lie far above its detunings: the detunings are differences of the levels, rounded to
+# their ulp. That rounding is small next to kappa - i Delta, so next to the complex rate
+# Gamma' + i delta' = |G|^2 / (kappa - i Delta') the lower shifts come from, though not next to a
+# shift itself where Delta' is small; so the shifts are held to that rate's size. Rates this close
+# keep the closed form within 1e-12 of the exact engine.
 TUNED_TOL = 1e-12
 
 
@@ -81,26 +84,46 @@ def secular_solution(t_grid: np.ndarray, rates: RateSet) -> TimeSeries:
 def tuned_alpha(rates: RateSet) -> complex | None:
     """The cross parameter alpha = cross_left when the rates have the evenly tuned form, else None.
 
-    The form: Gamma_1 = Gamma_2 = Gamma_1p = Gamma_2p, delta_1p = -delta_2p, cross_right = alpha,
-    cross_upper = 2 alpha and cross_ground = 2 alpha*, each to TUNED_TOL of the larger side. The
-    shortcut has it, and so does any explicit block whose rates reduce to it.
+    The form is the relations of _tuned_break. The shortcut has it, and so does any explicit
+    block whose rates reduce to it.
+    """
+    return None if _tuned_break(rates) else rates.cross_left
+
+
+def _tuned_break(rates: RateSet) -> tuple[str, float] | None:
+    """The first relation of the evenly tuned form the rates break, with its relative gap.
+
+    The relations: Gamma_2, Gamma_1p and Gamma_2p equal Gamma_1, delta_2p = -delta_1p,
+    cross_right = alpha, cross_upper = 2 alpha and cross_ground = 2 alpha* with alpha =
+    cross_left, each to TUNED_TOL of its larger side; the shifts to TUNED_TOL of the larger of
+    |Gamma_1p + i delta_1p| and |Gamma_2p + i delta_2p|. None when every relation holds.
     """
     r = rates
     alpha = r.cross_left
-    pairs = ((r.Gamma_2, r.Gamma_1), (r.Gamma_1p, r.Gamma_1), (r.Gamma_2p, r.Gamma_1),
-             (-r.delta_2p, r.delta_1p), (r.cross_right, alpha), (r.cross_upper, 2 * alpha),
-             (r.cross_ground, 2 * np.conj(alpha)))
-    if all(abs(a - b) <= TUNED_TOL * max(abs(a), abs(b)) for a, b in pairs):
-        return alpha
+    lower = max(abs(complex(r.Gamma_1p, r.delta_1p)), abs(complex(r.Gamma_2p, r.delta_2p)))
+    relations = (
+        ("Gamma_2 = Gamma_1", r.Gamma_2, r.Gamma_1, 0.0),
+        ("Gamma_1p = Gamma_1", r.Gamma_1p, r.Gamma_1, 0.0),
+        ("Gamma_2p = Gamma_1", r.Gamma_2p, r.Gamma_1, 0.0),
+        ("delta_2p = -delta_1p", r.delta_2p, -r.delta_1p, lower),
+        ("cross_right = cross_left", r.cross_right, alpha, 0.0),
+        ("cross_upper = 2 cross_left", r.cross_upper, 2 * alpha, 0.0),
+        ("cross_ground = 2 conj(cross_left)", r.cross_ground, 2 * np.conj(alpha), 0.0),
+    )
+    for relation, a, b, floor in relations:
+        size = max(abs(a), abs(b), floor)
+        if not abs(a - b) <= TUNED_TOL * size:
+            return relation, abs(a - b) / size
     return None
 
 
 def _require_symmetric(rates: RateSet) -> tuple[float, float, complex]:
-    alpha = tuned_alpha(rates)
-    if alpha is None:
-        raise ValueError("closed-form beats require the evenly tuned configuration "
-                         "(use the Omega shortcut)")
-    return rates.Gamma_1, rates.delta_1p + rates.Omega, alpha
+    broken = _tuned_break(rates)
+    if broken:
+        relation, gap = broken
+        raise ValueError(f"closed-form beats require the evenly tuned configuration: {relation} "
+                         f"is off by {gap:.2g} relative, beyond {TUNED_TOL:g}")
+    return rates.Gamma_1, rates.delta_1p + rates.Omega, rates.cross_left
 
 
 def symmetric_solution(t_grid: np.ndarray, rates: RateSet, eta: float = 1.0) -> TimeSeries:

@@ -76,6 +76,10 @@ OMEGA_MAX = 1e15
 SAMPLES_MAX = 100001
 G_RUNG_MIN = 1e-3
 G_RUNG_MAX = 1.0
+# The most samples one command asks for: rungs x samples of a validate ladder, points x samples
+# of a sweep. A rung takes about 82 ms at SAMPLES_MAX and 1.3 ms at 2 samples, so a ladder at the
+# budget runs for at most about 11 minutes (500000 rungs of 2 samples), not unbounded.
+WORK_MAX = 1_000_000
 
 
 class Field(NamedTuple):
@@ -120,6 +124,12 @@ def read_field(key: str, value, where: str):
     if kind is not complex and not lower <= x <= upper:
         raise ScenarioError(f"{where}: must lie in [{lower:g}, {upper:g}]")
     return x
+
+
+def _within_budget(count: int, samples: int, what: str, where: str) -> None:
+    if count * samples > WORK_MAX:
+        raise ScenarioError(f"{where}: {count} {what} of {samples} samples exceed the budget of "
+                            f"{WORK_MAX} samples per command")
 
 
 def _read(obj: dict, key: str, path: str, default=None):
@@ -184,6 +194,7 @@ def parse_scenario(obj: dict) -> Scenario:
         gv = obj.get("g_values", list(defaults["g_values"]))
         if not isinstance(gv, list) or len(gv) < 2:
             raise ScenarioError(f"{path}.g_values: expected a list of at least two numbers")
+        _within_budget(len(gv), samples, "rungs", f"{path}.g_values")
         g_values = tuple(
             read_field("g_values", x, f"{path}.g_values[{i}]") for i, x in enumerate(gv)
         )
@@ -387,12 +398,14 @@ def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
     """Run one scenario per value; a failed point is recorded, not fatal.
 
     Each point's outputs are named after its value as %g prints it, so two values
-    that print alike are rejected before any point runs.
+    that print alike are rejected before any point runs, as are more points than
+    WORK_MAX samples hold.
     """
     if sc.mode == "validate":
         raise ScenarioError("sweep applies to the physics modes, not validate")
     if not values:
         raise ScenarioError("sweep needs at least one value")
+    _within_budget(len(values), sc.samples, "points", "--values")
     names = [_point_name(sc, param, v) for v in values]
     seen = set()
     for v, name in zip(values, names):

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import json
+from decimal import Decimal
 import re
 import tracemalloc
 
@@ -132,13 +133,20 @@ def test_closed_form_without_interference_is_the_secular_cascade(monkeypatch, om
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
 def test_closed_form_refuses_rates_off_the_tuned_configuration(eta):
-    # a 1% change of one linewidth leaves the evenly tuned configuration, with or without
-    # the cross terms
+    # a 1% change of one rate leaves the evenly tuned configuration, with or without the
+    # cross terms, and the refusal names the first relation it breaks with its gap; the
+    # shifts' gap is taken against |Gamma' + i delta'| (about 0.71), not |delta'| = 0.5
     rates = _tuned_rates(1.0)
-    moved = rates._replace(Gamma_2=1.01 * rates.Gamma_2)
-    with pytest.raises(ValueError, match=r"^closed-form beats require the evenly tuned "
-                                         r"configuration \(use the Omega shortcut\)$"):
-        symmetric_solution(np.linspace(0.0, 1.0, 5), moved, eta=eta)
+    moves = {
+        "Gamma_2 = Gamma_1 is off by 0.0099": ("Gamma_2", 1.01),
+        "delta_2p = -delta_1p is off by 0.007": ("delta_2p", 1.01),
+        r"cross_ground = 2 conj\(cross_left\) is off by 0.0099": ("cross_ground", 1.01),
+    }
+    for text, (name, factor) in moves.items():
+        moved = rates._replace(**{name: factor * getattr(rates, name)})
+        with pytest.raises(ValueError, match=rf"^closed-form beats require the evenly tuned "
+                                             rf"configuration: {text} relative, beyond 1e-12$"):
+            symmetric_solution(np.linspace(0.0, 1.0, 5), moved, eta=eta)
 
 
 @pytest.mark.parametrize(
@@ -288,6 +296,39 @@ def test_tuned_alpha_reads_the_tuned_form_off_the_rates(want, configurations):
                 exact = evolve(pure_state(0, 4), t, rates, eta=eta).channels()
                 assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < 1e-12, eta
 
+
+
+def _decimal_midpoint_blocks(scale, n=200):
+    # evenly tuned as written: decimal levels mid + gap and mid +- Omega, modes at gap and mid,
+    # mid near scale; the detunings are differences of those levels, rounded to their ulp
+    rng = np.random.default_rng([0, int(scale)])
+    for _ in range(n):
+        mid, omega, g = (Decimal(f"{rng.uniform(a, b):.6f}") for a, b in
+                         ((scale, 2 * scale), (0.0, 3.0), (0.5, 2.0)))
+        gap = omega + Decimal(f"{rng.uniform(0.5, 3.0):.6f}")
+        levels = LevelScheme(float(mid + gap), float(mid + omega), float(mid - omega))
+        yield CouplingSet.uniform(float(g)), levels, CavityParams(float(gap), float(mid))
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+def test_tuned_rule_takes_explicit_blocks_whose_levels_round_their_detunings():
+    # near 1e3 every block is accepted, the 2 included whose lower shifts differ by up to
+    # 6e-12 of their own size (refused while the shifts were held to it); near 1e4 the
+    # linewidths themselves differ by more than TUNED_TOL, and those blocks stay refused;
+    # every accepted block keeps the closed form within 1e-12 of the exact engine
+    accepted = {}
+    for scale in (1e3, 1e4):
+        accepted[scale] = 0
+        for configuration in _decimal_midpoint_blocks(scale):
+            rates = derive_rates(*configuration)
+            if tuned_alpha(rates) is None:
+                continue
+            accepted[scale] += 1
+            t = np.linspace(0.0, 8.0 / rates.Gamma_1, 161)
+            closed = symmetric_solution(t, rates).channels()
+            exact = evolve(pure_state(0, 4), t, rates).channels()
+            assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < 1e-12, configuration
+    assert accepted == {1e3: 200, 1e4: 60}
 
 def test_symmetric_solution_requires_tuned_rates():
     with pytest.raises(ValueError):

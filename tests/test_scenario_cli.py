@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from cavity_beats._csvformat import CELL, format_rows
 from cavity_beats.analytic import beat_frequency, symmetric_solution
 from cavity_beats.cli import build_parser, main
 from cavity_beats.composite import EliminationCheck
-from cavity_beats.linalg import stack_coordinates
+from cavity_beats.linalg import DriftError, stack_coordinates
 from cavity_beats.model import CouplingSet, derive_rates, midpoint_levels, tuned_configuration
 from cavity_beats.scenario import (
     CSV_BLOCK,
@@ -34,6 +35,7 @@ from cavity_beats.scenario import (
     MODES,
     SAMPLES_MAX,
     SWEEP_PARAMS,
+    T_END_MAX,
     Scenario,
     ScenarioError,
     parse_scenario,
@@ -451,23 +453,31 @@ def test_runs_and_csv_build_no_state_stack(monkeypatch, tmp_path):
         write_csv(result.series, str(tmp_path / f"{mode}.csv"))
 
 
-@pytest.mark.filterwarnings("ignore:positivity violated")
+def _fresh_python(code: str) -> str:
+    """What code prints when a new interpreter runs it with this package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cavity_beats.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 @pytest.mark.parametrize("mode,eta", [("analytic", 1.0), ("reduced", 1.0), ("analytic", 0.0)],
                          ids=["analytic", "reduced", "analytic-eta0"])
 def test_run_peaks_below_half_a_state_stack(mode, eta):
     # the series holds six real coordinates per sample, and the closed form, the frame
     # rotation and the checks work in blocks or one coordinate at a time, so a long run
     # peaks below half of one (N, 4, 4) complex stack (2.56 MB here); at eta = 0 the
-    # secular cascade holds four coordinates and takes the whole grid at once
+    # secular cascade holds four coordinates and takes the whole grid at once. The run is
+    # measured in a fresh interpreter, so no module or cache an earlier test loaded moves it
     samples = 20001
-    sc = parse_scenario(dict(SHORTCUT, mode=mode, eta=eta, t_end=12.0, samples=samples))
-    tracemalloc.start()
-    try:
-        result = run_scenario(sc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(result.series) == samples
+    scenario = dict(SHORTCUT, mode=mode, eta=eta, t_end=12.0, samples=samples)
+    code = (
+        "import tracemalloc, warnings; warnings.simplefilter('ignore'); "
+        "from cavity_beats.scenario import parse_scenario, run_scenario; "
+        f"sc = parse_scenario({scenario!r}); tracemalloc.start(); result = run_scenario(sc); "
+        "print(len(result.series), tracemalloc.get_traced_memory()[1])"
+    )
+    length, peak = map(int, _fresh_python(code).split())
+    assert length == samples
     assert peak < samples * 4 * 4 * 16 / 2
 
 
@@ -618,7 +628,14 @@ BAD_INPUT = {
         dict(EXPLICIT, levels={"omega_eg": 1.0, "omega_1g": 1.9, "omega_2g": 0.4}), None
     ),
     "sweep-no-values": (SHORTCUT, ["sweep", "--param", "eta", "--values", ","]),
+    "validate-over-budget": (
+        {"name": "v", "mode": "validate", "g_values": [0.4, 0.2, 0.1], "samples": 41}, None
+    ),
+    "validate-g-over-budget": (None, ["validate", "--g-values", "0.4,0.2,0.1", "--samples", "41"]),
+    "sweep-over-budget": (dict(SHORTCUT, samples=41), ["sweep", "--param", "eta", "--values", "0,0.5,1"]),
 }
+# three rungs or points of 41 samples, one sample past scenario.WORK_MAX patched down to 122
+OVER_BUDGET = ("validate-over-budget", "validate-g-over-budget", "sweep-over-budget")
 # the whole stderr line of the reader's and the sweep's own errors, by BAD_INPUT case
 READER_ERRORS = {
     "sweep-names-alike": (
@@ -632,12 +649,21 @@ READER_ERRORS = {
         "scenario.levels: cascade ordering requires omega_eg above both intermediate levels"
     ),
     "sweep-no-values": "sweep needs at least one value",
+    "validate-over-budget": (
+        "scenario.g_values: 3 rungs of 41 samples exceed the budget of 122 samples per command"
+    ),
+    "validate-g-over-budget": (
+        "scenario.g_values: 3 rungs of 41 samples exceed the budget of 122 samples per command"
+    ),
+    "sweep-over-budget": "--values: 3 points of 41 samples exceed the budget of 122 samples per command",
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUT)
-def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, case):
+def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, monkeypatch, case):
     # bad input exits 2 before anything is written, inside --out-dir or not
+    if case in OVER_BUDGET:
+        monkeypatch.setattr(cavity_beats.scenario, "WORK_MAX", 3 * 41 - 1)
     scenario, argv = BAD_INPUT[case]
     work = tmp_path / "work"
     work.mkdir()
@@ -656,6 +682,44 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, case):
     else:
         assert "scenario error" in err
     assert {p for p in tmp_path.rglob("*") if p.is_file()} == inputs
+
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@pytest.mark.parametrize("argv", [
+    ["validate", "--g-values", "0.4,0.2,0.1", "--samples", "41"],
+    ["sweep", "scenario.json", "--param", "eta", "--values", "0,0.5,1"],
+], ids=["validate", "sweep"])
+def test_work_at_the_budget_runs(tmp_path, monkeypatch, argv):
+    # three rungs or points of 41 samples fill a budget of 123 exactly
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cavity_beats.scenario, "WORK_MAX", 3 * 41)
+    Path("scenario.json").write_text(json.dumps(dict(SHORTCUT, samples=41)))
+    assert main(argv + ["--out-dir", "out"]) == 0
+
+
+def test_every_bench_op_and_readme_example_fits_the_budget():
+    # the benchmark's ladders and sweeps at both sizes, and the README's (three values of its
+    # 1601-sample scenario, the default ladder), parse and stay within WORK_MAX
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    asks = [(3, 1601), (3, Scenario._field_defaults["samples"])]
+    for name, size in ((w, s) for w in workloads.WORKLOADS for s in workloads.SIZES):
+        plan = workloads.generate(name, 1, size)
+        for op in plan["ops"] + [plan["probe"]]:
+            argv = op["argv"]
+            if argv[0] == "validate":
+                ladder = parse_scenario({"name": "v", "mode": "validate",
+                                         "g_values": _values_of(argv, "--g-values")})
+                asks.append((len(ladder.g_values), ladder.samples))
+            elif argv[0] == "sweep":
+                asks.append((len(_values_of(argv, "--values")), op["rows"]))
+    assert len(asks) > 2 and all(n * samples <= cavity_beats.scenario.WORK_MAX for n, samples in asks)
+
+
+def _values_of(argv, flag):
+    return [float(v) for v in argv[argv.index(flag) + 1].split(",")]
 
 
 @pytest.mark.parametrize("target,reason", [
@@ -748,13 +812,14 @@ def test_inputs_the_model_cannot_hold_exit_with_their_field(
 def test_analytic_run_of_untuned_blocks_exits_with_the_closed_form_rule(
     tmp_path, capsys, monkeypatch
 ):
-    # the closed form states its one condition itself, and the scenario names the run
+    # the closed form states its one condition itself, with the first relation the rates
+    # break, and the scenario names the run
     monkeypatch.chdir(tmp_path)
     Path("scenario.json").write_text(json.dumps(dict(EXPLICIT, mode="analytic")))
     assert main(["run", "scenario.json", "--out-dir", "out"]) == 2
     assert capsys.readouterr().err == (
-        "scenario error: case: closed-form beats require the evenly tuned configuration "
-        "(use the Omega shortcut)\n"
+        "scenario error: case: closed-form beats require the evenly tuned configuration: "
+        "Gamma_2 = Gamma_1 is off by 0.29 relative, beyond 1e-12\n"
     )
     assert not Path("out").exists()
 
@@ -1132,13 +1197,40 @@ def _refuse_constant(name):
     raise AssertionError(f"{name} in a written JSON file")
 
 
+
+# --- analytic against the exact engine, property-based -----------------------
+
+@pytest.mark.filterwarnings("ignore:positivity violated")
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(omega=st.floats(0.0, 4.0), eta=st.floats(0.0, 1.0), log_g=st.floats(-3.0, 6.0))
+@example(omega=3.54, eta=1.0, log_g=-1.9)  # 2.4e6 radians: 4.2e-12 apart, within 2.5e-11
+def test_analytic_and_reduced_runs_agree_across_the_shortcut(omega, eta, log_g):
+    # a shortcut run over 8 / Gamma_1 returns or exits 2 (a window past T_END_MAX) or 3 in
+    # both modes, and where both return, every channel agrees to 1e-12 at any coupling,
+    # plus 1e-17 per radian the coherence turns through the window: the exact engine's
+    # step rounds its angle, so its phase drifts with the turns (the closed form keeps
+    # 1e-17 of an mpmath reference; over 738 draws the engine read at most 2.2e-18 per
+    # radian, and 1.3e-13 below 100 radians)
+    g = 10.0**log_g
+    rates = derive_rates(*tuned_configuration(omega, g))
+    t_end = 8.0 / rates.Gamma_1
+    base = {"name": "d", "Omega": omega, "G": g, "eta": eta, "t_end": t_end, "samples": 401}
+    runs = {}
+    for mode in ("analytic", "reduced"):
+        try:
+            runs[mode] = run_scenario(parse_scenario(dict(base, mode=mode))).series.channels()
+        except (ScenarioError, DriftError):
+            pass
+    if len(runs) == 2:
+        closed, exact = runs.values()
+        turns = (omega + abs(rates.delta_1p)) * t_end
+        bound = 1e-12 + 1e-17 * turns
+        assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < bound
+
 def test_cli_needs_no_scipy():
     # the runtime dependency is numpy only; scipy is a cross-check of the tests
     code = "import sys, cavity_beats.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(cavity_beats.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
 
 
 def test_runs_import_no_numpy_ma():
@@ -1149,10 +1241,7 @@ def test_runs_import_no_numpy_ma():
         f"[run_scenario(parse_scenario(dict({SHORTCUT!r}, mode=m, samples=101))) "
         "for m in ('reduced', 'composite')]; print('numpy.ma' in sys.modules)"
     )
-    src = str(Path(cavity_beats.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code) == "False"
 
 
 def test_cli_import_builds_no_format_tables():
@@ -1163,10 +1252,7 @@ def test_cli_import_builds_no_format_tables():
         "print(json.dumps([sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
         "{n: v.cache_info().currsize for n, v in vars(f).items() if hasattr(v, 'cache_info')}]))"
     )
-    src = str(Path(cavity_beats.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    modules, caches = json.loads(out.stdout)
+    modules, caches = json.loads(_fresh_python(code))
     assert modules == []
     assert {"_powers", "_tables"} <= caches.keys()
     assert set(caches.values()) == {0}
