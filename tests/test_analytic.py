@@ -1,9 +1,9 @@
 import cmath
 import dataclasses
 import json
-from decimal import Decimal
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -297,7 +297,6 @@ def test_tuned_alpha_reads_the_tuned_form_off_the_rates(want, configurations):
                 assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < 1e-12, eta
 
 
-
 def _decimal_midpoint_blocks(scale, n=200):
     # evenly tuned as written: decimal levels mid + gap and mid +- Omega, modes at gap and mid,
     # mid near scale; the detunings are differences of those levels, rounded to their ulp
@@ -329,6 +328,7 @@ def test_tuned_rule_takes_explicit_blocks_whose_levels_round_their_detunings():
             exact = evolve(pure_state(0, 4), t, rates).channels()
             assert max(np.max(np.abs(closed[k] - exact[k])) for k in closed) < 1e-12, configuration
     assert accepted == {1e3: 200, 1e4: 60}
+
 
 def test_symmetric_solution_requires_tuned_rates():
     with pytest.raises(ValueError):
