@@ -1,9 +1,9 @@
 """Command line front end: run, sweep, preset families, validation ladder.
 
 Exit codes: 0 success, 2 bad scenario input or an output location that
-cannot be written, 3 drift beyond tolerance or failed sweep points (nothing
-partial is written for a drifted run), 4 reduced-versus-full validation
-failure. Everything printed about a run is read from its summary.
+cannot be written, 3 drift beyond tolerance (a drifted run writes nothing) or a
+failed sweep point (recorded while the others run and write), 4 reduced-versus-full
+validation failure. Everything printed about a run is read from its summary.
 """
 
 from __future__ import annotations
@@ -75,25 +75,29 @@ def _cmd_run(args) -> int:
     return _run(scn.load_scenario(args.scenario), args.out_dir)
 
 
+def _sweep_point(sc: scn.Scenario, args, value: float, name: str) -> dict:
+    """One point's row of the combined summary; its CSV is written and its series dropped."""
+    # strict JSON: a non-finite value is written as in the point's name
+    row = {"value": value if math.isfinite(value) else f"{value:g}"}
+    try:
+        result = scn.run_scenario(scn.sweep_variant(sc, args.param, value))
+    except (scn.ScenarioError, DriftError) as exc:
+        print(f"  point {value:g} failed: {exc}")
+        return {**row, "summary": {"name": name, "mode": sc.mode, "error": str(exc)}}
+    _write_series(result, args.out_dir)
+    return {**row, "summary": result.summary}
+
+
 def _cmd_sweep(args) -> int:
     sc = scn.load_scenario(args.scenario)
     values = _values(args.values, "--values")
-    results = scn.run_sweep(sc, args.param, values)
+    names = scn.sweep_names(sc, args.param, values)
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    failed = 0
-    for value, result in zip(values, results):
-        _write_series(result, args.out_dir)
-        if "error" in result.summary:
-            failed += 1
-            print(f"  point {value:g} failed: {result.summary['error']}")
-        # strict JSON: a non-finite value is written as in the point's name
-        shown = value if math.isfinite(value) else f"{value:g}"
-        rows.append({"value": shown, "summary": result.summary})
+    rows = [_sweep_point(sc, args, value, name) for value, name in zip(values, names)]
     combined = os.path.join(args.out_dir, f"{sc.name}.sweep.json")
     scn.write_summary({"name": sc.name, "param": args.param, "runs": rows}, combined)
     print(f"wrote {combined}")
-    return EXIT_DRIFT if failed else EXIT_OK
+    return EXIT_DRIFT if any("error" in row["summary"] for row in rows) else EXIT_OK
 
 
 def _preset_scenarios(which: str, eta_values, mode: str) -> list[scn.Scenario]:

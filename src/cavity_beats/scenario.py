@@ -261,7 +261,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 class RunResult(NamedTuple):
-    """A run's summary, and its series; a failed sweep point has "error" and no series."""
+    """A run's summary, and its series; a validate run has no series."""
 
     summary: dict
     series: TimeSeries | None = None
@@ -394,12 +394,12 @@ def _point_name(sc: Scenario, param: str, value: float) -> str:
     return f"{sc.name}_{param}_{value:g}"
 
 
-def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
-    """Run one scenario per value; a failed point is recorded, not fatal.
+def sweep_names(sc: Scenario, param: str, values: list[float]) -> list[str]:
+    """The name of each sweep point's outputs, checked before any point runs.
 
-    Each point's outputs are named after its value as %g prints it, so two values
-    that print alike are rejected before any point runs, as are more points than
-    WORK_MAX samples hold.
+    A point is named after its value as %g prints it, so two values that print alike
+    are rejected, as are a validate scenario, no values and more points than WORK_MAX
+    samples hold.
     """
     if sc.mode == "validate":
         raise ScenarioError("sweep applies to the physics modes, not validate")
@@ -412,11 +412,4 @@ def run_sweep(sc: Scenario, param: str, values: list[float]) -> list[RunResult]:
         if name in seen:
             raise ScenarioError(f"sweep value {v!r}: names its run {name}, as an earlier value does")
         seen.add(name)
-    results = []
-    for v, name in zip(values, names):
-        try:
-            results.append(run_scenario(sweep_variant(sc, param, v)))
-        except ScenarioError as exc:
-            # a bad point is recorded under its would-be name, the rest still run
-            results.append(RunResult({"name": name, "mode": sc.mode, "error": str(exc)}))
-    return results
+    return names

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -40,7 +41,6 @@ from cavity_beats.scenario import (
     ScenarioError,
     parse_scenario,
     run_scenario,
-    run_sweep,
     sweep_variant,
     write_csv,
     write_summary,
@@ -213,22 +213,29 @@ def _reject_constant(token):
 
 
 def test_run_sweep_records_bad_points(tmp_path):
+    # one failure rule: a point with bad input and a point that drifts are both recorded
+    # under their would-be names, the finished points are written, and the sweep exits 3
     base = {"name": "s", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101}
-    sc = parse_scenario(base)
-    for param, bad in (("Omega", -3.0), ("eta", NAN)):
-        results = run_sweep(sc, param, [1.0, bad])
-        assert len(results) == 2
-        assert results[0].series is not None and "error" not in results[0].summary
-        assert results[1].series is None and "error" in results[1].summary
-    # a sweep value is checked as the file field is: the NaN point fails, exit 3
-    path = _write_scenario(tmp_path, base)
-    out = tmp_path / "out"
-    assert main(["sweep", path, "--param", "eta", "--values", "1,nan", "--out-dir", str(out)]) == 3
-    assert sorted(p.name for p in out.iterdir()) == ["s.sweep.json", "s_eta_1.csv"]
-    # the combined file is strict JSON: the bad value is written as in its point's name
-    combined = json.loads((out / "s.sweep.json").read_text(), parse_constant=_reject_constant)
+    drifting = dict(base, mode="composite", t_end=8.0, samples=41)  # composite at Omega 1e11
+    cases = {
+        "bad-omega": (base, "Omega", "1,-3", "s_Omega_-3", "s_Omega_-3.Omega: must lie in"),
+        "bad-eta": (base, "eta", "1,nan", "s_eta_nan", "s_eta_nan.eta: must be finite"),
+        "drift": (drifting, "Omega", "1,1e11", "s_Omega_1e+11", "sample 1 (t=0.2): trace drift"),
+    }
+    for case, (scenario, param, values, name, error) in cases.items():
+        path = _write_scenario(tmp_path, scenario)
+        out = tmp_path / case
+        argv = ["sweep", path, "--param", param, "--values", values, "--out-dir", str(out)]
+        assert main(argv) == 3, case
+        assert sorted(p.name for p in out.iterdir()) == ["s.sweep.json", f"s_{param}_1.csv"], case
+        # the combined file is strict JSON: a bad value is written as in its point's name
+        combined = json.loads((out / "s.sweep.json").read_text(), parse_constant=_reject_constant)
+        done, failed = (row["summary"] for row in combined["runs"])
+        assert "error" not in done and done["name"] == f"s_{param}_1", case
+        assert failed["name"] == name and failed["mode"] == scenario["mode"], case
+        assert failed["error"].startswith(error), case
+    combined = json.loads((tmp_path / "bad-eta" / "s.sweep.json").read_text())
     assert [row["value"] for row in combined["runs"]] == [1.0, "nan"]
-    assert combined["runs"][1]["summary"]["name"] == "s_eta_nan"
 
 
 # --- file output ------------------------------------------------------------
@@ -479,6 +486,34 @@ def test_run_peaks_below_half_a_state_stack(mode, eta):
     length, peak = map(int, _fresh_python(code).split())
     assert length == samples
     assert peak < samples * 4 * 4 * 16 / 2
+
+
+def test_sweep_holds_one_point_at_a_time(tmp_path):
+    # each point's CSV is written and its series dropped before the next point runs, so
+    # five points of 20001 samples peak no higher than two; a series held past its point
+    # adds about 1 MB per point. Measured after a warm-up sweep in a fresh interpreter,
+    # so no module or cache an earlier test loaded moves it
+    path = _write_scenario(tmp_path, {"name": "s", "mode": "analytic", "Omega": 1.0,
+                                      "t_end": 12.0, "samples": 20001})
+    argv = ["sweep", path, "--param", "eta", "--out-dir", str(tmp_path / "out"), "--values"]
+    code = textwrap.dedent(f"""
+        import contextlib, io, tracemalloc, warnings
+        from cavity_beats.cli import main
+        warnings.simplefilter("ignore")
+
+        def peak(values):
+            tracemalloc.start()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({argv!r} + [values]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        peak("0,1")
+        print(peak("0,1"), peak("0,0.25,0.5,0.75,1"))
+    """)
+    two, five = map(int, _fresh_python(code).split())
+    assert five - two < 0.25e6
 
 
 @pytest.mark.filterwarnings("ignore:positivity violated")
@@ -1062,11 +1097,11 @@ def test_write_summary_writes_what_json_dump_writes(tmp_path):
         return (buf.getvalue() + "\n").encode()
 
     base = parse_scenario({"name": "s", "mode": "reduced", "Omega": 1.0, "t_end": 6.0, "samples": 101})
-    runs = run_sweep(base, "eta", [0.0, 1.0])
     summaries = [
         run_scenario(base).summary,
-        {"name": "s", "param": "eta", "runs": [{"value": v, "summary": r.summary}
-                                                for v, r in zip((0.0, 1.0), runs)]},
+        {"name": "s", "param": "eta", "runs": [
+            {"value": v, "summary": run_scenario(sweep_variant(base, "eta", v)).summary}
+            for v in (0.0, 1.0)]},
         {"preset": "fig3", "runs": [run_scenario(sc).summary
                                     for sc in cli._preset_scenarios("fig3", (1.0,), "analytic")]},
         run_scenario(parse_scenario({"name": "v", "mode": "validate", "g_values": [0.4, 0.2],

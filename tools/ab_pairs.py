@@ -14,6 +14,10 @@ change of the median, and the pairs the change won: it wins a pair when its valu
 better in the metric's direction, and a tie counts for neither side. `gain` marks a
 metric where the change won at least nine tenths of the pairs and its median is better
 than the parent's by more than the parent's IQR, the rule a claimed gain must meet.
+One more row per side, `minor_faults`, gives the minor page faults of each run (the
+change in getrusage(RUSAGE_CHILDREN).ru_minflt across it), so an A/B shows when the
+heap's trim state moved a side rather than the code; it is never marked as a gain. The
+runs get no malloc setting of their own, so they fault as the benchmark's runs do.
 
 The runs write only what bench/run.py writes, under each checkout's .bench_out/ and
 .bench_work/; they run with PYTHONDONTWRITEBYTECODE=1, so no bytecode lands in the
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import signal
 import statistics
 import subprocess
@@ -39,10 +44,11 @@ class RunError(RuntimeError):
 
 
 def _run(root: str, args: argparse.Namespace) -> dict[str, float]:
-    """The end-to-end metric values of one `bench/run.py --trace 0` run in root."""
+    """One `bench/run.py --trace 0` run in root: its end-to-end metric values and minor_faults."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", f"{args.seconds:g}", "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     # A session of its own, so that the run's set-up interpreters die with it.
     with subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, start_new_session=True) as proc:
@@ -55,7 +61,8 @@ def _run(root: str, args: argparse.Namespace) -> dict[str, float]:
     if proc.returncode != 0 or not lines:
         raise RunError(f"{root}: exit {proc.returncode}\n{err}")
     result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    return {**{name: m["value"] for name, m in result["metrics"].items()}, "minor_faults": faults}
 
 
 def _spread(values: list[float]) -> tuple[float, float, float]:
@@ -111,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':20s} {'side':6s} {'median':>12s} {'q1':>12s} {'q3':>12s} {'iqr':>12s}"
           f" {'change':>8s} {'wins':>6s}")
-    for name, direction in better.items():
+    for name, direction in [*better.items(), ("minor_faults", "lower")]:
         if name not in values["parent"] or name not in values["change"]:
             continue
         c = compare(values["parent"][name], values["change"][name], direction)
@@ -123,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                    f"{c[side + '_q3']:12.6g} {c[side + '_iqr']:12.6g}")
             if side == "change":
                 row += f" {rel:+8.2%} {c['wins']:>3d}/{args.pairs}"
-                row += "  gain" if c["gain"] else ""
+                row += "  gain" if c["gain"] and name in better else ""
             print(row)
     return 0
 
