@@ -1,16 +1,16 @@
 """Command line front end: run, sweep, preset families, validation ladder.
 
-Exit codes: 0 success, 2 bad scenario input or an output location that
-cannot be written, 3 drift beyond tolerance (a drifted run writes nothing) or a
-failed sweep point (recorded while the others run and write), 4 reduced-versus-full
-validation failure. Everything printed about a run is read from its summary.
+Exit codes: 0 success, 2 bad scenario input (a sweep checks every point before the first
+one runs) or an output location that cannot be written, 3 drift beyond tolerance (a drifted
+run writes nothing) or a sweep point that drifts or that the model cannot evaluate (recorded
+while the others run and write), 4 reduced-versus-full validation failure. Everything
+printed about a run is read from its summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -75,25 +75,23 @@ def _cmd_run(args) -> int:
     return _run(scn.load_scenario(args.scenario), args.out_dir)
 
 
-def _sweep_point(sc: scn.Scenario, args, value: float, name: str) -> dict:
-    """One point's row of the combined summary; its CSV is written and its series dropped."""
-    # strict JSON: a non-finite value is written as in the point's name
-    row = {"value": value if math.isfinite(value) else f"{value:g}"}
+def _sweep_point(point: scn.Scenario, value: float, out_dir: str) -> dict:
+    """One point's row of the combined summary: its CSV written, or what running it raised."""
     try:
-        result = scn.run_scenario(scn.sweep_variant(sc, args.param, value))
+        result = scn.run_scenario(point)
     except (scn.ScenarioError, DriftError) as exc:
         print(f"  point {value:g} failed: {exc}")
-        return {**row, "summary": {"name": name, "mode": sc.mode, "error": str(exc)}}
-    _write_series(result, args.out_dir)
-    return {**row, "summary": result.summary}
+        return {"value": value, "summary": {"name": point.name, "mode": point.mode, "error": str(exc)}}
+    _write_series(result, out_dir)
+    return {"value": value, "summary": result.summary}
 
 
 def _cmd_sweep(args) -> int:
     sc = scn.load_scenario(args.scenario)
     values = _values(args.values, "--values")
-    names = scn.sweep_names(sc, args.param, values)
+    points = scn.sweep_points(sc, args.param, values)
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = [_sweep_point(sc, args, value, name) for value, name in zip(values, names)]
+    rows = [_sweep_point(point, value, args.out_dir) for point, value in zip(points, values)]
     combined = os.path.join(args.out_dir, f"{sc.name}.sweep.json")
     scn.write_summary({"name": sc.name, "param": args.param, "runs": rows}, combined)
     print(f"wrote {combined}")

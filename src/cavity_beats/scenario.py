@@ -76,10 +76,12 @@ OMEGA_MAX = 1e15
 SAMPLES_MAX = 100001
 G_RUNG_MIN = 1e-3
 G_RUNG_MAX = 1.0
-# The most samples one command asks for: rungs x samples of a validate ladder, points x samples
-# of a sweep. A rung takes about 82 ms at SAMPLES_MAX and 1.3 ms at 2 samples, so a ladder at the
-# budget runs for at most about 11 minutes (500000 rungs of 2 samples), not unbounded.
+# The most samples one command asks for: rungs or points x (samples + RUN_COST), RUN_COST being
+# a run's fixed part in samples. A composite sweep point takes 1.6 ms at 2 samples and 102 ms at
+# SAMPLES_MAX, about 1 us a sample (BLAS on one thread, 2 vCPUs), so a command at the budget runs
+# for one to two seconds: 624 rungs of 2 samples and nine points of SAMPLES_MAX each take 1.1-1.8 s.
 WORK_MAX = 1_000_000
+RUN_COST = 1600
 
 
 class Field(NamedTuple):
@@ -127,7 +129,7 @@ def read_field(key: str, value, where: str):
 
 
 def _within_budget(count: int, samples: int, what: str, where: str) -> None:
-    if count * samples > WORK_MAX:
+    if count * (samples + RUN_COST) > WORK_MAX:
         raise ScenarioError(f"{where}: {count} {what} of {samples} samples exceed the budget of "
                             f"{WORK_MAX} samples per command")
 
@@ -298,6 +300,11 @@ def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
     }
 
 
+def _check_full_model_eta(sc: Scenario) -> None:
+    if sc.mode == "composite" and sc.eta != 1.0:
+        raise ScenarioError(f"{sc.name}.eta: the full model has no interference dial; eta must stay 1")
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_scenario(sc: Scenario) -> RunResult:
     """Execute one scenario.
@@ -308,6 +315,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     warnings are silenced: the finiteness checks that follow an overflow
     raise, so bad input reads as its one clean error.
     """
+    _check_full_model_eta(sc)
     try:
         if sc.mode == "validate":
             check = composite_mod.validate_elimination(
@@ -327,8 +335,6 @@ def run_scenario(sc: Scenario) -> RunResult:
         elif sc.mode == "analytic":
             series = symmetric_solution(t, rates, eta=sc.eta)
         else:
-            if sc.eta != 1.0:
-                raise ScenarioError("the full model has no interference dial; eta must stay 1")
             system = composite_mod.build_system(couplings, levels, cavity)
             series = composite_mod.evolve_composite(pure_state(0, system.dim), t, system)
 
@@ -375,41 +381,38 @@ def write_summary(summary: dict, path: str) -> None:
 
 
 def sweep_variant(sc: Scenario, param: str, value: float) -> Scenario:
-    """Derive the scenario for one sweep point; value is checked as the file field is.
+    """One sweep point, named after value as %g prints it; value is checked as the file field is.
 
     Omega and G sweeps keep the evenly tuned shortcut honest (the mode
     frequencies track the moving levels), so they require a shortcut
-    scenario to begin with.
+    scenario to begin with; a composite point keeps eta at 1.
     """
     if param not in SWEEP_PARAMS:
         raise ScenarioError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMS)}")
     if param in ("Omega", "G") and sc.Omega is None:
         raise ScenarioError(f"{param} sweep needs the Omega/G shortcut configuration")
-    name = _point_name(sc, param, value)
-    value = read_field(param, value, f"{name}.{param}")
-    return sc._replace(name=name, **{param: value})
+    name = f"{sc.name}_{param}_{value:g}"
+    point = sc._replace(name=name, **{param: read_field(param, value, f"{name}.{param}")})
+    _check_full_model_eta(point)
+    return point
 
 
-def _point_name(sc: Scenario, param: str, value: float) -> str:
-    return f"{sc.name}_{param}_{value:g}"
+def sweep_points(sc: Scenario, param: str, values: list[float]) -> list[Scenario]:
+    """Every point of a sweep, built by sweep_variant and checked before any point runs.
 
-
-def sweep_names(sc: Scenario, param: str, values: list[float]) -> list[str]:
-    """The name of each sweep point's outputs, checked before any point runs.
-
-    A point is named after its value as %g prints it, so two values that print alike
-    are rejected, as are a validate scenario, no values and more points than WORK_MAX
-    samples hold.
+    A validate scenario, no values, more points than WORK_MAX holds and two
+    values whose names print alike are refused too, so every input error of a
+    sweep raises here and nothing of it is written.
     """
     if sc.mode == "validate":
         raise ScenarioError("sweep applies to the physics modes, not validate")
     if not values:
         raise ScenarioError("sweep needs at least one value")
     _within_budget(len(values), sc.samples, "points", "--values")
-    names = [_point_name(sc, param, v) for v in values]
-    seen = set()
-    for v, name in zip(values, names):
-        if name in seen:
-            raise ScenarioError(f"sweep value {v!r}: names its run {name}, as an earlier value does")
-        seen.add(name)
-    return names
+    points = {}
+    for v in values:
+        point = sweep_variant(sc, param, v)
+        if point.name in points:
+            raise ScenarioError(f"sweep value {v!r}: names its run {point.name}, as an earlier value does")
+        points[point.name] = point
+    return list(points.values())

@@ -34,6 +34,7 @@ from cavity_beats.scenario import (
     CSV_BLOCK,
     CSV_COLUMNS,
     MODES,
+    RUN_COST,
     SAMPLES_MAX,
     SWEEP_PARAMS,
     T_END_MAX,
@@ -41,6 +42,7 @@ from cavity_beats.scenario import (
     ScenarioError,
     parse_scenario,
     run_scenario,
+    sweep_points,
     sweep_variant,
     write_csv,
     write_summary,
@@ -146,8 +148,9 @@ def test_parse_validate_mode():
 
 def test_composite_mode_rejects_eta():
     sc = parse_scenario({"name": "x", "mode": "composite", "Omega": 1.0, "t_end": 1.0, "eta": 0.5})
-    with pytest.raises(ScenarioError, match="interference dial"):
+    with pytest.raises(ScenarioError, match="interference dial") as info:
         run_scenario(sc)
+    assert str(info.value).startswith("x.eta: ")
 
 
 def test_analytic_mode_needs_tuned_configuration():
@@ -206,20 +209,23 @@ def test_sweep_variant_naming_and_guards():
         sweep_variant(parse_scenario(dict(EXPLICIT)), "Omega", 1.0)
     with pytest.raises(ScenarioError, match="sweep parameter"):
         sweep_variant(sc, "kappa_a", 1.0)
+    with pytest.raises(ScenarioError, match="case_eta_0.5.eta: the full model"):
+        sweep_variant(sc._replace(mode="composite"), "eta", 0.5)
+    points = sweep_points(sc, "G", [1.0, 2.0])
+    assert [(p.name, p.G) for p in points] == [("case_G_1", 1 + 0j), ("case_G_2", 2 + 0j)]
 
 
 def _reject_constant(token):
     raise AssertionError(f"non-standard JSON constant {token}")
 
 
-def test_run_sweep_records_bad_points(tmp_path):
-    # one failure rule: a point with bad input and a point that drifts are both recorded
-    # under their would-be names, the finished points are written, and the sweep exits 3
+def test_run_sweep_records_points_that_fail_to_run(tmp_path):
+    # a point that drifts, or whose rates overflow, is recorded under its name with its error,
+    # the finished points are written, and the sweep exits 3
     base = {"name": "s", "mode": "analytic", "Omega": 1.0, "t_end": 6.0, "samples": 101}
     drifting = dict(base, mode="composite", t_end=8.0, samples=41)  # composite at Omega 1e11
     cases = {
-        "bad-omega": (base, "Omega", "1,-3", "s_Omega_-3", "s_Omega_-3.Omega: must lie in"),
-        "bad-eta": (base, "eta", "1,nan", "s_eta_nan", "s_eta_nan.eta: must be finite"),
+        "overflow": (base, "G", "1,1e200", "s_G_1e+200", "s_G_1e+200: the rates overflow"),
         "drift": (drifting, "Omega", "1,1e11", "s_Omega_1e+11", "sample 1 (t=0.2): trace drift"),
     }
     for case, (scenario, param, values, name, error) in cases.items():
@@ -228,14 +234,12 @@ def test_run_sweep_records_bad_points(tmp_path):
         argv = ["sweep", path, "--param", param, "--values", values, "--out-dir", str(out)]
         assert main(argv) == 3, case
         assert sorted(p.name for p in out.iterdir()) == ["s.sweep.json", f"s_{param}_1.csv"], case
-        # the combined file is strict JSON: a bad value is written as in its point's name
         combined = json.loads((out / "s.sweep.json").read_text(), parse_constant=_reject_constant)
+        assert [row["value"] for row in combined["runs"]] == _values_of(argv, "--values"), case
         done, failed = (row["summary"] for row in combined["runs"])
         assert "error" not in done and done["name"] == f"s_{param}_1", case
         assert failed["name"] == name and failed["mode"] == scenario["mode"], case
         assert failed["error"].startswith(error), case
-    combined = json.loads((tmp_path / "bad-eta" / "s.sweep.json").read_text())
-    assert [row["value"] for row in combined["runs"]] == [1.0, "nan"]
 
 
 # --- file output ------------------------------------------------------------
@@ -663,14 +667,24 @@ BAD_INPUT = {
         dict(EXPLICIT, levels={"omega_eg": 1.0, "omega_1g": 1.9, "omega_2g": 0.4}), None
     ),
     "sweep-no-values": (SHORTCUT, ["sweep", "--param", "eta", "--values", ","]),
+    "sweep-explicit-Omega": (dict(EXPLICIT, samples=41), ["sweep", "--param", "Omega", "--values", "1,2"]),
+    "sweep-explicit-G": (dict(EXPLICIT, samples=41), ["sweep", "--param", "G", "--values", "1,2"]),
+    "sweep-composite-eta": (
+        dict(SHORTCUT, mode="composite", samples=41), ["sweep", "--param", "eta", "--values", "0.5,1"]
+    ),
+    "sweep-Omega-negative": (dict(SHORTCUT, samples=41), ["sweep", "--param", "Omega", "--values", "1,-3"]),
+    "sweep-eta-nan": (dict(SHORTCUT, samples=41), ["sweep", "--param", "eta", "--values", "1,nan"]),
     "validate-over-budget": (
         {"name": "v", "mode": "validate", "g_values": [0.4, 0.2, 0.1], "samples": 41}, None
     ),
     "validate-g-over-budget": (None, ["validate", "--g-values", "0.4,0.2,0.1", "--samples", "41"]),
     "sweep-over-budget": (dict(SHORTCUT, samples=41), ["sweep", "--param", "eta", "--values", "0,0.5,1"]),
 }
-# three rungs or points of 41 samples, one sample past scenario.WORK_MAX patched down to 122
+# three rungs or points of 41 samples and their fixed cost, one sample past scenario.WORK_MAX
+# patched down to OVER_BUDGET_WORK
 OVER_BUDGET = ("validate-over-budget", "validate-g-over-budget", "sweep-over-budget")
+OVER_BUDGET_WORK = 3 * (41 + RUN_COST) - 1
+_OVER_BUDGET = f"of 41 samples exceed the budget of {OVER_BUDGET_WORK} samples per command"
 # the whole stderr line of the reader's and the sweep's own errors, by BAD_INPUT case
 READER_ERRORS = {
     "sweep-names-alike": (
@@ -684,13 +698,14 @@ READER_ERRORS = {
         "scenario.levels: cascade ordering requires omega_eg above both intermediate levels"
     ),
     "sweep-no-values": "sweep needs at least one value",
-    "validate-over-budget": (
-        "scenario.g_values: 3 rungs of 41 samples exceed the budget of 122 samples per command"
-    ),
-    "validate-g-over-budget": (
-        "scenario.g_values: 3 rungs of 41 samples exceed the budget of 122 samples per command"
-    ),
-    "sweep-over-budget": "--values: 3 points of 41 samples exceed the budget of 122 samples per command",
+    "validate-over-budget": f"scenario.g_values: 3 rungs {_OVER_BUDGET}",
+    "validate-g-over-budget": f"scenario.g_values: 3 rungs {_OVER_BUDGET}",
+    "sweep-over-budget": f"--values: 3 points {_OVER_BUDGET}",
+    "sweep-explicit-Omega": "Omega sweep needs the Omega/G shortcut configuration",
+    "sweep-explicit-G": "G sweep needs the Omega/G shortcut configuration",
+    "sweep-composite-eta": "case_eta_0.5.eta: the full model has no interference dial; eta must stay 1",
+    "sweep-Omega-negative": "case_Omega_-3.Omega: must lie in [0, 1e+15]",
+    "sweep-eta-nan": "case_eta_nan.eta: must be finite",
 }
 
 
@@ -698,7 +713,7 @@ READER_ERRORS = {
 def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, monkeypatch, case):
     # bad input exits 2 before anything is written, inside --out-dir or not
     if case in OVER_BUDGET:
-        monkeypatch.setattr(cavity_beats.scenario, "WORK_MAX", 3 * 41 - 1)
+        monkeypatch.setattr(cavity_beats.scenario, "WORK_MAX", OVER_BUDGET_WORK)
     scenario, argv = BAD_INPUT[case]
     work = tmp_path / "work"
     work.mkdir()
@@ -725,9 +740,9 @@ def test_cli_rejects_non_finite_and_escaping_input(tmp_path, capsys, monkeypatch
     ["sweep", "scenario.json", "--param", "eta", "--values", "0,0.5,1"],
 ], ids=["validate", "sweep"])
 def test_work_at_the_budget_runs(tmp_path, monkeypatch, argv):
-    # three rungs or points of 41 samples fill a budget of 123 exactly
+    # three rungs or points of 41 samples and their fixed cost fill the budget exactly
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cavity_beats.scenario, "WORK_MAX", 3 * 41)
+    monkeypatch.setattr(cavity_beats.scenario, "WORK_MAX", 3 * (41 + RUN_COST))
     Path("scenario.json").write_text(json.dumps(dict(SHORTCUT, samples=41)))
     assert main(argv + ["--out-dir", "out"]) == 0
 

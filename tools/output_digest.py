@@ -7,9 +7,10 @@ Usage, from the root of a checkout:
 For each seed it builds the plan of every benchmark workload (bench/workloads.py,
 imported read-only) and runs each timed op and the accuracy probe; then it runs
 `validate` with the default ladder and with a repeated rung, `preset fig3` and
-`preset fig4` in every mode, and an analytic run of an explicit block whose rates have
-the evenly tuned form (PHASE_COMPENSATED). Everything runs in this one process, as in-process
-cavity_beats.cli.main calls on the package under ./src.
+`preset fig4` in every mode, an analytic run of an explicit block whose rates have
+the evenly tuned form (PHASE_COMPENSATED), and a composite Omega sweep whose second point
+drifts (DRIFTING), so that a recorded point and its exit 3 are digested too. Everything runs
+in this one process, as in-process cavity_beats.cli.main calls on the package under ./src.
 
 Each line names the op and gives its exit code, then a sha256 (first 16 hex digits)
 of its stdout, of its stderr and of the warnings it raised, then one of each file it
@@ -49,7 +50,10 @@ EXTRA_OPS = [
 ] + [
     (f"{which}-{mode}", ["preset", which, "--mode", mode])
     for which in ("fig3", "fig4") for mode in MODES
-] + [("run-phase-compensated-analytic", ["run", "phase_compensated.json"])]
+] + [
+    ("run-phase-compensated-analytic", ["run", "phase_compensated.json"]),
+    ("sweep-drifting-point", ["sweep", "drifting.json", "--param", "Omega", "--values", "1,1e11"]),
+]
 # Couplings turned by a phase that the lower transition gives back: not the shortcut's, but
 # with its rates, so analytic mode runs them in the closed form.
 PHASE_COMPENSATED = {
@@ -59,6 +63,8 @@ PHASE_COMPENSATED = {
     "couplings": {"G_1e": 1.0, "G_2e": [math.cos(0.7), math.sin(0.7)],
                   "G_g1": 1.0, "G_g2": [math.cos(0.7), -math.sin(0.7)]},
 }
+# The full model at Omega = 1e11 loses the trace at its first step.
+DRIFTING = {"name": "drifting", "mode": "composite", "Omega": 1.0, "t_end": 8.0, "samples": 41}
 
 
 def _digest(data: bytes) -> str:
@@ -128,8 +134,9 @@ def main(argv=None) -> int:
                           flush=True)
                 shutil.rmtree("scenarios")
                 os.remove("plan.json")
-        with open("phase_compensated.json", "w", encoding="utf-8") as fh:
-            json.dump(PHASE_COMPENSATED, fh)
+        for scenario in (PHASE_COMPENSATED, DRIFTING):
+            with open(f"{scenario['name']}.json", "w", encoding="utf-8") as fh:
+                json.dump(scenario, fh)
         for label, op_argv in EXTRA_OPS:
             print(f"{label}: {_run(cli, op_argv + ['--out-dir', 'out'])}", flush=True)
     finally:
