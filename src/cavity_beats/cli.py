@@ -114,7 +114,8 @@ def _preset_scenarios(which: str, eta_values, mode: str) -> list[scn.Scenario]:
 
 def _cmd_preset(args) -> int:
     if args.eta is not None:
-        eta_values = (scn.read_field("eta", args.eta, "scenario.eta"),)
+        eta_values = (scn.read_field("eta", args.eta, "--eta"),)
+        scn.check_full_model_eta(args.mode, *eta_values, "--eta")
     elif args.mode == "composite":
         eta_values = (1.0,)  # the full model has no interference dial
     else:

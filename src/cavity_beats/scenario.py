@@ -30,11 +30,12 @@ from .series import CHANNELS, TimeSeries
 MODES = ("reduced", "composite", "analytic", "validate")
 CSV_COLUMNS = tuple(CHANNELS)
 # Most rows formatted per write: a file goes out in the fewest equal blocks of at most
-# this many, their 32-byte cells built in one buffer per file. Larger blocks make fewer
-# numpy calls per value (a 20001-row file writes about 6% faster than at 512 rows) until
-# a block's cells and temporaries cross glibc's heap-trim threshold, and every block
-# faults its pages back in: at 2048 a 1601-row file is one block with 410 KB of cells,
-# and a reduced-scan pass of bench/run.py takes 3880 minor faults (0 at 1024, seed 3).
+# this many, their cells built in one buffer per file. Larger blocks make fewer numpy
+# calls per value (a 20001-row file writes about 6% faster than at 512 rows) until a
+# block's cells and temporaries cross glibc's heap-trim threshold, and every block
+# faults its pages back in: at 2048 a 1601-row file was one block with 410 KB of the
+# 32-byte cells of the time, and a reduced-scan pass of bench/run.py took 3880 minor
+# faults (0 at 1024, seed 3).
 CSV_BLOCK = 1024
 SWEEP_PARAMS = ("Omega", "eta", "t_end", "G")
 # Output files are <name>.csv and <name>.summary.json inside --out-dir.
@@ -300,9 +301,9 @@ def _summarize(sc: Scenario, series: TimeSeries, rates) -> dict:
     }
 
 
-def _check_full_model_eta(sc: Scenario) -> None:
-    if sc.mode == "composite" and sc.eta != 1.0:
-        raise ScenarioError(f"{sc.name}.eta: the full model has no interference dial; eta must stay 1")
+def check_full_model_eta(mode: str, eta: float, where: str) -> None:
+    if mode == "composite" and eta != 1.0:
+        raise ScenarioError(f"{where}: the full model has no interference dial; eta must stay 1")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -315,7 +316,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     warnings are silenced: the finiteness checks that follow an overflow
     raise, so bad input reads as its one clean error.
     """
-    _check_full_model_eta(sc)
+    check_full_model_eta(sc.mode, sc.eta, f"{sc.name}.eta")
     try:
         if sc.mode == "validate":
             check = composite_mod.validate_elimination(
@@ -352,8 +353,11 @@ def write_csv(series: TimeSeries, path: str) -> None:
     Rows go out in equal blocks of at most CSV_BLOCK (1601 rows as 801 + 800)
     through `_csvformat.format_rows`, which builds every value's text of a
     block from lookup tables in numpy and keeps "%.17g" itself for the few
-    values whose rounding it cannot settle. One row block and one cell
-    buffer, both sized for the first block, serve every block of the file.
+    values whose rounding it cannot settle. Each value's cell is 24 bytes,
+    led by its separator, and 32 in a block that holds a three-digit
+    exponent. One row block and one cell buffer, both sized for the first
+    block (the buffer grows if a block's cells are wide), serve every block
+    of the file.
     """
     ch = series.channels()
     n = len(series)
@@ -393,7 +397,7 @@ def sweep_variant(sc: Scenario, param: str, value: float) -> Scenario:
         raise ScenarioError(f"{param} sweep needs the Omega/G shortcut configuration")
     name = f"{sc.name}_{param}_{value:g}"
     point = sc._replace(name=name, **{param: read_field(param, value, f"{name}.{param}")})
-    _check_full_model_eta(point)
+    check_full_model_eta(point.mode, point.eta, f"{name}.eta")
     return point
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import functools
 import importlib.util
 import io
@@ -384,6 +385,60 @@ def test_format_rows_leaves_no_stale_byte_in_a_reused_buffer():
         assert len(buf) == short.size * CELL
 
 
+def _decades(rng, exponents, count):
+    # count random 17-digit mantissas and count short decimals in each decade, both signs
+    v = np.concatenate([
+        np.concatenate([rng.uniform(1.0, 10.0, count) * 10.0**x,
+                        [float(f"{k}e{x - 2}") for k in rng.integers(100, 1000, count)]])
+        for x in exponents
+    ])
+    return np.concatenate([v, -v])
+
+
+def test_format_rows_matches_17g_at_every_two_digit_exponent():
+    # every X from -99 to 99 in one block of narrow cells: the head and the groups change
+    # places between X = -5 and -4 and between 16 and 17, and the exponent fills the last word
+    values = _decades(np.random.default_rng(10), range(-99, 100), 6)
+    block = np.random.default_rng(11).permutation(values).reshape(-1, 6)
+    block[-1, -1] = 5e-324  # "%.17g" writes 23 bytes, which a narrow cell holds
+    buf = bytearray()
+    assert format_rows(block, buf) == _lines_17g(block)
+    assert len(buf) == block.size * CELL
+    assert {int(f"{x:.16e}".partition("e")[2]) for x in values} == set(range(-99, 100))
+
+
+def test_format_rows_matches_17g_in_one_column():
+    # every cell of the block starts a row, so each takes a newline for its separator
+    rng = np.random.default_rng(12)
+    block = np.concatenate([_decades(rng, range(-30, 30), 2), [0.0, -0.0, NAN, -INF, 0.5, 1e-300]])
+    block = rng.permutation(block).reshape(-1, 1)
+    assert format_rows(block, bytearray()) == _lines_17g(block)
+
+
+@pytest.mark.parametrize("wide", [-1.2345678901234567e-123, 1.5e100, -2.2250738585072014e-308, -5e-324])
+def test_format_rows_widens_a_block_for_one_three_digit_exponent(wide):
+    # one value of three exponent digits (from the tables or from "%.17g" itself) in a
+    # block of two-digit ones takes every cell of the block to CELL + 8 bytes
+    block = _decades(np.random.default_rng(13), range(-99, 100, 7), 4).reshape(-1, 4)
+    block[5, 2] = wide
+    buf = bytearray()
+    assert format_rows(block, buf) == _lines_17g(block)
+    assert len(buf) == block.size * (CELL + 8)
+
+
+def test_format_rows_reuses_one_buffer_across_narrow_and_wide_blocks():
+    # a narrow block, a wide one over the same buffer, then a narrow one again: every
+    # byte of each comes out as a fresh format of its block
+    rng = np.random.default_rng(14)
+    full = _decades(rng, range(-99, 100), 1).reshape(-1, 4)
+    wide = -rng.uniform(1.0, 10.0, (90, 4)) * 10.0 ** rng.integers(-290, 290, (90, 4))
+    short = rng.choice([0.0, -0.0, 1.0, 0.5, 3.0, 0.25, 0.125], (60, 4))
+    buf = bytearray()
+    for block, cell in ((full, CELL), (wide, CELL + 8), (short, CELL), (wide[:10], CELL + 8), (full, CELL)):
+        assert format_rows(block, buf) == format_rows(block, bytearray()) == _lines_17g(block)
+        assert len(buf) == block.size * cell
+
+
 @pytest.mark.parametrize("rows", [0, 1, 2, 1023, 1024, 1025, 1601, 2049, 20001])
 def test_csv_goes_out_in_equal_blocks(tmp_path, rows, monkeypatch):
     # the fewest blocks of at most CSV_BLOCK rows, as equal as they come (1601 rows as
@@ -634,6 +689,7 @@ BAD_INPUT = {
     "analytic-eta-huge": (dict(SHORTCUT, mode="analytic", eta=1e200), None),
     "analytic-eta-negative": (dict(SHORTCUT, mode="analytic", eta=-0.5), None),
     "preset-eta-2": (None, ["preset", "fig3", "--eta", "2"]),
+    "preset-composite-eta": (None, ["preset", "fig3", "--mode", "composite", "--eta", "0.5"]),
     "t_end-overflow": (dict(SHORTCUT, t_end=10**400), None),
     "kappa_a-nan": (dict(EXPLICIT, cavity=dict(EXPLICIT["cavity"], kappa_a=NAN)), None),
     "G_g1-inf": (dict(EXPLICIT, couplings=dict(EXPLICIT["couplings"], G_g1=-INF)), None),
@@ -698,6 +754,8 @@ READER_ERRORS = {
         "scenario.levels: cascade ordering requires omega_eg above both intermediate levels"
     ),
     "sweep-no-values": "sweep needs at least one value",
+    "preset-eta-2": "--eta: must lie in [0, 1]",
+    "preset-composite-eta": "--eta: the full model has no interference dial; eta must stay 1",
     "validate-over-budget": f"scenario.g_values: 3 rungs {_OVER_BUDGET}",
     "validate-g-over-budget": f"scenario.g_values: 3 rungs {_OVER_BUDGET}",
     "sweep-over-budget": f"--values: 3 points {_OVER_BUDGET}",
@@ -750,6 +808,7 @@ def test_work_at_the_budget_runs(tmp_path, monkeypatch, argv):
 def test_every_bench_op_and_readme_example_fits_the_budget():
     # the benchmark's ladders and sweeps at both sizes, and the README's sweep of three values
     # over its 1601-sample scenario (its ladder is the benchmark's), stay within WORK_MAX
+    # by the rule the parser enforces: each rung or point costs its samples plus RUN_COST
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -765,7 +824,9 @@ def test_every_bench_op_and_readme_example_fits_the_budget():
                 asks.append((len(ladder.g_values), ladder.samples))
             elif argv[0] == "sweep":
                 asks.append((len(_values_of(argv, "--values")), op["rows"]))
-    assert len(asks) > 2 and all(n * samples <= cavity_beats.scenario.WORK_MAX for n, samples in asks)
+    budget = cavity_beats.scenario.WORK_MAX
+    assert len(asks) > 2
+    assert all(n * (samples + cavity_beats.scenario.RUN_COST) <= budget for n, samples in asks)
 
 
 def _values_of(argv, flag):
@@ -820,12 +881,14 @@ def test_cli_refuses_files_json_cannot_read_whole(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("argv", [["run", "scenario.json"], ["preset", "fig3", "--eta", "2"]])
 def test_eta_outside_the_dial_exits_with_its_path(tmp_path, capsys, monkeypatch, argv):
     # eta weighs the cross terms from 0 (off) to 1 (full strength); beyond that the
-    # solvers disagree, so the field table stops it before any prediction or run
+    # solvers disagree, so the field table stops it before any prediction or run, and
+    # names the file's field or the flag it came from
     monkeypatch.chdir(tmp_path)
     Path("scenario.json").write_text(json.dumps(dict(SHORTCUT, mode="analytic", eta=2)))
     monkeypatch.setattr(cli, "beat_frequency", lambda *a: pytest.fail("predicted first"))
     assert main(argv + ["--out-dir", "out"]) == 2
-    assert capsys.readouterr().err == "scenario error: scenario.eta: must lie in [0, 1]\n"
+    where = "--eta" if argv[0] == "preset" else "scenario.eta"
+    assert capsys.readouterr().err == f"scenario error: {where}: must lie in [0, 1]\n"
     assert not Path("out").exists()
 
 
@@ -1180,6 +1243,7 @@ def test_cli_repeated_calls_match_fresh_parsers(tmp_path, monkeypatch):
 # --- hostile input, property-based -------------------------------------------
 
 HOSTILE = [NAN, INF, -INF, 1e300, -1e300, 10**400, -1.0, 0.0, -5, True, "1", None, [1.0, NAN]]
+HOSTILE_REPR = repr(HOSTILE)
 VALID = {
     "eta": st.floats(0.0, 1.0),
     "Omega": st.floats(0.0, 4.0),
@@ -1211,9 +1275,10 @@ def hostile_invocations(draw):
             obj[key] = draw(st.sampled_from(BAD_NAMES))
         elif isinstance(obj.get(key), (dict, list)):  # a block field or a ladder rung
             inner = sorted(obj[key]) if isinstance(obj[key], dict) else range(len(obj[key]))
-            obj[key][draw(st.sampled_from(inner))] = draw(st.sampled_from(HOSTILE + [1e-4]))
+            obj[key][draw(st.sampled_from(inner))] = draw(st.sampled_from(HOSTILE + [1e-4]).map(copy.copy))
         else:
-            obj[key] = draw(st.sampled_from(HOSTILE))
+            # a copy, so that a later draw writing into this field leaves HOSTILE's list alone
+            obj[key] = draw(st.sampled_from(HOSTILE).map(copy.copy))
     argv = ["run"]
     if draw(st.integers(0, 3)) == 0:
         values = draw(st.sampled_from(SWEEP_VALUES))
@@ -1241,6 +1306,7 @@ def test_cli_exit_codes_and_writes_on_hostile_input(invocation):
         for p in written:  # strict JSON: no NaN or Infinity
             if p.suffix == ".json":
                 json.loads(p.read_text(), parse_constant=_refuse_constant)
+    assert repr(HOSTILE) == HOSTILE_REPR  # no example rewrote the values the next ones draw
 
 
 def _refuse_constant(name):
