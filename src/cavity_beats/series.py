@@ -136,7 +136,10 @@ class TimeSeries:
         Read element by element, without building a matrix: np.abs of the complex
         difference of each element on or above the diagonal that either series holds,
         which its conjugate element shares; every other element differs by zero.
+        Samples are compared by index, so both series must share one grid.
         """
+        if not np.array_equal(self.times, other.times):
+            raise ValueError("the series are sampled on different grids")
         held = self._column.keys() | other._column.keys()
         return float(np.max([np.abs(self._element(j, k) - other._element(j, k))
                              for j in range(D) for k in range(j, D)

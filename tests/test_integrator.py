@@ -12,14 +12,27 @@ def test_exponential_decay_matches_exact():
     assert np.max(np.abs(out[:, 0] - exact)) < 1e-8
 
 
-def test_dense_output_between_steps():
-    # force long steps so most grid points are filled by interpolation
+def test_every_grid_time_ends_a_step():
+    # dense stretches, a point one rounding past its neighbour and gaps of several
+    # max_step: steps are clipped to each grid time, the one-rounding step included,
+    # and the clipped steps leave the proposal for the long gaps after them
     cfg = IntegratorConfig(max_step=0.5)
-    t = np.linspace(0.0, 6.0, 121)
+    t = np.concatenate(
+        [np.linspace(0.0, 1.0, 100), [np.nextafter(1.0, 2.0)], np.linspace(2.5, 6.0, 20)]
+    )
+    assert t.size == 121
     out = integrate(lambda s, y: np.cos(s) * y, np.array([1.0 + 0j]), t, cfg)
     exact = np.exp(np.sin(t))
-    # interpolation error dominates the step error when steps are this long
     assert np.max(np.abs(out[:, 0] - exact)) < 1e-7
+
+
+def test_first_grid_interval_far_beyond_a_stable_step():
+    # y' = -50 (y - cos t): the first trial step, the first grid interval, is about
+    # 75 times the stable step, and error control alone must shrink it
+    t = np.array([0.0, 5.0, 10.0])
+    out = integrate(lambda s, y: -50.0 * (y - np.cos(s)), np.array([1.0 + 0j]), t)
+    exact = (2500 * np.cos(t) + 50 * np.sin(t) + np.exp(-50 * t)) / 2501
+    assert np.max(np.abs(out[:, 0] - exact)) < 1e-8
 
 
 def test_matrix_valued_state():
@@ -91,6 +104,9 @@ def test_grid_validation():
         integrate(lambda s, y: -y, y0, np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         integrate(lambda s, y: -y, y0, np.array([]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda s, y: -y, y0, np.array([0.0, 1.0, bad]))
 
 
 def test_single_point_grid_returns_initial_state():
@@ -107,3 +123,14 @@ def test_config_validation():
         IntegratorConfig(max_step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+    # NaN fails every comparison: unchecked, these run to max_steps, pass unheeded or
+    # end in a misleading step size underflow
+    for bad in (
+        {"rel_tol": np.nan}, {"abs_tol": np.nan}, {"rel_tol": np.inf}, {"abs_tol": np.inf},
+        {"max_step": np.nan}, {"initial_step": np.nan}, {"initial_step": np.inf},
+        {"initial_step": 0.0}, {"initial_step": -1.0},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)
+    # the fixed-step configuration of the order check stays valid
+    IntegratorConfig(rel_tol=0.9, abs_tol=1e6, max_step=0.1, initial_step=0.1)

@@ -127,6 +127,18 @@ def test_max_difference_is_that_of_the_stacks(a, b):
     assert sa.max_difference(sb) == float(np.max(np.abs(_states(sa) - _states(sb))))
 
 
+def test_max_difference_needs_one_grid():
+    # samples are compared by index: equal values on other times, or a grid of
+    # another length, are not a difference of zero or a broadcast error
+    keep, x = np.array([0, 3]), np.tile([1.0, 0.0], (5, 1))
+    same = TimeSeries(np.linspace(0.0, 1.0, 5), keep, x)
+    assert same.max_difference(TimeSeries(np.linspace(0.0, 1.0, 5), keep, x)) == 0.0
+    for other in (TimeSeries(np.linspace(0.0, 9.0, 5), keep, x),
+                  TimeSeries(np.linspace(0.0, 1.0, 4), keep, x[:4])):
+        with pytest.raises(ValueError, match="different grids"):
+            same.max_difference(other)
+
+
 # the 1-2 coherence turns at frequency 2 in the frame the checks undo
 PHASES = np.zeros((4, 4))
 PHASES[1, 2], PHASES[2, 1] = 2.0, -2.0
