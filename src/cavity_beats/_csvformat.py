@@ -27,6 +27,19 @@ three exponent digits (|X| >= 100, or a "%.17g" text of 24 bytes) takes
 are built in a bytearray the caller may own and reuse, one translate drops
 the NUL bytes, and the block's last newline is appended. The tables are
 built from exact integers on first use, never at import.
+
+Working memory is held to about 70 bytes per value besides the caller's
+buffer (tracemalloc peak of a 1024 x 8 block: 64 to 75 bytes, the lines
+returned included): no step holds more than seven arrays of 8-byte items
+at once. Each step writes into an array it already holds, with the
+floating-point operations in the order of the plain expressions, so no byte
+of output depends on it, and the large arrays are dropped once read. This
+matters because glibc gives the top of the heap back to the system once
+more than its trim threshold lies free there, and a block whose arrays
+reach past that point faults every page back in on the next call: at about
+140 bytes per value (900 KB for an 801-row block of 8 columns) a
+reduced-scan pass of bench/run.py took about 3,150 minor faults; now it
+takes none.
 """
 
 from __future__ import annotations
@@ -49,9 +62,10 @@ def _powers() -> tuple[np.ndarray, ...]:
     estimate[e + 1023] = floor(e log10 2) - X_MIN is X - X_MIN or one less
     (e * 78913 >> 18 is exact for every e of a double; e = -1023, the zeros,
     gets X = 0). tens[X - X_MIN] is the least double that rounds up to
-    10**(X + 1) at 17 digits. powers[X - X_MIN] = (hi, hi's top, hi's bottom,
-    lo) with 10**(16 - X) = hi + lo; the 26-bit halves split hi's integer
-    mantissa, since splitting 1e308 by a multiplication would overflow.
+    10**(X + 1) at 17 digits. hi, top, bottom and lo by X - X_MIN, one table
+    each, give 10**(16 - X) = hi + lo and hi's top and bottom 26-bit halves;
+    the halves split hi's integer mantissa, since splitting 1e308 by a
+    multiplication would overflow.
     """
     estimate = np.clip(np.arange(-1023, 1025) * 78913 >> 18, X_MIN, X_MAX) - X_MIN
     estimate[0] = -X_MIN
@@ -72,7 +86,7 @@ def _powers() -> tuple[np.ndarray, ...]:
         cut = h.bit_length() - 26
         top = (h + (1 << cut - 1)) >> cut << cut  # h rounded to 26 bits
         rows.append([math.ldexp(float(v), s) for v in (h, top, h - top, m - h)])
-    return estimate, np.array(tens), np.array(rows)
+    return estimate, np.array(tens), *np.array(rows).T.copy()
 
 
 @functools.cache
@@ -114,47 +128,91 @@ def _tables() -> tuple[np.ndarray, ...]:
 def _scaled(a):
     """X - X_MIN, D = round(|a| * 10**(16 - X)) half up, and the scaled fraction plus 1/2.
 
-    +-0 and the values outside the fast path's range are scaled as 0.
+    +-0 and the values outside the fast path's range are scaled as 0. Seven arrays of
+    a's size hold the work: each table column is gathered into one of them in turn,
+    and each product term is added to the sum where it was computed, in the order
+    of the sum.
     """
-    mag = np.abs(a)
-    y = np.where((mag >= LOW) & (mag <= HIGH), mag, 0.0)
-    estimate, tens, powers = _powers()
+    estimate, tens, hi, top, bottom, lo = _powers()
+    y = np.abs(a)
+    inside = y >= LOW
+    inside &= y <= HIGH
+    y[~inside] = 0.0
     row = estimate.take(y.view(np.int64) >> 52)  # X - X_MIN or one less
-    row += y >= tens.take(row)
-    hi, top, bottom, lo = powers.take(row, axis=0).T
+    col = tens.take(row)
+    row += y >= col
+    # the gathers clip, since an index out of range never occurs and a raising
+    # take would copy its output
+    hi.take(row, out=col, mode="clip")
+    p = y * col  # 0 or above 2**53, so an integer-valued double
     y_top = (y.view(np.uint64) & np.uint64(2**64 - 2**27)).view(np.float64)  # its top 26 bits
     y_bottom = y - y_top
-    p = y * hi  # 0 or above 2**53, so an integer-valued double
-    r = (((y_top * top - p) + y_top * bottom + y_bottom * top) + y_bottom * bottom) + y * lo + 0.5
-    whole = np.floor(r)
-    return row, p.astype(np.int64) + whole.astype(np.int64), r - whole
+    lo.take(row, out=col, mode="clip")
+    y *= col  # y * lo, the last term
+    top.take(row, out=col, mode="clip")
+    r = y_top * col
+    r -= p
+    bottom.take(row, out=col, mode="clip")
+    y_top *= col
+    r += y_top
+    top.take(row, out=y_top, mode="clip")  # y_top is read; its array takes y_bottom top
+    y_top *= y_bottom
+    r += y_top
+    y_bottom *= col
+    r += y_bottom
+    r += y
+    r += 0.5
+    # r = (((y_top top - p) + y_top bottom + y_bottom top) + y_bottom bottom) + y lo + 1/2
+    del y, y_top, y_bottom
+    whole = np.floor(r, out=col)
+    r -= whole
+    d = p.astype(np.int64)
+    del p
+    d += whole.astype(np.int64)
+    return row, d, r
 
 
 def _cells(a, row, d, notation, text):
     """Build the cells of the values a in text, a (values, CELL or CELL + 8) uint8 array.
 
-    X = X_MIN + row, d holds the 17 digits and notation is _tables()'s by row.
+    X = X_MIN + row, d holds the 17 digits and notation is _tables()'s by row. d is
+    split into its digit groups in place.
     """
     head, short, quads, base, _, expo, turn = _tables()
-    lead = d // 10**16
-    d = d - lead * 10**16
-    high = d // 10**8
-    low = d - high * 10**8
-    g0 = high // 10**4
-    g1 = high - g0 * 10**4
-    g2 = low // 10**4
-    g3 = low - g2 * 10**4
-    q3 = quads[10000:].take(g3)
-    zero = g3 == 0
-    q2 = quads.take(g2 + 10000 * zero)
+    part = d // 10**16
+    lead = part.astype(np.uint8)
+    part *= 10**16
+    d -= part
+    high = np.floor_divide(d, 10**8, out=part)
+    term = high * 10**8
+    d -= term  # the low eight digits
+    g2 = d // 10**4
+    np.multiply(g2, 10**4, out=term)
+    d -= term  # g3
+    q3 = quads[10000:].take(d)
+    # a group that only zero groups follow takes its trailing zeros as NUL
+    zero = d == 0
+    np.multiply(zero, 10000, out=term)
+    term += g2
+    q2 = quads.take(term)
     zero &= g2 == 0
-    q1 = quads.take(g1 + 10000 * zero)
-    zero &= g1 == 0
-    q0 = quads.take(g0 + 10000 * zero)
+    g0 = np.floor_divide(high, 10**4, out=g2)
+    np.multiply(g0, 10**4, out=term)
+    high -= term  # g1
+    np.multiply(zero, 10000, out=term)
+    term += high
+    q1 = quads.take(term)
+    zero &= high == 0
+    np.multiply(zero, 10000, out=term)
+    term += g0
+    q0 = quads.take(term)
     zero &= g0 == 0
+    del high, g0, g2, part, term
     # head index in uint8: the base by X, the sign, the leading digit and the point
-    sign = np.signbit(a).view(np.uint8)
-    index = base.take(row) + 20 * sign + 2 * lead.astype(np.uint8) + (~zero).view(np.uint8)
+    index = base.take(row)
+    index += 20 * np.signbit(a).view(np.uint8)
+    index += 2 * lead
+    index += (~zero).view(np.uint8)
     words = text.view(np.uint32)
     text.view(np.uint64)[:, 0] = head.take(index)
     for j, q in enumerate((q0, q1, q2, q3), 2):
@@ -186,9 +244,16 @@ def format_rows(block: np.ndarray, buf: bytearray) -> bytearray:
     cols = block.shape[1]
     a = block.ravel()
     row, d, frac = _scaled(a)
-    # a tie leaves frac 0 or 1, an exact value (0 too) 1/2
-    bad = abs(abs(frac - 0.5) - 0.25) > 0.25 - MARGIN
-    other = np.flatnonzero(bad & (a != 0))
+    # a tie leaves frac 0 or 1, an exact value (0 too) 1/2: |(|frac - 1/2|) - 1/4| is
+    # taken in place
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    frac -= 0.25
+    np.abs(frac, out=frac)
+    bad = frac > 0.25 - MARGIN
+    del frac
+    bad &= a != 0
+    other = np.flatnonzero(bad)
     texts = [b"%.17g" % x for x in a[other].tolist()]
     notation = _tables()[4].take(row)
     # a three-digit exponent, or a "%.17g" text that fills a cell, widens every cell of the block

@@ -474,6 +474,27 @@ def test_csv_memory_stays_flat(tmp_path):
     assert peak <= 4e6
 
 
+@pytest.mark.parametrize("kind", ["bit patterns", "populations"])
+def test_format_rows_works_in_at_most_88_bytes_per_value(kind):
+    # the cells go into the caller's buffer; the arrays that build them and the lines
+    # that come back peak near 70 bytes per value (about 140 while every step took a
+    # new array), so a 1024-row block stays far below glibc's heap-trim threshold
+    rng = np.random.default_rng(15)
+    if kind == "bit patterns":
+        block = rng.integers(0, 2**64, 8192, dtype=np.uint64).view(np.float64).reshape(1024, 8)
+    else:
+        block = np.column_stack([np.linspace(0.0, 8.0, 1024), rng.random((1024, 7))])
+    buf = bytearray()
+    format_rows(block, buf)
+    tracemalloc.start()
+    try:
+        format_rows(block, buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 88 * block.size
+
+
 def test_composite_run_builds_no_composite_state_stack():
     # the field is traced out of the propagated coordinates, so a long composite run peaks
     # far below one (N, 16, 16) complex stack (82 MB here; the run peaked above that with it)

@@ -17,7 +17,11 @@ than the parent's by more than the parent's IQR, the rule a claimed gain must me
 One more row per side, `minor_faults`, gives the minor page faults of each run (the
 change in getrusage(RUSAGE_CHILDREN).ru_minflt across it), so an A/B shows when the
 heap's trim state moved a side rather than the code; it is never marked as a gain. The
-runs get no malloc setting of their own, so they fault as the benchmark's runs do.
+row counts every process of the run, not only its timed passes: bench/run.py's own
+start-up and warm-up, its five set-up interpreters (SETUP_REPS), which take about 5.5k
+faults each on a 2-vCPU VM with Python 3.11 and numpy 2.4, and one `git rev-parse`. So a
+tree whose timed passes fault nothing still reads about 34k per 6 s run there, not 0.
+The runs get no malloc setting of their own, so they fault as the benchmark's runs do.
 
 The runs write only what bench/run.py writes, under each checkout's .bench_out/ and
 .bench_work/; they run with PYTHONDONTWRITEBYTECODE=1, so no bytecode lands in the
