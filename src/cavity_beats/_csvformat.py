@@ -29,17 +29,16 @@ the NUL bytes, and the block's last newline is appended. The tables are
 built from exact integers on first use, never at import.
 
 Working memory is held to about 70 bytes per value besides the caller's
-buffer (tracemalloc peak of a 1024 x 8 block: 64 to 75 bytes, the lines
+buffer (tracemalloc peak of a 1024 x 8 block: 64 to 76 bytes, the lines
 returned included): no step holds more than seven arrays of 8-byte items
 at once. Each step writes into an array it already holds, with the
 floating-point operations in the order of the plain expressions, so no byte
 of output depends on it, and the large arrays are dropped once read. This
 matters because glibc gives the top of the heap back to the system once
 more than its trim threshold lies free there, and a block whose arrays
-reach past that point faults every page back in on the next call: at about
-140 bytes per value (900 KB for an 801-row block of 8 columns) a
-reduced-scan pass of bench/run.py took about 3,150 minor faults; now it
-takes none.
+reach past that point faults every page back in on the next call. In a
+reduced-scan pass of bench/run.py an 801-row block of 8 columns stays
+below that point at 70 bytes per value and crosses it at 140 (900 KB).
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def _powers() -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Cell words and, by X, the head offset, notation, exponent and point rotation.
+    """Cell words and, by X, the head offset, notation and exponent.
 
     head[40 k + 20 sign + 2 lead + point], k = -X for X = -1..-4, else 0, is
     the fixed notation head; short[20 sign + 2 lead + point] the exponent
@@ -117,12 +116,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     # the exponent's text in three words; the first holds a two-digit one whole
     expo = np.frombuffer(b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(12, b"\0") for x in xs),
                          np.uint32).reshape(len(xs), 3)
-    # bytes 7..22 read from these; X = 16 is left out, since an integer of
-    # 1e16 or more has scaled fraction 0 and never reaches the fast path
-    turn = np.tile(np.arange(7, 23, dtype=np.uint8), (len(xs), 1))
-    for x in range(1, 16):
-        turn[x - X_MIN, :x + 1] = [*range(8, 8 + x), 7]
-    return head, short, quads, base, notation, expo, turn
+    return head, short, quads, base, notation, expo
 
 
 def _scaled(a):
@@ -178,7 +172,7 @@ def _cells(a, row, d, notation, text):
     X = X_MIN + row, d holds the 17 digits and notation is _tables()'s by row. d is
     split into its digit groups in place.
     """
-    head, short, quads, base, _, expo, turn = _tables()
+    head, short, quads, base, _, expo = _tables()
     part = d // 10**16
     lead = part.astype(np.uint8)
     part *= 10**16
@@ -218,9 +212,14 @@ def _cells(a, row, d, notation, text):
     for j, q in enumerate((q0, q1, q2, q3), 2):
         words[:, j] = q
     words[:, 6:] = 0  # a wide cell's last two words
-    # fixed notation with X = 1..15: the point moves from byte 7 to byte 7 + X
+    # fixed notation with X = 1..15: the point moves from byte 7 to byte 7 + X, one
+    # slice move for each X the block holds (np.unique would import numpy.ma)
     shift = np.flatnonzero(notation == 1)
-    text[shift[:, None], np.arange(7, 23)] = text[shift[:, None], turn.take(row[shift], axis=0)]
+    if shift.size:
+        xs = row.take(shift) + X_MIN
+        for x in np.flatnonzero(np.bincount(xs)):
+            at = shift[xs == x]
+            text[at, 7:8 + x] = np.roll(text[at, 7:8 + x], -1, axis=1)
     # exponent notation: a one-word head, the groups in the next four words, the
     # exponent in the rest
     sci = np.flatnonzero(notation > 1)

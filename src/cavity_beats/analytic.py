@@ -298,13 +298,13 @@ def _grid_powers(pole: complex, dt: float, n: int) -> np.ndarray:
 
 
 def _pole_fit(
-    tau: np.ndarray, y: np.ndarray, part: slice, dt: float, floor: float,
-    h: float | None = None, saturates: bool = False,
+    tau: np.ndarray, y: np.ndarray, part: slice, dt: float, floor: float, stride: int,
 ) -> tuple[np.ndarray, np.ndarray] | str:
     """The poles lambda of y[part] and their sizes 3h in, |c exp(3 lambda h)| for the
-    amplitudes c fitted on y[part]; or why they do not count. y is sampled on the
-    uniform grid tau, dt apart, and h defaults to the spacing of y[part], part.step * dt.
-    saturates is handed to _pencil_poles, and a saturated pencil does not count.
+    amplitudes c fitted on y[part]; or why they do not count. y is sampled on the uniform
+    grid tau, dt apart, and y[part] every k-th sample, k = part.step or 1. A set sparser
+    than the PENCIL_SAMPLES one, k > stride, may saturate its pencil, which does not count;
+    h = min(k, stride) dt, so such a set moves no size against the strided one.
 
     The set counts when the samples of y[part] above floor outnumber its two real
     parameters per pole, and when sum c exp(lambda tau) reproduces y on the whole grid
@@ -312,8 +312,8 @@ def _pole_fit(
     above the floor on four samples: a transient that dies within one takes any angle.
     """
     ys = y[part]
-    step = (part.step or 1) * dt
-    poles = _pencil_poles(ys, step, saturates)
+    k = part.step or 1
+    poles = _pencil_poles(ys, k * dt, saturates=k > stride)
     if poles is None:
         return f"pencil of {ys.size} samples saturated"
     seen = np.count_nonzero(np.abs(ys) >= floor)
@@ -328,7 +328,7 @@ def _pole_fit(
         miss = np.max(np.abs(y - fit))
         if not miss <= floor:
             return f"pole fit off by {miss / floor:.3g} times the noise floor"
-        return poles, np.abs(amps * np.exp(3 * poles * (step if h is None else h)))
+        return poles, np.abs(amps * np.exp(3 * poles * (min(k, stride) * dt)))
 
 
 def measure_beats(series: TimeSeries, allow_tone_fit: bool = False) -> BeatMeasurement:
@@ -338,22 +338,22 @@ def measure_beats(series: TimeSeries, allow_tone_fit: bool = False) -> BeatMeasu
     over eigenvalues lambda of the generator, so 2f is read off the poles.
     They come from a matrix pencil of every k-th sample of a uniform grid, and
     their amplitudes c from one least-squares fit on the same samples
-    (_pole_fit). Three pole sets are tried in turn, and the first that counts
-    is read:
-    - every k-th sample, at most PENCIL_FIRST of them. Its pencil is
-      saturated, and the set skipped after the SVD, when the kept rank reaches
-      a third of its columns (the full model's spectra). It is not tried when
-      it would take the same samples as the next one (grids of at most
-      PENCIL_FIRST samples);
-    - every k-th sample, at most PENCIL_SAMPLES of them, for signals of more
-      poles or of beats above the first set's Nyquist frequency, which fail
-      its whole-grid check;
+    (_pole_fit). The pole sets are tried in this order, and the first that
+    counts is read:
+    - every k-th sample, at most PENCIL_FIRST of them, when that takes fewer
+      samples than the next set (grids of more than PENCIL_FIRST samples);
+    - every stride-th sample, at most PENCIL_SAMPLES of them, for signals of
+      more poles or of beats above the first set's Nyquist frequency, which
+      fail its whole-grid check;
     - the first PENCIL_SAMPLES samples, unstrided, when the grid holds more,
       which resolves beats above the strided Nyquist frequency.
-    2f = Im lambda is reported when exactly one oscillating pole pair still
-    stands above NOISE_FLOOR of the population's peak three steps of a
-    PENCIL_SAMPLES set in: of the strided one when the first or second set
-    counts, so the first moves no size, and of dt when the third does.
+    A set's spacing decides the rest. Only the first set is sparser than the
+    strided one, so only its pencil may saturate: the set is skipped after the
+    SVD when the kept rank reaches a third of its columns (the full model's
+    spectra). Each set sizes its poles at the smaller of its spacing and the
+    stride, so the first moves no size against the second. 2f = Im lambda is
+    reported when exactly one oscillating pole pair still stands above
+    NOISE_FLOOR of the population's peak three such spacings in.
     Otherwise the result is none, and the detail says why: no oscillating
     pole, several (with their 2f), no pole set that fits, a grid that is not
     uniform, or a population that is zero throughout.
@@ -374,14 +374,13 @@ def measure_beats(series: TimeSeries, allow_tone_fit: bool = False) -> BeatMeasu
     tau = t - t[0]
     stride = -(-t.size // PENCIL_SAMPLES)
     first = -(-t.size // PENCIL_FIRST)
-    fit = "not tried"
-    if first > stride:
-        fit = _pole_fit(tau, y, slice(None, None, first), dt, floor, stride * dt, saturates=True)
-    if isinstance(fit, str):
-        fit = _pole_fit(tau, y, slice(None, None, stride), dt, floor)
-    if isinstance(fit, str) and stride > 1:
-        fit = _pole_fit(tau, y, slice(PENCIL_SAMPLES), dt, floor)
-    if isinstance(fit, str):
+    sets = ([slice(None, None, first)] * (first > stride) + [slice(None, None, stride)]
+            + [slice(PENCIL_SAMPLES)] * (stride > 1))
+    for part in sets:
+        fit = _pole_fit(tau, y, part, dt, floor, stride)
+        if not isinstance(fit, str):
+            break
+    else:
         return BeatMeasurement(None, "none", fit)
     poles, sizes = fit
     lo = (2.5 if allow_tone_fit else 5 * np.pi) / tau[-1]

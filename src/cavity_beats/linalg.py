@@ -22,7 +22,7 @@ class DriftError(RuntimeError):
     """The trace of an evolved state drifted beyond the allowed tolerance."""
 
 
-def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")

@@ -33,10 +33,9 @@ CSV_COLUMNS = tuple(CHANNELS)
 # this many, their cells built in one buffer per file. Larger blocks make fewer numpy
 # calls per value (a 20001-row file writes about 6% faster than at 512 rows) until a
 # block's cells and temporaries cross glibc's heap-trim threshold, and every block
-# faults its pages back in. A 1601-row file goes out as 801 + 800 rows here; a
-# reduced-scan pass of bench/run.py takes no minor faults with the formatter's 70 bytes
-# of temporaries per value, and took about 3,150 when they were 140 (seeds 3 and 13).
-# At 2048, one block of 1601 rows, it takes about 1,580 (seed 13).
+# faults its pages back in. A 1601-row file goes out as 801 + 800 rows here, and with
+# the formatter's 70 bytes of temporaries per value a reduced-scan pass of bench/run.py
+# takes no minor faults; at 2048, one block of 1601 rows, it takes about 1,580 (seed 13).
 CSV_BLOCK = 1024
 SWEEP_PARAMS = ("Omega", "eta", "t_end", "G")
 # Output files are <name>.csv and <name>.summary.json inside --out-dir.

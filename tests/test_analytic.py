@@ -482,7 +482,7 @@ def test_overflowing_pole_fit_fails(growth, w):
     y = np.zeros_like(tau)
     y[:PENCIL_SAMPLES] = np.exp(growth * tau[:PENCIL_SAMPLES]) * np.cos(w * tau[:PENCIL_SAMPLES])
     floor = 1e-5 * np.max(np.abs(y))
-    got = _pole_fit(tau, y, slice(PENCIL_SAMPLES), 0.05, floor)
+    got = _pole_fit(tau, y, slice(PENCIL_SAMPLES), 0.05, floor, -(-tau.size // PENCIL_SAMPLES))
     assert isinstance(got, str) and got.startswith("pole fit off by")
 
 
@@ -621,13 +621,13 @@ def test_composite_preset_reports_no_wrong_beats(tmp_path):
 # --- pencil sizes ------------------------------------------------------------
 
 def _spy_pencils(monkeypatch):
-    # (samples, saturated) of every _pencil_poles call
+    # (samples, step, saturates, saturated) of every _pencil_poles call
     calls = []
     pencil = analytic._pencil_poles
 
-    def spy(y, dt, saturates=False):
+    def spy(y, dt, saturates):
         poles = pencil(y, dt, saturates)
-        calls.append((y.size, poles is None))
+        calls.append((y.size, dt, saturates, poles is None))
         return poles
 
     monkeypatch.setattr(analytic, "_pencil_poles", spy)
@@ -654,7 +654,7 @@ def test_short_grids_make_one_pencil_call(monkeypatch):
         calls.clear()
         series = _beat_series(10.0, samples)
         got = measure_beats(series, allow_tone_fit=True)
-        assert calls == want, samples
+        assert [(n, saturated) for n, _, _, saturated in calls] == want, samples
         assert got == _measure_256_only(monkeypatch, series, allow_tone_fit=True)
 
 
@@ -666,7 +666,8 @@ def test_beats_above_the_first_pencils_nyquist_go_to_the_second(monkeypatch, w):
     calls = _spy_pencils(monkeypatch)
     got = measure_beats(_beat_series(w), allow_tone_fit=True)
     assert got.two_f == pytest.approx(w, rel=1e-9)
-    assert calls == ([(62, False)] if w < 24 else [(62, False), (229, False)])
+    assert [(n, saturated) for n, _, _, saturated in calls] == (
+        [(62, False)] if w < 24 else [(62, False), (229, False)])
 
 
 def test_saturated_signals_keep_the_256_result(monkeypatch, tmp_path):
@@ -674,7 +675,7 @@ def test_saturated_signals_keep_the_256_result(monkeypatch, tmp_path):
     # path's to the last digit; so is a noisy fit just off resonance
     calls = _spy_pencils(monkeypatch)
     assert main(["preset", "fig3", "--mode", "composite", "--out-dir", str(tmp_path / "first")]) == 0
-    assert [c for c in calls if c[0] == 62] == [(62, True)] * 3
+    assert [saturated for n, _, _, saturated in calls if n == 62] == [True] * 3
     with monkeypatch.context() as m:
         m.setattr(analytic, "PENCIL_FIRST", PENCIL_SAMPLES)
         assert main(["preset", "fig3", "--mode", "composite", "--out-dir", str(tmp_path / "only")]) == 0
@@ -728,9 +729,30 @@ def test_first_pencil_sizes_its_poles_at_256_spacings():
         floor = analytic.NOISE_FLOOR * np.max(np.abs(y))
         stride = -(-tau.size // PENCIL_SAMPLES)
         first = -(-tau.size // analytic.PENCIL_FIRST)
-        small = _pole_fit(tau, y, slice(None, None, first), dt, floor, stride * dt, saturates=True)
-        large = _pole_fit(tau, y, slice(None, None, stride), dt, floor)
+        small = _pole_fit(tau, y, slice(None, None, first), dt, floor, stride)
+        large = _pole_fit(tau, y, slice(None, None, stride), dt, floor, stride)
         assert not isinstance(small, str) and not isinstance(large, str)
         order = [np.lexsort((poles.real, poles.imag)) for poles, _ in (small, large)]
         np.testing.assert_allclose(small[0][order[0]], large[0][order[1]], rtol=1e-9)
         np.testing.assert_allclose(small[1][order[0]], large[1][order[1]], rtol=1e-9)
+
+
+def test_beats_above_the_strided_nyquist_go_to_the_unstrided_set(monkeypatch):
+    # at Omega = 40 over t = 12 the beat (2f = 80.05) lies above both strided Nyquist
+    # frequencies (16.1 and 59.8), so both sets fail the whole-grid check and the first
+    # 256 samples, unstrided, read it; each set's step and saturates come from its spacing
+    t = np.linspace(0.0, 12.0, 1601)
+    rates = _tuned_rates(40.0)
+    series = symmetric_solution(t, rates)
+    dt = linalg.uniform_step(t)
+    calls = _spy_pencils(monkeypatch)
+    got = measure_beats(series, allow_tone_fit=True)
+    assert [c[:3] for c in calls] == [(62, 26 * dt, True), (229, 7 * dt, False), (256, dt, False)]
+    assert got.two_f == pytest.approx(beat_frequency(rates).two_f, rel=1e-12)
+    # the unstrided set sizes its poles one sample apart, not seven
+    y = series.channel("rho_11")
+    floor = analytic.NOISE_FLOOR * np.max(np.abs(y))
+    poles, sizes = _pole_fit(t, y, slice(PENCIL_SAMPLES), dt, floor, 7)
+    amps = np.linalg.lstsq(np.exp(np.outer(t[:PENCIL_SAMPLES], poles)), y[:PENCIL_SAMPLES], rcond=None)[0]
+    np.testing.assert_allclose(sizes, np.abs(amps * np.exp(3 * poles * dt)), rtol=1e-12)
+    assert np.max(np.abs(sizes / np.abs(amps * np.exp(21 * poles * dt)) - 1)) > 1e-4

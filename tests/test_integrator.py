@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavity_beats import integrator
 from cavity_beats.integrator import IntegrationError, IntegratorConfig, integrate
 
 
@@ -92,9 +93,10 @@ def test_singularity_raises():
         integrate(rhs, np.array([1.0 + 0j]), np.linspace(0.0, 1.5, 16))
 
 
-def test_max_steps_exhaustion():
-    cfg = IntegratorConfig(max_step=1e-3, max_steps=10)
-    with pytest.raises(IntegrationError, match="max_steps"):
+def test_max_steps_exhaustion(monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 10)
+    cfg = IntegratorConfig(max_step=1e-3)
+    with pytest.raises(IntegrationError, match="MAX_STEPS=10"):
         integrate(lambda s, y: -y, np.array([1.0 + 0j]), np.array([0.0, 1.0]), cfg)
 
 
@@ -121,9 +123,7 @@ def test_config_validation():
         IntegratorConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_step=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
-    # NaN fails every comparison: unchecked, these run to max_steps, pass unheeded or
+    # NaN fails every comparison: unchecked, these run to MAX_STEPS, pass unheeded or
     # end in a misleading step size underflow
     for bad in (
         {"rel_tol": np.nan}, {"abs_tol": np.nan}, {"rel_tol": np.inf}, {"abs_tol": np.inf},

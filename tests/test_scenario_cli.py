@@ -474,14 +474,17 @@ def test_csv_memory_stays_flat(tmp_path):
     assert peak <= 4e6
 
 
-@pytest.mark.parametrize("kind", ["bit patterns", "populations"])
+@pytest.mark.parametrize("kind", ["bit patterns", "populations", "values in [10, 1e15)"])
 def test_format_rows_works_in_at_most_88_bytes_per_value(kind):
     # the cells go into the caller's buffer; the arrays that build them and the lines
-    # that come back peak near 70 bytes per value (about 140 while every step took a
-    # new array), so a 1024-row block stays far below glibc's heap-trim threshold
+    # that come back peak near 70 bytes per value, so a 1024-row block stays far below
+    # glibc's heap-trim threshold. Values of 10 and up move their point, one slice move
+    # per exponent, with no index array per value
     rng = np.random.default_rng(15)
     if kind == "bit patterns":
         block = rng.integers(0, 2**64, 8192, dtype=np.uint64).view(np.float64).reshape(1024, 8)
+    elif kind == "values in [10, 1e15)":
+        block = 10 ** rng.uniform(1, 15, (1024, 8))
     else:
         block = np.column_stack([np.linspace(0.0, 8.0, 1024), rng.random((1024, 7))])
     buf = bytearray()
@@ -1370,13 +1373,15 @@ def test_cli_needs_no_scipy():
     assert _fresh_python(code) == "[]"
 
 
-def test_runs_import_no_numpy_ma():
+def test_runs_import_no_numpy_ma(tmp_path):
     # numpy imports numpy.ma lazily (np.unique does), which costs a one-shot run about 12 ms
-    # and its memory bound about 1.1 MB; a fresh process shows what a user's run loads
+    # and its memory bound about 1.1 MB; a fresh process shows what a user's run loads. The
+    # CSVs run to t = 12, so the formatter moves the point of times from 10 up
     code = (
-        "import sys; from cavity_beats.scenario import parse_scenario, run_scenario; "
-        f"[run_scenario(parse_scenario(dict({SHORTCUT!r}, mode=m, samples=101))) "
-        "for m in ('reduced', 'composite')]; print('numpy.ma' in sys.modules)"
+        "import sys; from cavity_beats.scenario import parse_scenario, run_scenario, write_csv; "
+        f"[write_csv(run_scenario(parse_scenario(dict({SHORTCUT!r}, mode=m, t_end=12.0, samples=101)))"
+        f".series, {str(tmp_path)!r} + '/' + m) for m in ('reduced', 'composite')]; "
+        "print('numpy.ma' in sys.modules)"
     )
     assert _fresh_python(code) == "False"
 

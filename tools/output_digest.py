@@ -9,7 +9,8 @@ imported read-only) and runs each timed op and the accuracy probe; then it runs
 `validate` with the default ladder and with a repeated rung, `preset fig3` and
 `preset fig4` in every mode, an analytic run of an explicit block whose rates have
 the evenly tuned form (PHASE_COMPENSATED), and a composite Omega sweep whose second point
-drifts (DRIFTING), so that a recorded point and its exit 3 are digested too. Everything runs
+drifts (DRIFTING), so that a recorded point and its exit 3 are digested too, and an analytic
+run whose beat only the unstrided pole set reads (FAST_BEAT). Everything runs
 in this one process, as in-process cavity_beats.cli.main calls on the package under ./src.
 
 Each line names the op and gives its exit code, then a sha256 (first 16 hex digits)
@@ -53,6 +54,7 @@ EXTRA_OPS = [
 ] + [
     ("run-phase-compensated-analytic", ["run", "phase_compensated.json"]),
     ("sweep-drifting-point", ["sweep", "drifting.json", "--param", "Omega", "--values", "1,1e11"]),
+    ("run-fast-beat-analytic", ["run", "fast_beat.json"]),
 ]
 # Couplings turned by a phase that the lower transition gives back: not the shortcut's, but
 # with its rates, so analytic mode runs them in the closed form.
@@ -65,6 +67,9 @@ PHASE_COMPENSATED = {
 }
 # The full model at Omega = 1e11 loses the trace at its first step.
 DRIFTING = {"name": "drifting", "mode": "composite", "Omega": 1.0, "t_end": 8.0, "samples": 41}
+# A beat (2f = 80.05) above the Nyquist frequency of both strided pole sets, so only the
+# first 256 samples, unstrided, read it.
+FAST_BEAT = {"name": "fast_beat", "mode": "analytic", "Omega": 40, "t_end": 12, "samples": 1601}
 
 
 def _digest(data: bytes) -> str:
@@ -134,7 +139,7 @@ def main(argv=None) -> int:
                           flush=True)
                 shutil.rmtree("scenarios")
                 os.remove("plan.json")
-        for scenario in (PHASE_COMPENSATED, DRIFTING):
+        for scenario in (PHASE_COMPENSATED, DRIFTING, FAST_BEAT):
             with open(f"{scenario['name']}.json", "w", encoding="utf-8") as fh:
                 json.dump(scenario, fh)
         for label, op_argv in EXTRA_OPS:
